@@ -254,11 +254,12 @@ def _cmd_query(args) -> int:
     if args.detect_constraints is not None and args.constraints:
         print("cubeprob: error: give either --constraints or --detect-constraints", file=sys.stderr)
         return 1
+    if args.detect_constraints is not None and not args.exact:
+        print("cubeprob: error: --detect-constraints needs --exact CUBE to scan", file=sys.stderr)
+        return 1
+    cube = load_cube(args.exact) if args.exact else None
     if args.detect_constraints is not None:
-        if not args.exact:
-            print("cubeprob: error: --detect-constraints needs --exact CUBE to scan", file=sys.stderr)
-            return 1
-        cs = detect_macroblocks(load_cube(args.exact), args.detect_constraints)
+        cs = detect_macroblocks(cube, args.detect_constraints)
     else:
         cs = load_constraints(args.constraints) if args.constraints else None
     if args.case == 3 and cs is None:
@@ -271,8 +272,7 @@ def _cmd_query(args) -> int:
     )
     est = estimate(summary, cs, spec)
     exact = None
-    if args.exact:
-        cube = load_cube(args.exact)
+    if cube is not None:
         fn = count_exact if spec.kind is QueryKind.COUNT else sum_exact
         exact = fn(cube, spec.range)
     _emit(_estimate_payload(args, est, exact), args.format)

@@ -9,11 +9,14 @@ knowledge are supported:
 * case 1 -- count queries use the block's non-null count ``t`` alone
   (hypergeometric placements); sum queries use the block sum ``s`` alone
   (stars-and-bars compositions).
-* case 2 -- ``t`` and ``s`` jointly.  The count distribution collapses to
-  case 1; the sum distribution tightens.
+* case 2 -- ``t`` and ``s`` jointly.  This is case 3 with no constraint
+  information, and it is computed as case 3 under ``BoundTuple.trivial``:
+  the count law is case 1's, the sum law tightens.
 * case 3 -- ``t``, ``s`` plus lower/upper bounds on non-null counts derived
   from integrity constraints (a :class:`~cubeprob.constraints.BoundTuple`).
-  With trivial bounds this reduces exactly to case 2.
+
+Every count law is one hypergeometric draw in shifted coordinates, and exact
+pmfs are built from integer weights with a single division at the end.
 
 All probabilities, means, variances and maximum-error bounds are exact
 rationals over arbitrary-precision integers; float views are provided at the
@@ -25,9 +28,11 @@ single-variable distributions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, lgamma, sqrt
+from operator import itemgetter
 from typing import Mapping
 
 from .constraints import BoundTuple
@@ -67,15 +72,10 @@ def q_config_count(x: int, y: int, z: int) -> int:
     """Vectors of length x with exactly y non-null naturals summing to z.
 
     Choose the y non-null positions, then compose z into y positive parts:
-    C(x, y) * C(z - 1, z - y).
+    C(x, y) * C(z - 1, z - y), which is :func:`n_config_count` with no
+    located non-nulls.
     """
-    if x < 0 or y < 0 or z < 0:
-        return 0
-    if y == 0:
-        return 1 if z == 0 else 0
-    if z < y or y > x:
-        return 0
-    return binom(x, y) * binom(z - 1, z - y)
+    return n_config_count(x, y, z, 0) if x >= 0 else 0
 
 
 def n_config_count(t_hi: int, t: int, s: int, t_lo: int) -> int:
@@ -107,46 +107,57 @@ def _log_binom(n: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pmf:
-    """Exact probability mass function over integer values."""
+class _ExactLaw:
+    """Validation, integer-weight construction and lookup shared by the pmf types.
 
-    support: tuple[tuple[int, Fraction], ...]
+    Subclasses are frozen dataclasses whose ``support`` holds
+    ``(key, probability)`` pairs in strictly increasing key order; ``_key``
+    coerces a key and ``_name`` names the type in error messages.
+    """
+
+    support: tuple
+    _name = "pmf"
+    _key = int
 
     def __post_init__(self) -> None:
-        entries = tuple((int(v), Fraction(p)) for v, p in self.support)
+        entries = tuple((self._key(k), Fraction(p)) for k, p in self.support)
         object.__setattr__(self, "support", entries)
         if not entries:
-            raise ValueError("a pmf needs at least one support point")
-        values = [v for v, _ in entries]
-        if any(a >= b for a, b in zip(values, values[1:])):
-            raise ValueError("pmf support values must strictly increase")
+            raise ValueError(f"a {self._name} needs at least one support point")
+        keys = [k for k, _ in entries]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError(f"{self._name} support must strictly increase")
         if any(p <= 0 for _, p in entries):
-            raise ValueError("pmf probabilities must be positive")
+            raise ValueError(f"{self._name} probabilities must be positive")
         if sum(p for _, p in entries) != 1:
-            raise ValueError("pmf probabilities must sum to exactly 1")
+            raise ValueError(f"{self._name} probabilities must sum to exactly 1")
 
     @classmethod
-    def from_weights(
-        cls, weights: Mapping[int, int], denominator: int | None = None
-    ) -> "Pmf":
+    def from_weights(cls, weights: Mapping, denominator: int | None = None):
         total = sum(weights.values()) if denominator is None else denominator
         if total <= 0:
             raise InfeasibleError("empty distribution: no compatible configuration")
-        entries = tuple(
-            (v, Fraction(w, total)) for v, w in sorted(weights.items()) if w
-        )
-        return cls(entries)
+        return cls(tuple((k, Fraction(w, total)) for k, w in sorted(weights.items()) if w))
+
+    def _prob(self, key) -> Fraction:
+        i = bisect_left(self.support, key, key=itemgetter(0))
+        if i < len(self.support) and self.support[i][0] == key:
+            return self.support[i][1]
+        return _ZERO
+
+
+@dataclass(frozen=True)
+class Pmf(_ExactLaw):
+    """Exact probability mass function over integer values."""
+
+    support: tuple[tuple[int, Fraction], ...]
 
     @classmethod
     def point(cls, value: int) -> "Pmf":
         return cls(((value, Fraction(1)),))
 
     def prob(self, value: int) -> Fraction:
-        for v, p in self.support:
-            if v == value:
-                return p
-        return _ZERO
+        return self._prob(value)
 
     def mean(self) -> Fraction:
         return sum((p * v for v, p in self.support), _ZERO)
@@ -166,55 +177,31 @@ class Pmf:
 
 
 @dataclass(frozen=True)
-class JointPmf:
+class JointPmf(_ExactLaw):
     """Exact joint distribution of (count, sum) inside a query range."""
 
     support: tuple[tuple[tuple[int, int], Fraction], ...]
+    _name = "joint pmf"
 
-    def __post_init__(self) -> None:
-        entries = tuple(
-            ((int(t), int(s)), Fraction(p)) for (t, s), p in self.support
-        )
-        object.__setattr__(self, "support", entries)
-        if not entries:
-            raise ValueError("a joint pmf needs at least one support point")
-        keys = [k for k, _ in entries]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise ValueError("joint pmf support must strictly increase")
-        if any(p <= 0 for _, p in entries):
-            raise ValueError("joint pmf probabilities must be positive")
-        if sum(p for _, p in entries) != 1:
-            raise ValueError("joint pmf probabilities must sum to exactly 1")
+    @staticmethod
+    def _key(key: tuple[int, int]) -> tuple[int, int]:
+        t_in, s_in = key
+        return int(t_in), int(s_in)
 
-    @classmethod
-    def from_weights(
-        cls, weights: Mapping[tuple[int, int], int], denominator: int | None = None
-    ) -> "JointPmf":
-        total = sum(weights.values()) if denominator is None else denominator
-        if total <= 0:
-            raise InfeasibleError("empty distribution: no compatible configuration")
-        entries = tuple(
-            (k, Fraction(w, total)) for k, w in sorted(weights.items()) if w
-        )
-        return cls(entries)
+    def _marginal(self, axis: int) -> Pmf:
+        acc: dict[int, Fraction] = {}
+        for key, p in self.support:
+            acc[key[axis]] = acc.get(key[axis], _ZERO) + p
+        return Pmf(tuple(sorted(acc.items())))
 
     def marginal_count(self) -> Pmf:
-        acc: dict[int, Fraction] = {}
-        for (t_in, _), p in self.support:
-            acc[t_in] = acc.get(t_in, _ZERO) + p
-        return Pmf(tuple(sorted(acc.items())))
+        return self._marginal(0)
 
     def marginal_sum(self) -> Pmf:
-        acc: dict[int, Fraction] = {}
-        for (_, s_in), p in self.support:
-            acc[s_in] = acc.get(s_in, _ZERO) + p
-        return Pmf(tuple(sorted(acc.items())))
+        return self._marginal(1)
 
     def prob(self, t_in: int, s_in: int) -> Fraction:
-        for key, p in self.support:
-            if key == (t_in, s_in):
-                return p
-        return _ZERO
+        return self._prob((t_in, s_in))
 
 
 @dataclass(frozen=True)
@@ -291,6 +278,47 @@ def _check_pmf_budget(b: int, s: int, budget: int | None) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Count law: one hypergeometric draw in shifted coordinates.
+# ---------------------------------------------------------------------------
+
+
+def _hypergeometric(
+    n: int, m: int, l: int, shift: int, want_pmf: bool, *, b: int, pmf_budget: int | None
+) -> Estimate:
+    """Count of ``shift`` located non-nulls plus a hypergeometric draw.
+
+    ``m`` free non-nulls sit uniformly among ``n`` free cells, ``l`` of which
+    lie inside the query, so the count inside is shift + h with
+
+        P(h) = C(l, h) * C(n - l, m - h) / C(n, m),
+
+    mean shift + l*m/n (shift when n = 0) and variance
+    l*m*(n-l)*(n-m) / (n^2*(n-1)) (0 when n <= 1).  The exact pmf is refused
+    when the block size ``b`` is over budget; the sum plays no part.
+    """
+    d = n or 1  # n = 0 forces m = 0: the count is the shift
+    mean = Fraction(shift * d + l * m, d)
+    variance = Fraction(l * m * (n - l) * (n - m), n * n * (n - 1)) if n > 1 else _ZERO
+    h_lo, h_hi = max(0, m - (n - l)), min(l, m)
+    max_error = Fraction(max(l * m - h_lo * d, h_hi * d - l * m), d)
+    pmf = None
+    if want_pmf:
+        _check_pmf_budget(b, 0, pmf_budget)
+        weights = {shift + h: binom(l, h) * binom(n - l, m - h) for h in range(h_lo, h_hi + 1)}
+        pmf = Pmf.from_weights(weights, binom(n, m))
+    return Estimate(mean, variance, max_error, pmf)
+
+
+def _hypergeometric_pmf_float(n: int, m: int, l: int, shift: int) -> tuple[tuple[int, float], ...]:
+    """The pmf of :func:`_hypergeometric` as floats, computed in log space."""
+    log_denom = _log_binom(n, m)
+    return tuple(
+        (shift + h, exp(_log_binom(l, h) + _log_binom(n - l, m - h) - log_denom))
+        for h in range(max(0, m - (n - l)), min(l, m) + 1)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Case 1: count via t alone, sum via s alone.
 # ---------------------------------------------------------------------------
 
@@ -307,21 +335,7 @@ def count_case1(
 
     with mean (b_in/b)*t and variance t*(b-t)*b_in*(b-b_in) / (b^2*(b-1)).
     """
-    b, t, b_in = agg.b, agg.t, agg.b_in
-    mean = Fraction(b_in * t, b)
-    variance = Fraction(t * (b - t) * b_in * (b - b_in), b * b * (b - 1))
-    lo = max(0, t - (b - b_in))
-    hi = min(t, b_in)
-    max_error = max(mean - lo, hi - mean)
-    pmf = None
-    if want_pmf:
-        _check_pmf_budget(b, agg.s, pmf_budget)
-        denom = binom(b, t)
-        weights = {
-            k: binom(b_in, k) * binom(b - b_in, t - k) for k in range(lo, hi + 1)
-        }
-        pmf = Pmf.from_weights(weights, denom)
-    return Estimate(mean, variance, max_error, pmf)
+    return _hypergeometric(agg.b, agg.t, agg.b_in, 0, want_pmf, b=agg.b, pmf_budget=pmf_budget)
 
 
 def sum_case1(
@@ -355,7 +369,7 @@ def sum_case1(
 
 
 # ---------------------------------------------------------------------------
-# Case 2: t and s jointly.
+# Case 2: t and s jointly, i.e. case 3 with no constraint information.
 # ---------------------------------------------------------------------------
 
 
@@ -367,21 +381,10 @@ def joint_case2(
         P(count = k, sum = v) =
             Q(b_in, k, v) * Q(b - b_in, t - k, s - v) / Q(b, t, s)
 
-    where Q is :func:`q_config_count`.
+    where Q is :func:`q_config_count`; computed by :func:`joint_case3` under
+    trivial bounds.
     """
-    b, t, s, b_in = agg.b, agg.t, agg.s, agg.b_in
-    _check_pmf_budget(b, s, pmf_budget)
-    denom = q_config_count(b, t, s)
-    if denom == 0:
-        raise InfeasibleError(f"no block of size {b} holds {t} non-nulls summing {s}")
-    weights: dict[tuple[int, int], int] = {}
-    for k in range(0, min(b_in, t) + 1):
-        t_out = t - k
-        for v in range(k, s - t_out + 1):
-            w = q_config_count(b_in, k, v) * q_config_count(b - b_in, t_out, s - v)
-            if w:
-                weights[(k, v)] = w
-    return JointPmf.from_weights(weights, denom)
+    return joint_case3(BoundTuple.trivial(agg.b_in, agg.b), agg.t, agg.s, pmf_budget=pmf_budget)
 
 
 def count_case2(
@@ -398,28 +401,15 @@ def count_case2(
 def sum_case2(
     agg: BlockAggregates, want_pmf: bool = False, *, pmf_budget: int | None = DEFAULT_PMF_BUDGET
 ) -> Estimate:
-    """Sum query knowing both t and s.
+    """Sum query knowing both t and s: :func:`sum_case3` under trivial bounds.
 
-    Mean is (b_in/b)*s as in case 1 but the variance tightens to
-
-        s*b_in*(b-b_in) / (b^2*(b-1)*(t+1)) * [b*(2s - t + 1) - s*(t + 1)].
-
-    The extremes sharpen too: at least max(0, t-(b-b_in)) non-nulls must sit
+    The mean is (b_in/b)*s as in case 1, but knowing t tightens the variance
+    and sharpens the extremes: at least max(0, t-(b-b_in)) non-nulls must sit
     inside the query (each worth >= 1) and at least max(0, t-b_in) outside.
     """
-    b, t, s, b_in = agg.b, agg.t, agg.s, agg.b_in
-    mean = Fraction(b_in * s, b)
-    variance = Fraction(
-        s * b_in * (b - b_in) * (b * (2 * s - t + 1) - s * (t + 1)),
-        b * b * (b - 1) * (t + 1),
+    return sum_case3(
+        BoundTuple.trivial(agg.b_in, agg.b), agg.t, agg.s, want_pmf, pmf_budget=pmf_budget
     )
-    lo = max(0, t - (b - b_in))
-    hi = s - max(0, t - b_in)
-    max_error = max(mean - lo, hi - mean)
-    pmf = None
-    if want_pmf:
-        pmf = joint_case2(agg, pmf_budget=pmf_budget).marginal_sum()
-    return Estimate(mean, variance, max_error, pmf)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +417,13 @@ def sum_case2(
 # ---------------------------------------------------------------------------
 
 
-def _check_case3_inputs(bt: BoundTuple, t: int, s: int | None = None) -> None:
+def _shifted_coordinates(bt: BoundTuple, t: int, s: int | None = None) -> tuple[int, int, int, int]:
+    """Check t (and s) against ``bt``; return the free-cell coordinates (n, m, l, shift).
+
+    n = t_hi_blk - t_lo_blk free block cells hold m = t - t_lo_blk free
+    non-nulls; l = t_hi_in - t_lo_in of those cells lie inside the query,
+    which also holds shift = t_lo_in located non-nulls.
+    """
     if not bt.t_lo_blk <= t <= bt.t_hi_blk:
         raise InfeasibleError(
             f"block count {t} violates constraint bounds [{bt.t_lo_blk}..{bt.t_hi_blk}]"
@@ -437,23 +433,13 @@ def _check_case3_inputs(bt: BoundTuple, t: int, s: int | None = None) -> None:
             raise InfeasibleError(f"count {t} exceeds sum {s}")
         if t == 0 and s > 0:
             raise InfeasibleError(f"sum {s} positive with no non-null cells")
+    return bt.t_hi_blk - bt.t_lo_blk, t - bt.t_lo_blk, bt.t_hi_in - bt.t_lo_in, bt.t_lo_in
 
 
-def joint_case3(
-    bt: BoundTuple, t: int, s: int, *, pmf_budget: int | None = DEFAULT_PMF_BUDGET
-) -> JointPmf:
-    """Joint law of (count, sum) inside the query under constraint bounds.
-
-    With N = :func:`n_config_count` and the complement region carrying
-    t - count non-nulls and sum s - v:
-
-        P(count = k, sum = v) =
-            N(t_hi_in, k, v, t_lo_in) * N(t_hi_out, t-k, s-v, t_lo_out)
-            / N(t_hi_blk, t, s, t_lo_blk)
-
-    Trivial bounds reduce this exactly to :func:`joint_case2`.
-    """
-    _check_case3_inputs(bt, t, s)
+def _joint_weights(
+    bt: BoundTuple, t: int, s: int, pmf_budget: int | None
+) -> tuple[dict[tuple[int, int], int], int]:
+    """Integer weights of (count, sum) inside the query, and their total."""
     _check_pmf_budget(bt.b_blk, s, pmf_budget)
     tu_in, tl_in = bt.t_hi_in, bt.t_lo_in
     tu_out, tl_out = bt.t_hi_out, bt.t_lo_out
@@ -473,7 +459,25 @@ def joint_case3(
             )
             if w:
                 weights[(k, v)] = w
-    return JointPmf.from_weights(weights, denom)
+    return weights, denom
+
+
+def joint_case3(
+    bt: BoundTuple, t: int, s: int, *, pmf_budget: int | None = DEFAULT_PMF_BUDGET
+) -> JointPmf:
+    """Joint law of (count, sum) inside the query under constraint bounds.
+
+    With N = :func:`n_config_count` and the complement region carrying
+    t - count non-nulls and sum s - v:
+
+        P(count = k, sum = v) =
+            N(t_hi_in, k, v, t_lo_in) * N(t_hi_out, t-k, s-v, t_lo_out)
+            / N(t_hi_blk, t, s, t_lo_blk)
+
+    Trivial bounds give case 2 (:func:`joint_case2`).
+    """
+    _shifted_coordinates(bt, t, s)
+    return JointPmf.from_weights(*_joint_weights(bt, t, s, pmf_budget))
 
 
 def count_case3(
@@ -491,33 +495,8 @@ def count_case3(
     When every cell is located (n = 0) the count is exactly t_lo_in; the
     variance is 0 whenever n <= 1.
     """
-    _check_case3_inputs(bt, t)
-    tl_in, tu_in = bt.t_lo_in, bt.t_hi_in
-    l = tu_in - tl_in
-    n = bt.t_hi_blk - bt.t_lo_blk
-    m = t - bt.t_lo_blk
-    if n == 0:
-        mean = Fraction(tl_in)
-        variance = _ZERO
-    else:
-        mean = tl_in + Fraction(l * m, n)
-        if n <= 1:
-            variance = _ZERO
-        else:
-            variance = Fraction(l * m * (n - l) * (bt.t_hi_blk - t), n * n * (n - 1))
-    lo = max(tl_in, t - bt.t_hi_out)
-    hi = min(tu_in, t - bt.t_lo_out)
-    max_error = max(mean - lo, hi - mean)
-    pmf = None
-    if want_pmf:
-        _check_pmf_budget(bt.b_blk, 0, pmf_budget)
-        denom = binom(n, m)
-        weights = {
-            tl_in + h: binom(l, h) * binom(n - l, m - h)
-            for h in range(max(0, m - (n - l)), min(l, m) + 1)
-        }
-        pmf = Pmf.from_weights(weights, denom)
-    return Estimate(mean, variance, max_error, pmf)
+    n, m, l, shift = _shifted_coordinates(bt, t)
+    return _hypergeometric(n, m, l, shift, want_pmf, b=bt.b_blk, pmf_budget=pmf_budget)
 
 
 def sum_case3(
@@ -539,30 +518,24 @@ def sum_case3(
 
     The degenerate branches cover the configurations where the count inside
     the query is already pinned down and only the value split varies.
+
+    For n > 1 the variance is evaluated as one integer ratio by the law of
+    total variance over the count K inside the query: given K the sum has
+    mean K*s/t and variance K*(t-K)*s*(s-t)/(t^2*(t+1)), and K is
+    :func:`count_case3`'s law with mean c/n, c = t_lo_in*n + l*m.
     """
-    _check_case3_inputs(bt, t, s)
+    n, m, l, tl_in = _shifted_coordinates(bt, t, s)
     if t == 0:
         pmf = Pmf.point(0) if want_pmf else None
         return Estimate(_ZERO, _ZERO, _ZERO, pmf)
-    tl_in, tu_in = bt.t_lo_in, bt.t_hi_in
-    l = tu_in - tl_in
-    n = bt.t_hi_blk - bt.t_lo_blk
-    m = t - bt.t_lo_blk
-    s_over_t = Fraction(s, t)
-    if n == 0:
-        mean = tl_in * s_over_t
-    else:
-        mean = tl_in * s_over_t + l * s_over_t * Fraction(m, n)
+    tu_in = bt.t_hi_in
+    c = tl_in * n + l * m
+    mean_num, mean_den = (s * c, t * n) if n else (s * tl_in, t)
+    mean = Fraction(mean_num, mean_den)
     if n > 1:
-        alpha = Fraction(s * (s + 1), t * (t + 1))
-        beta = Fraction(s * (s - t), t * (t + 1))
-        occupancy = Fraction(m, n)
-        variance = (
-            alpha * l * occupancy * (1 + (l - 1) * Fraction(m - 1, n - 1))
-            + (beta + 2 * alpha * tl_in) * l * occupancy
-            + alpha * tl_in * tl_in
-            + beta * tl_in
-            - mean * mean
+        variance = Fraction(
+            s * ((s - t) * c * (t * n - c) * (n - 1) + t * (s + 1) * l * m * (n - l) * (n - m)),
+            t * t * (t + 1) * n * n * (n - 1),
         )
     elif n == 0 or t == bt.t_lo_blk:
         variance = Fraction(s * tl_in * (t - tl_in) * (s - t), t * t * (t + 1))
@@ -577,10 +550,14 @@ def sum_case3(
     count_hi = min(tu_in, t - bt.t_lo_out)
     lo = s if count_lo == t else count_lo
     hi = 0 if count_hi == 0 else s - (t - count_hi)
-    max_error = max(mean - lo, hi - mean)
+    max_error = Fraction(max(mean_num - lo * mean_den, hi * mean_den - mean_num), mean_den)
     pmf = None
     if want_pmf:
-        pmf = joint_case3(bt, t, s, pmf_budget=pmf_budget).marginal_sum()
+        weights, denom = _joint_weights(bt, t, s, pmf_budget)
+        marginal: dict[int, int] = {}
+        for (_, v), w in weights.items():
+            marginal[v] = marginal.get(v, 0) + w
+        pmf = Pmf.from_weights(marginal, denom)
     return Estimate(mean, variance, max_error, pmf)
 
 
@@ -591,13 +568,7 @@ def sum_case3(
 
 def count_case1_pmf_float(agg: BlockAggregates) -> tuple[tuple[int, float], ...]:
     """Hypergeometric pmf of case-1 counts as floats, computed in log space."""
-    b, t, b_in = agg.b, agg.t, agg.b_in
-    log_denom = _log_binom(b, t)
-    out = []
-    for k in range(max(0, t - (b - b_in)), min(t, b_in) + 1):
-        log_w = _log_binom(b_in, k) + _log_binom(b - b_in, t - k)
-        out.append((k, exp(log_w - log_denom)))
-    return tuple(out)
+    return _hypergeometric_pmf_float(agg.b, agg.t, agg.b_in, 0)
 
 
 def sum_case1_pmf_float(agg: BlockAggregates) -> tuple[tuple[int, float], ...]:
@@ -613,16 +584,4 @@ def sum_case1_pmf_float(agg: BlockAggregates) -> tuple[tuple[int, float], ...]:
 
 def count_case3_pmf_float(bt: BoundTuple, t: int) -> tuple[tuple[int, float], ...]:
     """Shifted hypergeometric pmf of case-3 counts as floats."""
-    _check_case3_inputs(bt, t)
-    tl_in = bt.t_lo_in
-    l = bt.t_hi_in - tl_in
-    n = bt.t_hi_blk - bt.t_lo_blk
-    m = t - bt.t_lo_blk
-    if n == 0:
-        return ((tl_in, 1.0),)
-    log_denom = _log_binom(n, m)
-    out = []
-    for h in range(max(0, m - (n - l)), min(l, m) + 1):
-        log_w = _log_binom(l, h) + _log_binom(n - l, m - h)
-        out.append((tl_in + h, exp(log_w - log_denom)))
-    return tuple(out)
+    return _hypergeometric_pmf_float(*_shifted_coordinates(bt, t))

@@ -128,6 +128,26 @@ def test_query_detect_constraints_from_cube(reference_files, capsys):
     assert support[0] >= 1 and support[-1] <= 6
 
 
+def test_query_detect_constraints_loads_cube_once(reference_files, monkeypatch, capsys):
+    import cubeprob.cli as cli
+
+    cube_path, summary_path, _ = reference_files
+    loads = []
+
+    def counting_load_cube(path):
+        loads.append(path)
+        return load_cube(path)
+
+    monkeypatch.setattr(cli, "load_cube", counting_load_cube)
+    rc = main([
+        "query", str(summary_path), "--range", "4:6,1:3", "--kind", "count",
+        "--case", "3", "--detect-constraints", "3", "--exact", str(cube_path),
+    ])
+    assert rc == 0
+    assert loads == [str(cube_path)]
+    assert "exact: 4" in capsys.readouterr().out
+
+
 def test_query_detect_constraints_needs_cube(reference_files, capsys):
     _, summary_path, _ = reference_files
     rc = main([

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubeprob import (
@@ -325,6 +325,23 @@ def test_pmf_budget_refusal():
     assert count_case1(big, want_pmf=True, pmf_budget=None).pmf is not None
 
 
+def test_count_pmf_ignores_sum_budget():
+    # the count law does not depend on s, so only the block size is budgeted
+    agg = BlockAggregates(10, 3, 20001, 4)
+    expected = count_case3(BoundTuple.trivial(4, 10), 3, want_pmf=True)
+    assert len(expected.pmf.support) == 4
+    assert count_case1(agg, want_pmf=True) == expected
+    assert count_case2(agg, want_pmf=True) == expected
+
+
+def test_prob_looks_up_the_support():
+    pmf = Pmf(((-2, F(1, 4)), (1, F(1, 2)), (5, F(1, 4))))
+    assert [pmf.prob(v) for v in (-3, -2, 0, 1, 2, 5, 6)] == [0, F(1, 4), 0, F(1, 2), 0, F(1, 4), 0]
+    j = joint_case3(BoundTuple(1, 1, 1, 3, 1, 3), 2, 3)
+    keys = ((0, 0), (1, 0), (1, 1), (1, 2), (1, 3), (2, 1))
+    assert [j.prob(*k) for k in keys] == [0, 0, F(1, 2), F(1, 2), 0, 0]
+
+
 def test_float_fallbacks_track_exact():
     agg = BlockAggregates(12, 5, 9, 4)
     exact = dict(count_case1(agg, want_pmf=True).pmf.support)
@@ -353,3 +370,78 @@ def test_pmf_moments_equal_closed_forms(raw):
         est = fn(agg, want_pmf=True)
         assert est.pmf.mean() == est.mean
         assert est.pmf.variance() == est.variance
+
+
+def sum_case2_closed_form(b, t, s, b_in):
+    """The paper's case-2 sum law: mean, variance and worst-case error.
+
+    Mean (b_in/b)*s as in case 1; variance
+    s*b_in*(b-b_in) / (b^2*(b-1)*(t+1)) * [b*(2s - t + 1) - s*(t + 1)];
+    at least max(0, t-(b-b_in)) non-nulls (each worth >= 1) sit inside the
+    query and at least max(0, t-b_in) outside.
+    """
+    mean = F(b_in * s, b)
+    variance = F(
+        s * b_in * (b - b_in) * (b * (2 * s - t + 1) - s * (t + 1)),
+        b * b * (b - 1) * (t + 1),
+    )
+    lo = max(0, t - (b - b_in))
+    hi = s - max(0, t - b_in)
+    return mean, variance, max(mean - lo, hi - mean)
+
+
+@st.composite
+def large_aggregates(draw):
+    b = draw(st.integers(2, 200))
+    b_in = draw(st.integers(1, b - 1))
+    t = draw(st.integers(0, b))
+    s = draw(st.integers(t, 2000)) if t else 0
+    return b, t, s, b_in
+
+
+@settings(deadline=None, max_examples=300)
+@given(large_aggregates())
+def test_sum_case2_matches_paper_closed_form(raw):
+    est = sum_case2(BlockAggregates(*raw))
+    assert (est.mean, est.variance, est.max_error) == sum_case2_closed_form(*raw)
+
+
+def sum_case3_alpha_beta(bt, t, s):
+    """Mean and variance from the alpha/beta formula of sum_case3's docstring (n > 1)."""
+    l = bt.t_hi_in - bt.t_lo_in
+    n = bt.t_hi_blk - bt.t_lo_blk
+    m = t - bt.t_lo_blk
+    tl_in = bt.t_lo_in
+    alpha = F(s * (s + 1), t * (t + 1))
+    beta = F(s * (s - t), t * (t + 1))
+    mean = tl_in * F(s, t) + l * F(s, t) * F(m, n)
+    variance = (
+        alpha * l * F(m, n) * (1 + (l - 1) * F(m - 1, n - 1))
+        + (beta + 2 * alpha * tl_in) * l * F(m, n)
+        + alpha * tl_in * tl_in
+        + beta * tl_in
+        - mean * mean
+    )
+    return mean, variance
+
+
+@st.composite
+def constrained_blocks(draw):
+    b = draw(st.integers(2, 200))
+    b_in = draw(st.integers(1, b - 1))
+    tl_in = draw(st.integers(0, b_in))
+    th_in = draw(st.integers(tl_in, b_in))
+    tl_out = draw(st.integers(0, b - b_in))
+    th_out = draw(st.integers(tl_out, b - b_in))
+    bt = BoundTuple(tl_in, th_in, tl_in + tl_out, th_in + th_out, b_in, b)
+    assume(bt.t_hi_blk - bt.t_lo_blk > 1)
+    t = draw(st.integers(max(1, bt.t_lo_blk), bt.t_hi_blk))
+    return bt, t, draw(st.integers(t, 2000))
+
+
+@settings(deadline=None, max_examples=300)
+@given(constrained_blocks())
+def test_sum_case3_matches_alpha_beta_formula(raw):
+    bt, t, s = raw
+    est = sum_case3(bt, t, s)
+    assert (est.mean, est.variance) == sum_case3_alpha_beta(bt, t, s)
