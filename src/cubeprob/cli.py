@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .constraints import (
@@ -117,21 +118,10 @@ class ExperimentRow:
 def _sweep_queries(
     dims: Sequence[int], shape: Sequence[int], stride: Sequence[int]
 ) -> list[Range]:
-    axes = []
-    for n, w, st in zip(dims, shape, stride):
-        starts = [a for a in range(1, n - w + 2, st)]
-        axes.append(starts)
-    queries = []
-
-    def rec(q: int, lo: list[int]) -> None:
-        if q == len(axes):
-            queries.append(Range(tuple(lo), tuple(l + w - 1 for l, w in zip(lo, shape))))
-            return
-        for start in axes[q]:
-            rec(q + 1, lo + [start])
-
-    rec(0, [])
-    return queries
+    starts = [range(1, n - w + 2, st) for n, w, st in zip(dims, shape, stride)]
+    return [
+        Range(lo, tuple(l + w - 1 for l, w in zip(lo, shape))) for lo in product(*starts)
+    ]
 
 
 def run_experiment(

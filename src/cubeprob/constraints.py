@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product as _iproduct
+from math import prod
 from typing import Sequence
 
 from .core import Coords, Datacube, Range
@@ -181,7 +183,15 @@ def validate(cs: ConstraintSet, summary: CompressedDatacube) -> ValidationReport
     """Check every block's stored count against the constraint bounds.
 
     Returns a report naming the first violating block instead of raising.
+    A macro-block whose arity differs from the summary's raises
+    ``ConstraintError``: its overlaps with the blocks would be meaningless.
     """
+    ndim = summary.factor.ndim
+    for m in cs.blocks:
+        if m.range.ndim != ndim:
+            raise ConstraintError(
+                f"macro-block {m.range} has arity {m.range.ndim}, the summary has arity {ndim}"
+            )
     for blk in summary.blocks:
         lo = lb_gt0(cs, blk.range)
         hi = blk.size - lb_eq0(cs, blk.range)
@@ -227,92 +237,40 @@ def _largest_uniform_rectangle(
     return best
 
 
-def _detect_2d(cube: Datacube, min_cells: int) -> list[MacroBlock]:
-    rows, cols = cube.dims
-    cells = cube.cells
-    null_mask = [v == 0 for v in cells]
-    nonnull_mask = [v > 0 for v in cells]
-    found: list[MacroBlock] = []
-    while True:
-        candidates = []
-        for mask, kind in ((null_mask, MacroKind.ALL_NULL), (nonnull_mask, MacroKind.ALL_NONNULL)):
-            rect = _largest_uniform_rectangle(rows, cols, mask)
-            if rect is not None and rect[0] >= min_cells:
-                candidates.append((rect[0], rect[1], rect[2], kind))
-        if not candidates:
-            break
-        # largest first; ties prefer the earliest corner (kinds cannot tie there)
-        candidates.sort(key=lambda c: (-c[0], c[1], c[3].value))
-        _, lo, hi, kind = candidates[0]
-        found.append(MacroBlock(Range(lo, hi), kind))
-        for i in range(lo[0] - 1, hi[0]):
-            base = i * cols
-            for j in range(lo[1] - 1, hi[1]):
-                null_mask[base + j] = False
-                nonnull_mask[base + j] = False
-    return found
+def _largest_box(
+    dims: Sequence[int], mask: list[bool]
+) -> tuple[int, Coords, Coords] | None:
+    """Largest axis-aligned all-True box in a row-major mask over ``dims``.
 
-
-def _detect_generic(cube: Datacube, min_cells: int) -> list[MacroBlock]:
-    """Greedy fallback for arities other than 2: grow a box from every
-    unclaimed cell (trying both axis orders), claim the largest each round."""
-    dims = cube.dims
-    ndim = cube.ndim
-    cells = cube.cells
-    claimed = bytearray(len(cells))
-
-    strides = [1] * ndim
-    for q in range(ndim - 2, -1, -1):
-        strides[q] = strides[q + 1] * dims[q + 1]
-
-    def offset(coords: Sequence[int]) -> int:
-        return sum((c - 1) * st for c, st in zip(coords, strides))
-
-    def usable(off: int, cls: int) -> bool:
-        return not claimed[off] and (cells[off] > 0) == cls
-
-    def grow(anchor: Coords, order: Sequence[int]) -> tuple[int, Coords, Coords]:
-        cls = cells[offset(anchor)] > 0
-        lo = list(anchor)
-        hi = list(anchor)
-        changed = True
-        while changed:
-            changed = False
-            for q in order:
-                if hi[q] + 1 > dims[q]:
-                    continue
-                slab_lo = lo.copy()
-                slab_hi = hi.copy()
-                slab_lo[q] = slab_hi[q] = hi[q] + 1
-                slab = Range(tuple(slab_lo), tuple(slab_hi))
-                if all(usable(offset(c), cls) for c in slab.cells()):
-                    hi[q] += 1
-                    changed = True
-        size = 1
-        for l, h in zip(lo, hi):
-            size *= h - l + 1
-        return size, tuple(lo), tuple(hi)
-
-    found: list[MacroBlock] = []
-    orders = (tuple(range(ndim)), tuple(reversed(range(ndim))))
-    while True:
-        best: tuple[int, Coords, Coords] | None = None
-        for anchor in cube.full_range().cells():
-            if claimed[offset(anchor)]:
-                continue
-            for order in orders:
-                size, lo, hi = grow(anchor, order)
-                if size >= min_cells and (best is None or size > best[0]):
-                    best = (size, lo, hi)
-        if best is None:
-            break
-        _, lo, hi = best
-        box = Range(lo, hi)
-        kind = MacroKind.ALL_NONNULL if cells[offset(lo)] > 0 else MacroKind.ALL_NULL
-        for coords in box.cells():
-            claimed[offset(coords)] = 1
-        found.append(MacroBlock(box, kind))
-    return found
+    Returns (size, lo, hi) with 1-based corners, or None when the mask is
+    empty.  Two dimensions are the largest-rectangle search; one dimension
+    is a single row of it.  Higher arities try every interval of the first
+    axis: the AND of its slabs, built up one slab at a time, holds the
+    cells available across the whole interval, and its largest box in the
+    remaining axes times the interval length is the best box spanning
+    exactly that interval.  Ties go to the box found first, scanning the
+    interval start and then its end in increasing order.
+    """
+    if len(dims) == 2:
+        return _largest_uniform_rectangle(dims[0], dims[1], mask)
+    if len(dims) == 1:
+        best = _largest_uniform_rectangle(1, dims[0], mask)
+        return None if best is None else (best[0], best[1][1:], best[2][1:])
+    n, sub = dims[0], dims[1:]
+    stride = prod(sub)
+    best = None
+    for lo in range(n):
+        common = [True] * stride
+        for hi in range(lo, n):
+            slab = mask[hi * stride : (hi + 1) * stride]
+            common = [a and b for a, b in zip(common, slab)]
+            if not any(common):
+                break
+            size, inner_lo, inner_hi = _largest_box(sub, common)
+            size *= hi - lo + 1
+            if best is None or size > best[0]:
+                best = (size, (lo + 1, *inner_lo), (hi + 1, *inner_hi))
+    return best
 
 
 def detect_macroblocks(cube: Datacube, min_cells: int = 20) -> ConstraintSet:
@@ -320,17 +278,36 @@ def detect_macroblocks(cube: Datacube, min_cells: int = 20) -> ConstraintSet:
 
     Greedy largest-first: each round finds the largest axis-aligned box of
     unclaimed cells that is uniformly null or uniformly non-null, claims it,
-    and repeats until no box reaches ``min_cells``.  Two-dimensional cubes
-    use an exact largest-rectangle search per round; other arities fall back
-    to greedy box growth.  The result is deterministic and always consistent
-    with the cube.
+    and repeats until no box reaches ``min_cells``.  Every arity uses the
+    same exact search (:func:`_largest_box`), once per kind and round; a tie
+    in size goes to the box with the smaller lower corner.  The result is
+    deterministic and always consistent with the cube.
     """
     if min_cells < 1:
         raise ConstraintError(f"min_cells must be >= 1, got {min_cells}")
-    if cube.ndim == 2:
-        found = _detect_2d(cube, min_cells)
-    else:
-        found = _detect_generic(cube, min_cells)
+    dims = cube.dims
+    masks = {
+        MacroKind.ALL_NULL: [v == 0 for v in cube.cells],
+        MacroKind.ALL_NONNULL: [v > 0 for v in cube.cells],
+    }
+    found: list[MacroBlock] = []
+    while True:
+        candidates = []
+        for kind, mask in masks.items():
+            box = _largest_box(dims, mask)
+            if box is not None and box[0] >= min_cells:
+                candidates.append((*box, kind))
+        if not candidates:
+            break
+        # kinds cannot tie on the lower corner: its cell has only one kind
+        _, lo, hi, kind = min(candidates, key=lambda c: (-c[0], c[1], c[3].value))
+        found.append(MacroBlock(Range(lo, hi), kind))
+        # the box is uniform, so only its own kind's mask holds its cells
+        mask = masks[kind]
+        width = hi[-1] - lo[-1] + 1
+        for row in _iproduct(*(range(l, h + 1) for l, h in zip(lo[:-1], hi[:-1]))):
+            start = cube.offset((*row, lo[-1]))
+            mask[start : start + width] = [False] * width
     return ConstraintSet(tuple(found))
 
 

@@ -453,9 +453,13 @@ def _joint_weights(
     k_hi = min(tu_in, t - tl_out, t)
     for k in range(k_lo, k_hi + 1):
         t_out = t - k
+        # n_config_count factored: the placements depend on the counts only,
+        # the splits of each sum into positive values on the sums too (a
+        # count of 0 admits only a sum of 0)
+        placements = binom(tu_in - tl_in, k - tl_in) * binom(tu_out - tl_out, t_out - tl_out)
         for v in range(k, s - t_out + 1):
-            w = n_config_count(tu_in, k, v, tl_in) * n_config_count(
-                tu_out, t_out, s - v, tl_out
+            w = placements * compositions_count(k, v - k) * compositions_count(
+                t_out, s - v - t_out
             )
             if w:
                 weights[(k, v)] = w

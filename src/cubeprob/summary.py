@@ -10,6 +10,7 @@ partially overlaps.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product as _iproduct
 from math import prod
@@ -200,9 +201,9 @@ def decompose(summary: CompressedDatacube, query: Range) -> RangeDecomposition:
     # Per dimension, the contiguous run of block indices overlapping the query.
     index_runs = []
     for lo_q, hi_q, axis in zip(query.lo, query.hi, factor.boundaries):
-        first = next(k for k in range(1, len(axis)) if axis[k] >= lo_q)
-        last = next(k for k in range(len(axis) - 1, 0, -1) if axis[k - 1] + 1 <= hi_q)
-        index_runs.append(range(first, last + 1))
+        # block k spans axis[k-1]+1..axis[k]: the first one ends at or after
+        # lo_q, the last one starts at or before hi_q
+        index_runs.append(range(bisect_left(axis, lo_q), bisect_left(axis, hi_q) + 1))
 
     total: list[Coords] = []
     partial: list[tuple[Coords, Range]] = []

@@ -158,6 +158,18 @@ def test_query_detect_constraints_needs_cube(reference_files, capsys):
     assert "--exact" in capsys.readouterr().err
 
 
+def test_query_constraints_of_another_arity_exit_2(reference_files, tmp_path, capsys):
+    _, summary_path, _ = reference_files
+    one_d = tmp_path / "one_d_constraints.json"
+    one_d.write_text('{"macro_blocks": [{"lo": [4], "hi": [6], "kind": "all_null"}]}')
+    rc = main([
+        "query", str(summary_path), "--range", "4:6,1:3", "--kind", "count",
+        "--case", "3", "--constraints", str(one_d),
+    ])
+    assert rc == 2
+    assert "arity" in capsys.readouterr().err
+
+
 def test_query_case3_empty_constraints_matches_case2(reference_files, tmp_path, capsys):
     _, summary_path, _ = reference_files
     empty = tmp_path / "empty_constraints.json"

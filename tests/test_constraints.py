@@ -1,3 +1,6 @@
+from itertools import combinations_with_replacement, product
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from cubeprob import (
     validate,
 )
 from cubeprob.constraints import (
+    _largest_box,
     constraints_from_dict,
     constraints_to_dict,
     load_constraints,
@@ -162,12 +166,12 @@ def test_detect_zero_band():
 @settings(deadline=None, max_examples=25)
 @given(st.data())
 def test_detect_output_consistent_with_cube(data):
-    n1 = data.draw(st.integers(3, 7))
-    n2 = data.draw(st.integers(3, 7))
+    ndim = data.draw(st.integers(1, 3))
+    dims = tuple(data.draw(st.integers(3, 7 if ndim < 3 else 4)) for _ in range(ndim))
     cells = tuple(
-        data.draw(st.sampled_from([0, 0, 1, 2])) for _ in range(n1 * n2)
+        data.draw(st.sampled_from([0, 0, 1, 2])) for _ in range(prod(dims))
     )
-    cube = Datacube((n1, n2), cells)
+    cube = Datacube(dims, cells)
     cs = detect_macroblocks(cube, min_cells=data.draw(st.integers(2, 6)))
     # declared regions match the cube exactly
     for m in cs.blocks:
@@ -176,8 +180,83 @@ def test_detect_output_consistent_with_cube(data):
                 assert cube[cell] == 0
             else:
                 assert cube[cell] > 0
-    factor = CompressionFactor.equal_width((n1, n2), (2, 2))
+    factor = CompressionFactor.equal_width(dims, (2,) * ndim)
     assert validate(cs, build_summary(cube, factor)).ok
+
+
+def test_detect_3d_null_slab():
+    # a 5x4x4 checkerboard whose middle plane along the first axis is null
+    cells = tuple(
+        0 if i == 3 else (i + j + k) % 2
+        for i, j, k in product(range(1, 6), range(1, 5), range(1, 5))
+    )
+    cs = detect_macroblocks(Datacube((5, 4, 4), cells), min_cells=10)
+    assert cs.blocks == (_null((3, 1, 1), (3, 4, 4)),)
+
+
+def _offset(dims, coords):
+    off = 0
+    for c, n in zip(coords, dims):
+        off = off * n + c
+    return off
+
+
+def _brute_largest(dims, mask):
+    """Size of the largest all-True box, by checking every box (0-based)."""
+    best = 0
+    intervals = [list(combinations_with_replacement(range(n), 2)) for n in dims]
+    for box in product(*intervals):
+        cells = product(*(range(lo, hi + 1) for lo, hi in box))
+        if all(mask[_offset(dims, c)] for c in cells):
+            best = max(best, prod(hi - lo + 1 for lo, hi in box))
+    return best
+
+
+def _draw_mask(data, max_side):
+    dims = tuple(
+        data.draw(st.integers(1, max_side)) for _ in range(data.draw(st.integers(1, 3)))
+    )
+    palette = data.draw(st.sampled_from([(True,), (True, False), (True, True, True, False)]))
+    return dims, [data.draw(st.sampled_from(palette)) for _ in range(prod(dims))]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_largest_box_matches_brute_force(data):
+    dims, mask = _draw_mask(data, 5)
+    best = _largest_box(dims, mask)
+    expected = _brute_largest(dims, mask)
+    if expected == 0:
+        assert best is None
+        return
+    size, lo, hi = best
+    assert size == expected == Range(lo, hi).size
+    assert all(mask[_offset(dims, [c - 1 for c in cell])] for cell in Range(lo, hi).cells())
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_detect_rounds_claim_a_largest_uniform_box(data):
+    dims, mask = _draw_mask(data, 4)
+    cube = Datacube(dims, tuple(int(v) for v in mask))
+    min_cells = data.draw(st.integers(1, 6))
+    cs = detect_macroblocks(cube, min_cells=min_cells)
+    claimed = [False] * cube.size
+
+    def largest_unclaimed():
+        return max(
+            _brute_largest(dims, [not c and (v > 0) == nonnull for v, c in zip(cube.cells, claimed)])
+            for nonnull in (False, True)
+        )
+
+    for m in cs.blocks:
+        assert m.range.size == largest_unclaimed() >= min_cells
+        for cell in m.range.cells():
+            off = cube.offset(cell)
+            assert not claimed[off]
+            assert (cube.cells[off] > 0) == (m.kind is MacroKind.ALL_NONNULL)
+            claimed[off] = True
+    assert largest_unclaimed() < min_cells
 
 
 def test_constraints_json_round_trip(tmp_path, reference_constraints):

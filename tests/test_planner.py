@@ -124,6 +124,18 @@ def test_inconsistent_constraints_are_rejected(two_block_line):
         estimate(summary, cs, QuerySpec(Range((2,), (3,)), QueryKind.SUM, 3))
 
 
+def test_constraints_of_another_arity_are_rejected():
+    # the 1-D macro-block used to be read as rows 1..2 of the 2-D cube,
+    # giving count 2 with max_error 0 where the exact count is 0
+    cells = [0] * 16
+    cells[14] = cells[15] = 1  # (4,3) and (4,4)
+    summary = build_summary(Datacube((4, 4), tuple(cells)), CompressionFactor(((0, 4), (0, 4))))
+    cs = ConstraintSet((MacroBlock(Range((1,), (2,)), MacroKind.ALL_NONNULL),))
+    spec = QuerySpec(Range((1, 1), (2, 4)), QueryKind.COUNT, 3)
+    with pytest.raises(ConstraintError, match="arity 1.*arity 2"):
+        estimate(summary, cs, spec)
+
+
 def test_query_spec_validation():
     with pytest.raises(ValueError):
         QuerySpec(Range((1,), (2,)), QueryKind.SUM, 4)
