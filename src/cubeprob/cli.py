@@ -241,9 +241,6 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def _cmd_query(args) -> int:
     summary = load_summary(args.summary)
-    if args.detect_constraints is not None and args.constraints:
-        print("cubeprob: error: give either --constraints or --detect-constraints", file=sys.stderr)
-        return 1
     if args.detect_constraints is not None and not args.exact:
         print("cubeprob: error: --detect-constraints needs --exact CUBE to scan", file=sys.stderr)
         return 1
@@ -360,8 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", required=True, help="per-dimension lo:hi, e.g. 4:8,3:6")
     p.add_argument("--kind", choices=["count", "sum"], required=True)
     p.add_argument("--case", type=int, choices=[1, 2, 3], default=2)
-    p.add_argument("--constraints", help="JSON macro-block constraints file")
-    p.add_argument(
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--constraints", help="JSON macro-block constraints file")
+    group.add_argument(
         "--detect-constraints", type=int, metavar="MIN_CELLS",
         help="detect macro-blocks from the --exact cube instead of loading a file",
     )

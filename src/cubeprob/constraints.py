@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product as _iproduct
 from math import prod
 from typing import Sequence
 
@@ -52,6 +51,10 @@ class ConstraintSet:
         object.__setattr__(self, "blocks", blocks)
         for i, a in enumerate(blocks):
             for b in blocks[i + 1 :]:
+                if a.range.ndim != b.range.ndim:
+                    raise ConstraintError(
+                        f"macro-blocks of arity {a.range.ndim} and arity {b.range.ndim} mix: {a.range} and {b.range}"
+                    )
                 if a.range.intersect(b.range) is not None:
                     raise ConstraintError(
                         f"macro-blocks overlap: {a.range} ({a.kind.value}) and {b.range} ({b.kind.value})"
@@ -61,18 +64,33 @@ class ConstraintSet:
         return len(self.blocks)
 
 
+def _located(cs: ConstraintSet, r: Range) -> tuple[int, int]:
+    """(null, non-null) cells of ``r`` that the macro-blocks locate.
+
+    A range of another arity than the macro-blocks raises
+    ``ConstraintError``: ``Range.intersect`` would zip the corners and
+    count a meaningless overlap.
+    """
+    if cs.blocks and cs.blocks[0].range.ndim != r.ndim:
+        m = cs.blocks[0].range
+        raise ConstraintError(f"macro-block {m} has arity {m.ndim}, the range {r} has arity {r.ndim}")
+    null = nonnull = 0
+    for m in cs.blocks:
+        if m.kind is MacroKind.ALL_NULL:
+            null += m.range.overlap_size(r)
+        else:
+            nonnull += m.range.overlap_size(r)
+    return null, nonnull
+
+
 def lb_eq0(cs: ConstraintSet, r: Range) -> int:
     """Lower bound on the number of null cells in ``r``."""
-    return sum(
-        m.range.overlap_size(r) for m in cs.blocks if m.kind is MacroKind.ALL_NULL
-    )
+    return _located(cs, r)[0]
 
 
 def lb_gt0(cs: ConstraintSet, r: Range) -> int:
     """Lower bound on the number of non-null cells in ``r``."""
-    return sum(
-        m.range.overlap_size(r) for m in cs.blocks if m.kind is MacroKind.ALL_NONNULL
-    )
+    return _located(cs, r)[1]
 
 
 @dataclass(frozen=True)
@@ -131,19 +149,8 @@ def bound_tuple(cs: ConstraintSet, block: Range, query: Range) -> BoundTuple:
         raise ConstraintError(f"query {query} not inside block {block}")
     b_in = query.size
     b_blk = block.size
-    null_in = 0
-    null_blk = 0
-    nn_in = 0
-    nn_blk = 0
-    for m in cs.blocks:
-        in_query = m.range.overlap_size(query)
-        in_block = m.range.overlap_size(block)
-        if m.kind is MacroKind.ALL_NULL:
-            null_in += in_query
-            null_blk += in_block
-        else:
-            nn_in += in_query
-            nn_blk += in_block
+    null_in, nn_in = _located(cs, query)
+    null_blk, nn_blk = _located(cs, block)
     if null_in + nn_in > b_in or null_blk + nn_blk > b_blk:
         raise ConstraintError("constraints claim more cells than the region holds")
     return BoundTuple(
@@ -186,15 +193,9 @@ def validate(cs: ConstraintSet, summary: CompressedDatacube) -> ValidationReport
     A macro-block whose arity differs from the summary's raises
     ``ConstraintError``: its overlaps with the blocks would be meaningless.
     """
-    ndim = summary.factor.ndim
-    for m in cs.blocks:
-        if m.range.ndim != ndim:
-            raise ConstraintError(
-                f"macro-block {m.range} has arity {m.range.ndim}, the summary has arity {ndim}"
-            )
     for blk in summary.blocks:
-        lo = lb_gt0(cs, blk.range)
-        hi = blk.size - lb_eq0(cs, blk.range)
+        null, lo = _located(cs, blk.range)
+        hi = blk.size - null
         if not lo <= blk.count <= hi:
             return ValidationReport(False, blk.index, blk.count, lo, hi)
     return ValidationReport(True)
@@ -304,10 +305,8 @@ def detect_macroblocks(cube: Datacube, min_cells: int = 20) -> ConstraintSet:
         found.append(MacroBlock(Range(lo, hi), kind))
         # the box is uniform, so only its own kind's mask holds its cells
         mask = masks[kind]
-        width = hi[-1] - lo[-1] + 1
-        for row in _iproduct(*(range(l, h + 1) for l, h in zip(lo[:-1], hi[:-1]))):
-            start = cube.offset((*row, lo[-1]))
-            mask[start : start + width] = [False] * width
+        for run in cube.runs(found[-1].range):
+            mask[run] = [False] * (run.stop - run.start)
     return ConstraintSet(tuple(found))
 
 

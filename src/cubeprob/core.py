@@ -35,6 +35,13 @@ def _as_coords(value: Sequence[int]) -> Coords:
     return coords
 
 
+def _offset(coords: Sequence[int], dims: Sequence[int]) -> int:
+    off = 0
+    for c, n in zip(coords, dims):
+        off = off * n + (c - 1)
+    return off
+
+
 @dataclass(frozen=True)
 class Range:
     """Axis-aligned range [lo..hi], inclusive at both ends, 1-based."""
@@ -125,10 +132,20 @@ class Datacube:
 
     def offset(self, coords: Sequence[int]) -> int:
         """Row-major offset of a 1-based coordinate tuple."""
-        off = 0
-        for c, n in zip(coords, self.dims):
-            off = off * n + (c - 1)
-        return off
+        return _offset(coords, self.dims)
+
+    def runs(self, r: Range) -> Iterator[slice]:
+        """Slices of ``cells``, one per row of ``r`` along the last axis.
+
+        The slices are disjoint, come in row-major order and together hold
+        exactly the cells of ``r``.  This is the one place that maps a range
+        onto the row-major layout; range aggregates and masks walk these.
+        """
+        self.check_range(r)
+        first, width = r.lo[-1], r.hi[-1] - r.lo[-1] + 1
+        rows = _iproduct(*(range(l, h + 1) for l, h in zip(r.lo[:-1], r.hi[:-1])))
+        starts = (self.offset((*row, first)) for row in rows)
+        return (slice(start, start + width) for start in starts)
 
     def __getitem__(self, coords: Sequence[int]) -> int:
         self.check_coords(coords)
@@ -178,9 +195,7 @@ def from_relation(
         value = int(value)
         if value < 0:
             raise RelationFormatError(f"measure value must be a natural, got {value}")
-        off = 0
-        for c, n in zip(coords, dims):
-            off = off * n + (c - 1)
+        off = _offset(coords, dims)
         if off in seen:
             raise DuplicateKeyError(f"duplicate coordinates {coords}")
         seen.add(off)
@@ -190,18 +205,14 @@ def from_relation(
 
 def count_exact(cube: Datacube, r: Range) -> int:
     """Number of non-null cells in the range."""
-    cube.check_range(r)
     cells = cube.cells
-    off = cube.offset
-    return sum(1 for c in r.cells() if cells[off(c)] > 0)
+    return sum(run.stop - run.start - cells[run].count(0) for run in cube.runs(r))
 
 
 def sum_exact(cube: Datacube, r: Range) -> int:
     """Sum of the cell values in the range."""
-    cube.check_range(r)
     cells = cube.cells
-    off = cube.offset
-    return sum(cells[off(c)] for c in r.cells())
+    return sum(sum(cells[run]) for run in cube.runs(r))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import product as _iproduct
 from math import prod
 from typing import Iterator, Sequence
 
-from .core import Coords, Datacube, Range
+from .core import Coords, Datacube, Range, count_exact, sum_exact
 from .errors import FactorError, OutOfBoundsError
 
 
@@ -170,19 +170,10 @@ def build_summary(cube: Datacube, factor: CompressionFactor) -> CompressedDatacu
     """Aggregate every block of the factor over the cube."""
     if factor.dims != cube.dims:
         raise FactorError(f"factor partitions {factor.dims}, cube has dims {cube.dims}")
-    cells = cube.cells
-    off = cube.offset
     blocks = []
     for index in factor.block_indices():
         r = factor.block_range(index)
-        t = 0
-        s = 0
-        for c in r.cells():
-            v = cells[off(c)]
-            if v > 0:
-                t += 1
-                s += v
-        blocks.append(BlockSummary(index, r, t, s))
+        blocks.append(BlockSummary(index, r, count_exact(cube, r), sum_exact(cube, r)))
     return CompressedDatacube(factor, tuple(blocks))
 
 

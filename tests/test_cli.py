@@ -158,6 +158,18 @@ def test_query_detect_constraints_needs_cube(reference_files, capsys):
     assert "--exact" in capsys.readouterr().err
 
 
+def test_query_constraints_and_detect_constraints_exclusive(reference_files, capsys):
+    cube_path, summary_path, constraints_path = reference_files
+    rc = main([
+        "query", str(summary_path), "--range", "4:6,1:3", "--kind", "count",
+        "--case", "3", "--constraints", str(constraints_path),
+        "--detect-constraints", "3", "--exact", str(cube_path),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--constraints" in err and "--detect-constraints" in err
+
+
 def test_query_constraints_of_another_arity_exit_2(reference_files, tmp_path, capsys):
     _, summary_path, _ = reference_files
     one_d = tmp_path / "one_d_constraints.json"

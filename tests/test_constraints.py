@@ -63,6 +63,25 @@ def test_overlapping_macros_rejected():
         ConstraintSet((_null((1, 1), (2, 2)), _nonnull((2, 2), (3, 3))))
 
 
+def test_mixed_arity_macros_rejected_naming_both_arities():
+    with pytest.raises(ConstraintError, match="arity 1 and arity 2"):
+        ConstraintSet((_null((1,), (2,)), _nonnull((3, 3), (4, 4))))
+
+
+@pytest.mark.parametrize(
+    "locate",
+    [lb_eq0, lb_gt0, lambda cs, r: bound_tuple(cs, r, r)],
+    ids=["lb_eq0", "lb_gt0", "bound_tuple"],
+)
+@pytest.mark.parametrize("make", [_null, _nonnull], ids=["null", "nonnull"])
+def test_range_of_another_arity_rejected(locate, make):
+    # zipping the corners used to read the 1-D block 1:2 as rows 1..2 of
+    # the 2-D range, so lb_eq0 of the null block answered 2
+    cs = ConstraintSet((make((1,), (2,)),))
+    with pytest.raises(ConstraintError, match="arity 1.*arity 2"):
+        locate(cs, Range((1, 1), (4, 4)))
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_lb_monotone_on_nested_ranges(data):

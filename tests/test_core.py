@@ -1,15 +1,18 @@
 import io
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeprob import (
+    CompressionFactor,
     Datacube,
     DuplicateKeyError,
     OutOfBoundsError,
     Range,
     RelationFormatError,
+    build_summary,
     count_exact,
     from_relation,
     sum_exact,
@@ -110,6 +113,45 @@ def test_additivity_over_split_ranges(cube_data, data):
     right = Range((cut + 1, 1), (hi, dims[1]))
     assert count_exact(cube, whole) == count_exact(cube, left) + count_exact(cube, right)
     assert sum_exact(cube, whole) == sum_exact(cube, left) + sum_exact(cube, right)
+
+
+@st.composite
+def cubes_with_range(draw):
+    """A 1-D to 4-D cube and a range in it whose last axis is one cell, full or any."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    cells = draw(st.lists(st.integers(0, 4), min_size=prod(dims), max_size=prod(dims)))
+    lo, hi = [], []
+    for n in dims:
+        a = draw(st.integers(1, n))
+        lo.append(a)
+        hi.append(draw(st.integers(a, n)))
+    last = draw(st.sampled_from(["one", "full", "any"]))
+    if last == "one":
+        hi[-1] = lo[-1]
+    elif last == "full":
+        lo[-1], hi[-1] = 1, dims[-1]
+    return Datacube(dims, tuple(cells)), Range(tuple(lo), tuple(hi))
+
+
+def _slow_count_sum(cube, r):
+    values = [cube[c] for c in r.cells()]
+    return sum(1 for v in values if v > 0), sum(values)
+
+
+@settings(deadline=None, max_examples=150)
+@given(cubes_with_range(), st.data())
+def test_row_runs_match_the_per_cell_walk(cube_and_range, data):
+    cube, r = cube_and_range
+    covered = [i for run in cube.runs(r) for i in range(len(cube.cells))[run]]
+    assert covered == [cube.offset(c) for c in r.cells()]
+    assert (count_exact(cube, r), sum_exact(cube, r)) == _slow_count_sum(cube, r)
+    axes = []
+    for n in cube.dims:
+        cuts = data.draw(st.sets(st.integers(1, n - 1)), label="cuts") if n > 1 else set()
+        axes.append((0, *sorted(cuts), n))
+    summary = build_summary(cube, CompressionFactor(tuple(axes)))
+    for blk in summary.blocks:
+        assert (blk.count, blk.sum) == _slow_count_sum(cube, blk.range)
 
 
 @settings(deadline=None, max_examples=40)
