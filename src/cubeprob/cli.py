@@ -63,31 +63,23 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str, sep: str = ",") -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.lower().split(sep))
     except ValueError:
-        raise CubeError(f"cannot parse {what} from {text!r} (expected e.g. '10,6')")
+        raise CubeError(f"cannot parse {what} from {text!r} (expected integers split by {sep!r})")
 
 
 def _parse_range(text: str) -> Range:
-    lo = []
-    hi = []
+    lo, hi = [], []
     try:
         for part in text.split(","):
             a, b = part.split(":")
             lo.append(int(a))
             hi.append(int(b))
-    except ValueError:
-        raise CubeError(f"cannot parse range from {text!r} (expected e.g. '4:8,3:6')")
-    return Range(tuple(lo), tuple(hi))
-
-
-def _parse_shape(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.lower().split("x"))
-    except ValueError:
-        raise CubeError(f"cannot parse shape from {text!r} (expected e.g. '20x10')")
+        return Range(tuple(lo), tuple(hi))
+    except ValueError as exc:
+        raise CubeError(f"bad range {text!r} (expected e.g. '4:8,3:6'): {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +131,15 @@ def run_experiment(
     with |error| < k*sigma is recorded for k in 3, 4, 5 (comparisons are done
     in exact arithmetic as error^2 < k^2 * variance).
     """
-    if any(w > n for w, n in zip(query_shape, cube.dims)):
-        raise CubeError(f"query shape {tuple(query_shape)} exceeds cube dims {cube.dims}")
+    if len(query_shape) != cube.ndim or any(w > n for w, n in zip(query_shape, cube.dims)):
+        raise CubeError(f"query shape {tuple(query_shape)} does not fit cube dims {cube.dims}")
     stride = tuple(stride) if stride is not None else tuple(query_shape)
+    if len(stride) != cube.ndim or min(*query_shape, *stride) < 1:
+        raise CubeError(
+            f"query shape {tuple(query_shape)} and stride {stride} need {cube.ndim} entries >= 1"
+        )
+    if not set(cases) <= {1, 2, 3}:
+        raise CubeError(f"estimation cases must be 1, 2 or 3, got {tuple(cases)}")
     queries = _sweep_queries(cube.dims, query_shape, stride)
     exact_by_kind = {
         QueryKind.COUNT: [count_exact(cube, q) for q in queries],
@@ -268,16 +266,16 @@ def _cmd_query(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cube = load_cube(args.cube)
-    block_shapes = [_parse_shape(tok) for tok in args.block_sizes.split(",")]
-    query_shape = _parse_shape(args.query_shape)
-    cases = [int(tok) for tok in args.cases.split(",")]
+    block_shapes = [_parse_ints(tok, "block shape", "x") for tok in args.block_sizes.split(",")]
+    query_shape = _parse_ints(args.query_shape, "query shape", "x")
+    cases = _parse_ints(args.cases, "cases")
     if args.constraints == "auto":
         cs = detect_macroblocks(cube, args.min_cells)
     elif args.constraints == "none":
         cs = ConstraintSet(())
     else:
         cs = load_constraints(args.constraints)
-    stride = _parse_shape(args.stride) if args.stride else None
+    stride = _parse_ints(args.stride, "stride", "x") if args.stride else None
     rows = run_experiment(cube, block_shapes, query_shape, cases, cs, stride)
     header = ["block", "case", "kind", "query", "queries"] + [f"lt{k}sigma" for k in SIGMA_LEVELS]
     out_rows = [

@@ -151,8 +151,6 @@ def bound_tuple(cs: ConstraintSet, block: Range, query: Range) -> BoundTuple:
     b_blk = block.size
     null_in, nn_in = _located(cs, query)
     null_blk, nn_blk = _located(cs, block)
-    if null_in + nn_in > b_in or null_blk + nn_blk > b_blk:
-        raise ConstraintError("constraints claim more cells than the region holds")
     return BoundTuple(
         t_lo_in=nn_in,
         t_hi_in=b_in - null_in,

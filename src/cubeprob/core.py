@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from itertools import product as _iproduct
 from math import prod
+from operator import index
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -28,10 +29,21 @@ from .errors import (
 Coords = tuple[int, ...]
 
 
-def _as_coords(value: Sequence[int]) -> Coords:
-    coords = tuple(int(v) for v in value)
+def _integers(values: Iterable[int], what: str, least: int) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each >= ``least``; floats are refused."""
+    try:
+        ints = tuple(map(index, values))
+    except TypeError as exc:
+        raise ValueError(f"{what} must be integers: {exc}") from None
+    if ints and min(ints) < least:
+        raise ValueError(f"{what} must be >= {least}, got {min(ints)}")
+    return ints
+
+
+def _as_coords(values: Iterable[int], what: str = "coordinates") -> Coords:
+    coords = _integers(values, what, 1)
     if not coords:
-        raise ValueError("coordinates need at least one dimension")
+        raise ValueError(f"{what} need at least one dimension")
     return coords
 
 
@@ -40,6 +52,16 @@ def _offset(coords: Sequence[int], dims: Sequence[int]) -> int:
     for c, n in zip(coords, dims):
         off = off * n + (c - 1)
     return off
+
+
+def _check_coords(coords: Sequence[int], dims: Coords, where: str = "") -> None:
+    if len(coords) != len(dims):
+        raise OutOfBoundsError(
+            f"{where}coordinate arity {len(coords)} does not match cube arity {len(dims)}"
+        )
+    for c, n in zip(coords, dims):
+        if not 1 <= c <= n:
+            raise OutOfBoundsError(f"{where}coordinate {tuple(coords)} outside [1..{dims}]")
 
 
 @dataclass(frozen=True)
@@ -55,8 +77,6 @@ class Range:
         if len(self.lo) != len(self.hi):
             raise ValueError(f"corner arity mismatch: {self.lo} vs {self.hi}")
         for lo_q, hi_q in zip(self.lo, self.hi):
-            if lo_q < 1:
-                raise ValueError(f"coordinates are 1-based, got lo={self.lo}")
             if hi_q < lo_q:
                 raise ValueError(f"empty range {self.lo}..{self.hi}")
 
@@ -107,17 +127,13 @@ class Datacube:
     cells: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", _as_coords(self.dims))
-        object.__setattr__(self, "cells", tuple(int(v) for v in self.cells))
-        if any(n < 1 for n in self.dims):
-            raise ValueError(f"dimension lengths must be >= 1, got {self.dims}")
+        object.__setattr__(self, "dims", _as_coords(self.dims, "dimension lengths"))
+        object.__setattr__(self, "cells", _integers(self.cells, "cube values", 0))
         expected = prod(self.dims)
         if len(self.cells) != expected:
             raise ValueError(
                 f"cell array has {len(self.cells)} entries, dims {self.dims} need {expected}"
             )
-        if any(v < 0 for v in self.cells):
-            raise ValueError("cube values must be naturals (>= 0)")
 
     @property
     def ndim(self) -> int:
@@ -152,13 +168,7 @@ class Datacube:
         return self.cells[self.offset(coords)]
 
     def check_coords(self, coords: Sequence[int]) -> None:
-        if len(coords) != self.ndim:
-            raise OutOfBoundsError(
-                f"coordinate arity {len(coords)} does not match cube arity {self.ndim}"
-            )
-        for c, n in zip(coords, self.dims):
-            if not 1 <= c <= n:
-                raise OutOfBoundsError(f"coordinate {tuple(coords)} outside [1..{self.dims}]")
+        _check_coords(coords, self.dims)
 
     def check_range(self, r: Range) -> None:
         if r.ndim != self.ndim:
@@ -170,37 +180,38 @@ class Datacube:
                 raise OutOfBoundsError(f"range {r} outside cube dims {self.dims}")
 
 
+def _densify(rows: Iterable[tuple[str, Sequence[int], int]], dims: Sequence[int]) -> Datacube:
+    """Write ``(where, coords, value)`` relation rows into a cube, checking each once.
+
+    ``where`` prefixes a row's errors: ``""``, or ``"line N: "`` for CSV.  Each row
+    needs integer coordinates inside the cube, a natural value, and coordinates no
+    earlier row gave (dimensions are a key, even when a value is 0).
+    """
+    dims = _as_coords(dims, "dimension lengths")
+    cells = [0] * prod(dims)
+    given: dict[int, str] = {}  # row-major offset -> where it was first given
+    for where, coords, value in rows:
+        try:
+            coords, value = tuple(map(index, coords)), index(value)
+        except TypeError as exc:
+            raise RelationFormatError(f"{where}non-integer coordinate or value: {exc}") from None
+        _check_coords(coords, dims, where)
+        if value < 0:
+            raise RelationFormatError(f"{where}measure value must be a natural, got {value}")
+        off = _offset(coords, dims)
+        if off in given:
+            first = f", first given on {given[off][:-2]}" if given[off] else ""
+            raise DuplicateKeyError(f"{where}duplicate coordinates {coords}{first}")
+        given[off] = where
+        cells[off] = value
+    return Datacube(dims, tuple(cells))
+
+
 def from_relation(
     tuples: Iterable[tuple[Sequence[int], int]], dims: Sequence[int]
 ) -> Datacube:
-    """Densify a multidimensional relation into a cube.
-
-    Each entry is (coords, value).  Dimensions are a key: repeating the same
-    coordinates is an error even if one of the values is 0.  An explicit
-    value 0 and an absent tuple both produce a null cell.
-    """
-    dims = _as_coords(dims)
-    if any(n < 1 for n in dims):
-        raise ValueError(f"dimension lengths must be >= 1, got {dims}")
-    cells = [0] * prod(dims)
-    seen: set[int] = set()
-    for coords, value in tuples:
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != len(dims):
-            raise OutOfBoundsError(
-                f"coordinate arity {len(coords)} does not match dims {dims}"
-            )
-        if any(not 1 <= c <= n for c, n in zip(coords, dims)):
-            raise OutOfBoundsError(f"coordinate {coords} outside [1..{dims}]")
-        value = int(value)
-        if value < 0:
-            raise RelationFormatError(f"measure value must be a natural, got {value}")
-        off = _offset(coords, dims)
-        if off in seen:
-            raise DuplicateKeyError(f"duplicate coordinates {coords}")
-        seen.add(off)
-        cells[off] = value
-    return Datacube(dims, tuple(cells))
+    """Densify ``(coords, value)`` entries into a cube; value 0 and absence both mean null."""
+    return _densify((("", coords, value) for coords, value in tuples), dims)
 
 
 def count_exact(cube: Datacube, r: Range) -> int:
@@ -220,43 +231,31 @@ def sum_exact(cube: Datacube, r: Range) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _csv_rows(stream: IO[str], r: int) -> Iterator[tuple[str, list[int], int]]:
+    """The ``(where, coords, value)`` rows of a CSV relation, read lazily."""
+    for lineno, row in enumerate(csv.reader(stream), start=1):
+        if not "".join(row).strip():
+            continue
+        try:
+            numbers = list(map(int, row))  # int() ignores surrounding spaces
+        except ValueError:
+            if lineno == 1:
+                continue  # header row
+            raise RelationFormatError(f"line {lineno}: non-integer field in {row}")
+        if len(numbers) != r + 1:
+            raise RelationFormatError(
+                f"line {lineno}: expected {r} coordinates plus a value, got {len(numbers)} fields"
+            )
+        yield f"line {lineno}: ", numbers[:r], numbers[r]
+
+
 def read_relation_csv(stream: IO[str], dims: Sequence[int]) -> Datacube:
     """Parse rows of ``d1,...,dr,value`` into a cube.
 
     A single header row is tolerated (detected by non-integer tokens).
     Errors name the offending 1-based line number.
     """
-    dims = _as_coords(dims)
-    r = len(dims)
-    entries: list[tuple[Coords, int]] = []
-    seen: dict[Coords, int] = {}
-    reader = csv.reader(stream)
-    for lineno, row in enumerate(reader, start=1):
-        if not row or all(not field.strip() for field in row):
-            continue
-        fields = [field.strip() for field in row]
-        try:
-            numbers = [int(f) for f in fields]
-        except ValueError:
-            if lineno == 1:
-                continue  # header row
-            raise RelationFormatError(f"line {lineno}: non-integer field in {fields}")
-        if len(numbers) != r + 1:
-            raise RelationFormatError(
-                f"line {lineno}: expected {r} coordinates plus a value, got {len(numbers)} fields"
-            )
-        coords, value = tuple(numbers[:r]), numbers[r]
-        if any(not 1 <= c <= n for c, n in zip(coords, dims)):
-            raise OutOfBoundsError(f"line {lineno}: coordinate {coords} outside [1..{dims}]")
-        if value < 0:
-            raise RelationFormatError(f"line {lineno}: measure value must be >= 0, got {value}")
-        if coords in seen:
-            raise DuplicateKeyError(
-                f"line {lineno}: coordinates {coords} already given on line {seen[coords]}"
-            )
-        seen[coords] = lineno
-        entries.append((coords, value))
-    return from_relation(entries, dims)
+    return _densify(_csv_rows(stream, len(dims)), dims)
 
 
 def load_relation_csv(path: str, dims: Sequence[int]) -> Datacube:

@@ -315,3 +315,33 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     assert main(["no-such-command"]) == 1
     assert main(["ingest", str(tmp_path / "missing.csv"), "--dims", "2,2", "--out", str(tmp_path / "o.json")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--range", "2:1,1:2"],
+    ["--range", "0:1,1:2"],
+], ids=["empty-range", "zero-coordinate"])
+def test_query_bad_range_exits_2(reference_files, capsys, argv):
+    _, summary_path, _ = reference_files
+    capsys.readouterr()
+    assert main(["query", str(summary_path), "--kind", "count", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cubeprob: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cases", "4"],
+    ["--cases", "x"],
+    ["--query-shape", "0x1"],
+    ["--stride", "0x1"],
+    ["--query-shape", "3x3x3"],
+], ids=["case-4", "case-x", "zero-query-shape", "zero-stride", "query-shape-arity"])
+def test_experiment_bad_sweep_exits_2(reference_files, capsys, argv):
+    cube_path, _, _ = reference_files
+    capsys.readouterr()
+    base = {"--block-sizes": "3x3", "--query-shape": "3x3", "--cases": "1,2", "--stride": "3x3"}
+    base.update(zip(argv[::2], argv[1::2]))
+    rc = main(["experiment", str(cube_path), *(tok for pair in base.items() for tok in pair)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cubeprob: error: ") and err.count("\n") == 1

@@ -1,4 +1,7 @@
 import io
+import json
+import re
+from itertools import product
 from math import prod
 
 import pytest
@@ -192,6 +195,102 @@ def test_csv_errors_name_lines():
         read_relation_csv(io.StringIO("1,1,5\n1,x,2\n"), (2, 2))
     with pytest.raises(DuplicateKeyError, match="line 3"):
         read_relation_csv(io.StringIO("1,1,5\n1,2,1\n1,1,2\n"), (2, 2))
+
+
+def test_from_relation_refuses_non_integral_input():
+    with pytest.raises(RelationFormatError):
+        from_relation([((1.9, 1), 2.7)], (2, 2))
+    with pytest.raises(RelationFormatError):
+        from_relation([((1, 1), 2.5)], (2, 2))
+    with pytest.raises(ValueError):
+        from_relation([], (2.0, 2))
+
+
+def test_cube_and_range_refuse_non_integral_input():
+    with pytest.raises(ValueError):
+        Datacube((2, 2), (0.5, 1, 2, 3))
+    with pytest.raises(ValueError):
+        Datacube((2.5, 2), (0, 1, 2, 3))
+    with pytest.raises(ValueError):
+        Range((1.5,), (2,))
+    with pytest.raises(ValueError):
+        Range((1,), (2.0,))
+
+
+def test_load_cube_refuses_non_integral_values(tmp_path):
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({"dims": [2, 2], "cells": [0.5, 1, 2, 3]}))
+    with pytest.raises(RelationFormatError):
+        load_cube(str(path))
+
+
+def _reference_densify(dims, rows):
+    """Check rows one at a time: (cube, None) or (None, (error type, bad row, first row))."""
+    given = {}
+    for i, (coords, value) in enumerate(rows):
+        if not all(1 <= c <= n for c, n in zip(coords, dims)):
+            return None, (OutOfBoundsError, i, None)
+        if value < 0:
+            return None, (RelationFormatError, i, None)
+        if coords in given:
+            return None, (DuplicateKeyError, i, given[coords])
+        given[coords] = i
+    values = {coords: rows[i][1] for coords, i in given.items()}
+    cells = [values.get(c, 0) for c in product(*(range(1, n + 1) for n in dims))]
+    return Datacube(dims, tuple(cells)), None
+
+
+@st.composite
+def relations(draw):
+    """A 1-D to 3-D relation whose rows may repeat, leave the cube or be negative."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    coords = st.tuples(*(st.integers(1, n) for n in dims))
+    rows = draw(st.lists(st.tuples(coords, st.integers(0, 9)), max_size=10))
+    for _ in range(draw(st.integers(0, 2))):
+        bad = draw(st.sampled_from(["below", "above", "negative", "duplicate"]))
+        at = draw(st.integers(0, len(rows)))
+        c = list(draw(coords))
+        axis = draw(st.integers(0, len(dims) - 1))
+        value = draw(st.integers(0, 9))
+        if bad == "below":
+            c[axis] = draw(st.integers(-2, 0))
+        elif bad == "above":
+            c[axis] = dims[axis] + draw(st.integers(1, 3))
+        elif bad == "negative":
+            value = draw(st.integers(-5, -1))
+        elif rows:
+            c = list(rows[draw(st.integers(0, len(rows) - 1))][0])
+        rows.insert(at, (tuple(c), value))
+    blank_before = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return dims, rows, blank_before
+
+
+@settings(deadline=None, max_examples=300)
+@given(relations())
+def test_ingest_paths_match_a_per_row_reference(relation):
+    dims, rows, blank_before = relation
+    lines = [",".join([f"d{q}" for q in range(1, len(dims) + 1)] + ["value"])]
+    line_of = []
+    for (coords, value), blank in zip(rows, blank_before):
+        if blank:
+            lines.append("")
+        lines.append(",".join(map(str, (*coords, value))))
+        line_of.append(len(lines))
+    text = "\n".join(lines) + "\n"
+    expected, error = _reference_densify(dims, rows)
+    if error is None:
+        assert from_relation(rows, dims) == expected
+        assert read_relation_csv(io.StringIO(text), dims) == expected
+        return
+    kind, bad, first = error
+    with pytest.raises(kind):
+        from_relation(rows, dims)
+    with pytest.raises(kind) as raised:
+        read_relation_csv(io.StringIO(text), dims)
+    message = str(raised.value)
+    assert message.startswith(f"line {line_of[bad]}: ")
+    if first is not None:
+        assert re.search(rf"\bline {line_of[first]}\b", message.removeprefix(f"line {line_of[bad]}: "))
 
 
 def test_cube_json_round_trip(tmp_path, reference_cube):
