@@ -174,6 +174,8 @@ def run_experiment(
 
 def _cmd_ingest(args) -> int:
     dims = _parse_ints(args.dims, "dims")
+    if min(dims) < 1:
+        raise CubeError(f"dims must be >= 1, got {args.dims!r}")
     cube = load_relation_csv(args.csv, dims)
     save_cube(cube, args.out)
     print(f"cube {cube.dims}: {len(cube.cells)} cells -> {args.out}")
@@ -412,3 +414,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:  # pragma: no cover - console script shim
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -19,7 +19,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from .core import Coords, Datacube, Range
 from .errors import ConstraintError
@@ -204,36 +205,69 @@ def validate(cs: ConstraintSet, summary: CompressedDatacube) -> ValidationReport
 # ---------------------------------------------------------------------------
 
 
-def _largest_uniform_rectangle(
-    rows: int, cols: int, available: list[bool]
-) -> tuple[int, tuple[int, int], tuple[int, int]] | None:
-    """Largest axis-aligned all-available rectangle in a rows x cols mask.
-
-    Histogram-of-heights with a monotonic stack, O(rows*cols).  Returns
-    (area, lo, hi) with 1-based corners, or None when nothing is available.
-    Ties resolve to the rectangle found first in row-major scan order.
-    """
-    best: tuple[int, tuple[int, int], tuple[int, int]] | None = None
-    heights = [0] * cols
+def _heights(dims: Sequence[int], mask: list[bool]) -> Iterator[list[int]]:
+    """Column heights of each row of a 1-D or 2-D mask: the available cells ending there."""
+    rows, cols = (1, *dims)[-2:]
+    prev = [0] * cols
     for i in range(rows):
         base = i * cols
-        for j in range(cols):
-            heights[j] = heights[j] + 1 if available[base + j] else 0
-        stack: list[int] = []  # column indices with increasing heights
-        j = 0
-        while j <= cols:
-            height = heights[j] if j < cols else 0
-            if not stack or heights[stack[-1]] <= height:
-                stack.append(j)
-                j += 1
-                continue
-            top = stack.pop()
-            h = heights[top]
-            left = stack[-1] + 1 if stack else 0
-            area = h * (j - left)
-            if h and (best is None or area > best[0]):
-                best = (area, (i - h + 2, left + 1), (i + 1, j))
-    return best
+        prev = [h + 1 if mask[base + j] else 0 for j, h in enumerate(prev)]
+        yield prev
+
+
+def _row_best(heights: list[int], i: int, ndim: int) -> tuple[int, Coords, Coords] | None:
+    """Largest rectangle whose bottom row is row ``i`` (0-based), given its column heights.
+
+    Monotonic stack over the histogram, O(len(heights)).  Returns (area, lo,
+    hi) with 1-based corners of an ``ndim``-D mask (1 or 2), or None when
+    every height is 0.  Ties resolve to the rectangle popped first.
+    """
+    best = 0
+    cols = len(heights)
+    stack: list[int] = []  # column indices with increasing heights
+    j = 0
+    while j <= cols:
+        height = heights[j] if j < cols else 0
+        if not stack or heights[stack[-1]] <= height:
+            stack.append(j)
+            j += 1
+            continue
+        h = heights[stack.pop()]
+        left = stack[-1] + 1 if stack else 0
+        if h * (j - left) > best:
+            best, corners = h * (j - left), (i - h + 2, left + 1, i + 1, j)
+    if not best:
+        return None
+    top, left, bottom, right = corners
+    return best, (top, left)[2 - ndim :], (bottom, right)[2 - ndim :]
+
+
+def _best_from(
+    dims: Sequence[int], mask: list[bool], lo: int
+) -> tuple[tuple[int, Coords, Coords] | None, int]:
+    """Largest all-True box of an r-D mask (r >= 2) whose first axis starts at ``lo``.
+
+    The AND of the slabs lo..hi, built up one slab at a time, holds the
+    cells available across the whole interval, and its largest box in the
+    remaining axes times the interval length is the best box spanning
+    exactly that interval.  Returns that box (ties go to the smallest
+    ``hi``) or None, and the last slab read: the one whose AND came out
+    empty, or the last slab of the mask.
+    """
+    n, sub = dims[0], dims[1:]
+    stride = prod(sub)
+    best = None
+    common = [True] * stride
+    for hi in range(lo, n):
+        slab = mask[hi * stride : (hi + 1) * stride]
+        common = [a and b for a, b in zip(common, slab)]
+        if not any(common):
+            return best, hi
+        size, inner_lo, inner_hi = _largest_box(sub, common)
+        size *= hi - lo + 1
+        if best is None or size > best[0]:
+            best = (size, (lo + 1, *inner_lo), (hi + 1, *inner_hi))
+    return best, n - 1
 
 
 def _largest_box(
@@ -242,34 +276,118 @@ def _largest_box(
     """Largest axis-aligned all-True box in a row-major mask over ``dims``.
 
     Returns (size, lo, hi) with 1-based corners, or None when the mask is
-    empty.  Two dimensions are the largest-rectangle search; one dimension
-    is a single row of it.  Higher arities try every interval of the first
-    axis: the AND of its slabs, built up one slab at a time, holds the
-    cells available across the whole interval, and its largest box in the
-    remaining axes times the interval length is the best box spanning
-    exactly that interval.  Ties go to the box found first, scanning the
-    interval start and then its end in increasing order.
+    empty.  Two dimensions are the largest-rectangle search over each
+    bottom row; one dimension is a single row of it.  Higher arities try
+    every start of the first axis (:func:`_best_from`).  Ties go to the box
+    found first, scanning the bottom row or the interval start and then its
+    end in increasing order.
     """
-    if len(dims) == 2:
-        return _largest_uniform_rectangle(dims[0], dims[1], mask)
-    if len(dims) == 1:
-        best = _largest_uniform_rectangle(1, dims[0], mask)
-        return None if best is None else (best[0], best[1][1:], best[2][1:])
-    n, sub = dims[0], dims[1:]
-    stride = prod(sub)
-    best = None
-    for lo in range(n):
-        common = [True] * stride
-        for hi in range(lo, n):
-            slab = mask[hi * stride : (hi + 1) * stride]
-            common = [a and b for a, b in zip(common, slab)]
-            if not any(common):
+    if len(dims) > 2:
+        boxes = (_best_from(dims, mask, lo)[0] for lo in range(dims[0]))
+    else:
+        boxes = (_row_best(h, i, len(dims)) for i, h in enumerate(_heights(dims, mask)))
+    # max keeps the first of equal sizes
+    return max(filter(None, boxes), key=itemgetter(0), default=None)
+
+
+class _BestPerIndex:
+    """One kind's best box per first-axis index, searched again only when needed.
+
+    A claim only removes cells, so the best box of an index whose cells it
+    changed can only shrink: its cached size stays an upper bound, and the
+    index is marked stale instead of searched again at once.  Every index
+    starts stale, bounded by the cube's size.
+    """
+
+    def __init__(self, n: int, bound: int) -> None:
+        self.size = [bound] * n
+        self.box: list[tuple[int, Coords, Coords] | None] = [None] * n
+        self.stale = [True] * n
+
+    def _search(self, k: int) -> tuple[int, Coords, Coords] | None:
+        """Index ``k``'s best box in the current mask, or None."""
+        raise NotImplementedError
+
+    def top(self, least: int) -> tuple[int, Coords, Coords] | None:
+        """The box the full search finds first among the largest, or None below ``least``.
+
+        The first index holding the largest size is the answer once it is
+        fresh: every index before it, fresh or stale, is bounded below it.
+        """
+        size = self.size
+        while True:
+            best = max(size)
+            if best < least:
+                return None
+            k = size.index(best)
+            if not self.stale[k]:
+                return self.box[k]
+            self.stale[k] = False
+            self.box[k] = box = self._search(k)
+            size[k] = box[0] if box else 0
+
+
+class _RowCache(_BestPerIndex):
+    """Best rectangle per bottom row of a 1-D or 2-D mask (1-D is one row).
+
+    Column heights stand in for the mask (height > 0 means available).  A
+    claim changes only the heights in its own columns, from its top row
+    down to where each column's run of available cells ends.
+    """
+
+    def __init__(self, cube: Datacube, mask: list[bool]) -> None:
+        self.heights = list(_heights(cube.dims, mask))
+        self.ndim = cube.ndim
+        super().__init__(len(self.heights), cube.size)
+
+    def _search(self, i: int) -> tuple[int, Coords, Coords] | None:
+        return _row_best(self.heights[i], i, self.ndim)
+
+    def claim(self, r: Range) -> None:
+        (a, c), (b, d) = (1, *r.lo)[-2:], (1, *r.hi)[-2:]
+        a, b, c = a - 1, b - 1, c - 1  # 0-based rows a..b, columns c..d-1
+        zeros = [0] * (d - c)
+        for i in range(a, b + 1):
+            self.heights[i][c:d] = zeros
+        # below the box each column's height now counts from row b + 1,
+        # down to the first unavailable cell, where it resets as before
+        active = range(c, d)
+        i = b + 1
+        while i < len(self.heights):
+            row = self.heights[i]
+            active = [j for j in active if row[j]]
+            if not active:
                 break
-            size, inner_lo, inner_hi = _largest_box(sub, common)
-            size *= hi - lo + 1
-            if best is None or size > best[0]:
-                best = (size, (lo + 1, *inner_lo), (hi + 1, *inner_hi))
-    return best
+            for j in active:
+                row[j] = i - b
+            i += 1
+        self.stale[a:i] = [True] * (i - a)
+
+
+class _SlabCache(_BestPerIndex):
+    """Best box per first-axis start of an r-D mask (r >= 3).
+
+    Each start remembers the last slab its AND read (its reach), so a claim
+    over first-axis slabs a..b changes exactly the starts ``lo <= b`` with
+    reach ``>= a``.  A stale start's reach can only have shrunk.
+    """
+
+    def __init__(self, cube: Datacube, mask: list[bool]) -> None:
+        super().__init__(cube.dims[0], cube.size)
+        self.cube, self.mask = cube, mask
+        self.reach = [cube.dims[0] - 1] * cube.dims[0]
+
+    def _search(self, lo: int) -> tuple[int, Coords, Coords] | None:
+        box, self.reach[lo] = _best_from(self.cube.dims, self.mask, lo)
+        return box
+
+    def claim(self, r: Range) -> None:
+        for run in self.cube.runs(r):
+            self.mask[run] = [False] * (run.stop - run.start)
+        a, b = r.lo[0] - 1, r.hi[0] - 1
+        for lo in range(b + 1):
+            if self.reach[lo] >= a:
+                self.stale[lo] = True
 
 
 def detect_macroblocks(cube: Datacube, min_cells: int = 20) -> ConstraintSet:
@@ -278,33 +396,35 @@ def detect_macroblocks(cube: Datacube, min_cells: int = 20) -> ConstraintSet:
     Greedy largest-first: each round finds the largest axis-aligned box of
     unclaimed cells that is uniformly null or uniformly non-null, claims it,
     and repeats until no box reaches ``min_cells``.  Every arity uses the
-    same exact search (:func:`_largest_box`), once per kind and round; a tie
-    in size goes to the box with the smaller lower corner.  The result is
-    deterministic and always consistent with the cube.
+    same exact search as :func:`_largest_box`, kept per kind as the best box
+    of each first-axis index (each bottom row in 1-D and 2-D, each interval
+    start above).  A claim marks stale only the indices whose cells it
+    changed, and a stale index is searched again only when its old size, an
+    upper bound, is the largest left.  Within a kind a tie goes to the box
+    the full search finds first; between kinds, to the smaller lower corner.
+    The result is deterministic and always consistent with the cube.
     """
     if min_cells < 1:
         raise ConstraintError(f"min_cells must be >= 1, got {min_cells}")
-    dims = cube.dims
-    masks = {
-        MacroKind.ALL_NULL: [v == 0 for v in cube.cells],
-        MacroKind.ALL_NONNULL: [v > 0 for v in cube.cells],
+    cache = _RowCache if cube.ndim <= 2 else _SlabCache
+    caches = {
+        MacroKind.ALL_NULL: cache(cube, [v == 0 for v in cube.cells]),
+        MacroKind.ALL_NONNULL: cache(cube, [v > 0 for v in cube.cells]),
     }
     found: list[MacroBlock] = []
-    while True:
+    for _ in range(cube.size):  # every round claims at least one cell
         candidates = []
-        for kind, mask in masks.items():
-            box = _largest_box(dims, mask)
-            if box is not None and box[0] >= min_cells:
+        for kind, kept in caches.items():
+            box = kept.top(min_cells)
+            if box is not None:
                 candidates.append((*box, kind))
         if not candidates:
             break
         # kinds cannot tie on the lower corner: its cell has only one kind
         _, lo, hi, kind = min(candidates, key=lambda c: (-c[0], c[1], c[3].value))
         found.append(MacroBlock(Range(lo, hi), kind))
-        # the box is uniform, so only its own kind's mask holds its cells
-        mask = masks[kind]
-        for run in cube.runs(found[-1].range):
-            mask[run] = [False] * (run.stop - run.start)
+        # the box is uniform, so only its own kind's cache holds its cells
+        caches[kind].claim(found[-1].range)
     return ConstraintSet(tuple(found))
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubeprob
 from cubeprob.cli import main
 from cubeprob.core import load_cube
 
@@ -67,6 +72,19 @@ def test_ingest_bad_coordinate_names_line(tmp_path, capsys):
     rc = main(["ingest", str(csv_path), "--dims", "2,2", "--out", str(tmp_path / "c.json")])
     assert rc == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims", ["0,5", "-1,5"], ids=["zero", "negative"])
+@pytest.mark.parametrize("text", ["", "1,1,3\n"], ids=["empty", "one-row"])
+def test_ingest_non_positive_dims_exits_2(tmp_path, capsys, text, dims):
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text(text)
+    # "--dims=" keeps argparse from reading "-1,5" as an option
+    rc = main(["ingest", str(csv_path), f"--dims={dims}", "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cubeprob: error: ") and err.count("\n") == 1
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_summarize_one_block(reference_files, tmp_path, capsys):
@@ -345,3 +363,28 @@ def test_experiment_bad_sweep_exits_2(reference_files, capsys, argv):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("cubeprob: error: ") and err.count("\n") == 1
+
+
+def test_module_runs_commands(reference_files, tmp_path):
+    # python -m cubeprob.cli must run the command, not just import the module
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cubeprob.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "cubeprob.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text("1,2,5\n")
+    out = tmp_path / "c.json"
+    done = run("ingest", str(csv_path), "--dims", "2,2", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert load_cube(str(out)).cells == (0, 5, 0, 0)
+    _, summary_path, _ = reference_files
+    done = run("query", str(summary_path), "--kind", "count", "--range", "2:1,1:2")
+    assert done.returncode == 2
+    assert done.stderr.startswith("cubeprob: error: ")

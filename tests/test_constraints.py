@@ -278,6 +278,51 @@ def test_detect_rounds_claim_a_largest_uniform_box(data):
     assert largest_unclaimed() < min_cells
 
 
+def _rescan_detect(cube, min_cells):
+    """Greedy detection that searches both whole masks with ``_largest_box`` every round."""
+    masks = {
+        MacroKind.ALL_NULL: [v == 0 for v in cube.cells],
+        MacroKind.ALL_NONNULL: [v > 0 for v in cube.cells],
+    }
+    found = []
+    while True:
+        candidates = []
+        for kind, mask in masks.items():
+            box = _largest_box(cube.dims, mask)
+            if box is not None and box[0] >= min_cells:
+                candidates.append((*box, kind))
+        if not candidates:
+            return tuple(found)
+        _, lo, hi, kind = min(candidates, key=lambda c: (-c[0], c[1], c[3].value))
+        found.append(MacroBlock(Range(lo, hi), kind))
+        for cell in found[-1].range.cells():
+            masks[kind][cube.offset(cell)] = False
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_detect_matches_full_rescan(data):
+    ndim = data.draw(st.integers(1, 3))
+    side = {1: 24, 2: 12, 3: 6}[ndim]
+    dims = tuple(data.draw(st.integers(1, side)) for _ in range(ndim))
+    palette = data.draw(st.sampled_from([(0, 1), (0, 0, 0, 1), (0, 1, 1, 1)]))
+    cells = [data.draw(st.sampled_from(palette)) for _ in range(prod(dims))]
+    coords = list(product(*(range(n) for n in dims)))
+    # structure that claims far from a box must reach: whole null lines
+    # along the last axis, null slabs across the first, and a dense band
+    null_cols = data.draw(st.sets(st.integers(0, dims[-1] - 1), max_size=3))
+    null_slabs = data.draw(st.sets(st.integers(0, dims[0] - 1), max_size=2))
+    band = sorted(data.draw(st.lists(st.integers(0, dims[0] - 1), min_size=2, max_size=2)))
+    for off, c in enumerate(coords):
+        if band[0] <= c[0] <= band[1]:
+            cells[off] = 1 + c[-1] % 3
+        if c[-1] in null_cols or c[0] in null_slabs:
+            cells[off] = 0
+    cube = Datacube(dims, tuple(cells))
+    min_cells = data.draw(st.integers(1, 12))
+    assert detect_macroblocks(cube, min_cells).blocks == _rescan_detect(cube, min_cells)
+
+
 def test_constraints_json_round_trip(tmp_path, reference_constraints):
     path = tmp_path / "constraints.json"
     save_constraints(reference_constraints, str(path))
