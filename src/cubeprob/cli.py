@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +47,17 @@ SIGMA_LEVELS = (3, 4, 5)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, but usage errors exit with status 1 (2 is for data errors)."""
+    """argparse, but usage errors exit with status 1 (2 is for data errors).
+
+    A word that starts with ``-`` and a digit, such as ``-1,5`` or
+    ``-1:2,1:2``, is a value, not an option, so that bad values reach the
+    data checks (exit 2) instead of failing as a missing argument.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse only counts plain negative numbers as values
+        self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)

@@ -3,8 +3,9 @@
 A compression factor slices every dimension with strictly increasing
 boundaries; each block of the induced grid stores two aggregates,
 (count of non-null cells, sum of cell values).  Query planning later splits
-an arbitrary range into blocks totally contained in it and blocks it only
-partially overlaps.
+an arbitrary range into the box of blocks totally contained in it, whose
+aggregates come from prefix sums over the block grid, and the shell of
+blocks it only partially overlaps.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _iproduct
 from math import prod
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .core import Coords, Datacube, Range, count_exact, sum_exact
+from .core import Coords, Datacube, Range, _offset, _PrefixSums, count_exact, sum_exact
 from .errors import FactorError, OutOfBoundsError
 
 
@@ -124,6 +126,29 @@ class BlockSummary:
         return self.range.size
 
 
+class _Split(NamedTuple):
+    """A query over the block grid.
+
+    ``lo..hi`` is the box of block indices totally inside the query (an axis
+    with ``hi == lo - 1`` leaves it empty); ``shell`` holds every other
+    overlapped block as ``(index, summary)``, in row-major order.
+    """
+
+    lo: Coords
+    hi: Coords
+    shell: tuple[tuple[Coords, BlockSummary], ...]
+
+
+def _shell(runs: Sequence[range], inner: Sequence[range]) -> Iterator[Coords]:
+    """Indices of ``product(*runs)`` outside ``product(*inner)``, row-major."""
+    if not runs:
+        return
+    for k in runs[0]:
+        tails = _shell(runs[1:], inner[1:]) if k in inner[0] else _iproduct(*runs[1:])
+        for tail in tails:
+            yield (k, *tail)
+
+
 @dataclass(frozen=True)
 class CompressedDatacube:
     """A factor plus the dense grid of block summaries (row-major)."""
@@ -150,6 +175,40 @@ class CompressedDatacube:
                 raise OutOfBoundsError(f"block index {tuple(index)} outside grid {self.factor.shape}")
             off = off * m + (k - 1)
         return self.blocks[off]
+
+    # Prefix sums over the block grid, built on first use and cached on the
+    # instance; they are not fields, so equality, hashing and JSON ignore them.
+    @cached_property
+    def _counts(self) -> _PrefixSums:
+        return _PrefixSums([b.count for b in self.blocks], self.factor.shape)
+
+    @cached_property
+    def _sums(self) -> _PrefixSums:
+        return _PrefixSums([b.sum for b in self.blocks], self.factor.shape)
+
+    def _split(self, query: Range) -> _Split:
+        """The inner box and the partial shell of ``query`` (see ``_Split``)."""
+        factor = self.factor
+        if query.ndim != factor.ndim:
+            raise OutOfBoundsError(f"query arity {query.ndim} does not match cube arity {factor.ndim}")
+        for hi_q, n in zip(query.hi, factor.dims):
+            if hi_q > n:
+                raise OutOfBoundsError(f"query {query} outside cube dims {factor.dims}")
+        runs, inner = [], []
+        for lo_q, hi_q, axis in zip(query.lo, query.hi, factor.boundaries):
+            # block k spans axis[k-1]+1..axis[k]: the first overlapped one ends
+            # at or after lo_q, the last one starts at or before hi_q, and
+            # each end block is inside the query when it starts (ends) on it
+            first, last = bisect_left(axis, lo_q), bisect_left(axis, hi_q)
+            start = first + (axis[first - 1] + 1 != lo_q)
+            stop = last + (axis[last] == hi_q)
+            runs.append(range(first, last + 1))
+            inner.append(range(start, max(start, stop)))
+        shape, blocks = factor.shape, self.blocks
+        shell = tuple((index, blocks[_offset(index, shape)]) for index in _shell(runs, inner))
+        return _Split(
+            tuple(k.start for k in inner), tuple(k.stop - 1 for k in inner), shell
+        )
 
     def total_count(self) -> int:
         return sum(b.count for b in self.blocks)
@@ -180,33 +239,13 @@ def build_summary(cube: Datacube, factor: CompressionFactor) -> CompressedDatacu
 def decompose(summary: CompressedDatacube, query: Range) -> RangeDecomposition:
     """Split a query into totally-contained blocks and clipped partial blocks.
 
-    The clipped regions together with the total blocks tile the query exactly.
+    Both lists are in row-major order.  The clipped regions together with
+    the total blocks tile the query exactly.
     """
-    factor = summary.factor
-    if query.ndim != factor.ndim:
-        raise OutOfBoundsError(f"query arity {query.ndim} does not match cube arity {factor.ndim}")
-    for hi_q, n in zip(query.hi, factor.dims):
-        if hi_q > n:
-            raise OutOfBoundsError(f"query {query} outside cube dims {factor.dims}")
-
-    # Per dimension, the contiguous run of block indices overlapping the query.
-    index_runs = []
-    for lo_q, hi_q, axis in zip(query.lo, query.hi, factor.boundaries):
-        # block k spans axis[k-1]+1..axis[k]: the first one ends at or after
-        # lo_q, the last one starts at or before hi_q
-        index_runs.append(range(bisect_left(axis, lo_q), bisect_left(axis, hi_q) + 1))
-
-    total: list[Coords] = []
-    partial: list[tuple[Coords, Range]] = []
-    for index in _iproduct(*index_runs):
-        block_range = factor.block_range(index)
-        if query.contains(block_range):
-            total.append(index)
-        else:
-            clip = query.intersect(block_range)
-            assert clip is not None  # index_runs only yields overlapping blocks
-            partial.append((index, clip))
-    return RangeDecomposition(tuple(total), tuple(partial))
+    split = summary._split(query)
+    total = _iproduct(*(range(l, h + 1) for l, h in zip(split.lo, split.hi)))
+    partial = tuple((index, query.intersect(blk.range)) for index, blk in split.shell)
+    return RangeDecomposition(tuple(total), partial)
 
 
 # ---------------------------------------------------------------------------

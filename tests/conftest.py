@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from math import prod
+
 import pytest
+from hypothesis import strategies as st
 
 from cubeprob import (
     CompressionFactor,
@@ -88,3 +91,21 @@ def make_sparse_cube(rows: int = 200, cols: int = 60) -> Datacube:
 @pytest.fixture(scope="session")
 def sparse_cube() -> Datacube:
     return make_sparse_cube()
+
+
+@st.composite
+def summarized_ranges(draw, max_ndim: int = 3, max_len: int = 4, max_value: int = 3):
+    """A random cube of 1..max_ndim axes, its summary under a random factor, and a range."""
+    dims = tuple(draw(st.lists(st.integers(1, max_len), min_size=1, max_size=max_ndim), label="dims"))
+    cells = draw(st.lists(st.integers(0, max_value), min_size=prod(dims), max_size=prod(dims)), label="cells")
+    cube = Datacube(dims, tuple(cells))
+    axes = []
+    for n in dims:
+        cuts = draw(st.sets(st.integers(1, n - 1)), label="cuts") if n > 1 else set()
+        axes.append((0, *sorted(cuts), n))
+    lo, hi = [], []
+    for n in dims:
+        a = draw(st.integers(1, n), label="lo")
+        lo.append(a)
+        hi.append(draw(st.integers(a, n), label="hi"))
+    return cube, build_summary(cube, CompressionFactor(tuple(axes))), Range(tuple(lo), tuple(hi))

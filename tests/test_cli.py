@@ -87,6 +87,16 @@ def test_ingest_non_positive_dims_exits_2(tmp_path, capsys, text, dims):
     assert not (tmp_path / "c.json").exists()
 
 
+def test_ingest_dash_value_is_data_not_option(tmp_path, capsys):
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text("1,1,3\n")
+    rc = main(["ingest", str(csv_path), "--dims", "-1,5", "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cubeprob: error: ") and err.count("\n") == 1
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_summarize_one_block(reference_files, tmp_path, capsys):
     cube_path, _, _ = reference_files
     out = tmp_path / "one.json"
@@ -338,7 +348,8 @@ def test_usage_errors_exit_1(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["--range", "2:1,1:2"],
     ["--range", "0:1,1:2"],
-], ids=["empty-range", "zero-coordinate"])
+    ["--range", "-1:2,1:2"],
+], ids=["empty-range", "zero-coordinate", "negative-coordinate"])
 def test_query_bad_range_exits_2(reference_files, capsys, argv):
     _, summary_path, _ = reference_files
     capsys.readouterr()

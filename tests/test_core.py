@@ -293,6 +293,45 @@ def test_ingest_paths_match_a_per_row_reference(relation):
         assert re.search(rf"\bline {line_of[first]}\b", message.removeprefix(f"line {line_of[bad]}: "))
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([1, 4]).flatmap(
+        lambda r: st.lists(st.integers(1, 12 if r == 1 else 3), min_size=r, max_size=r)
+    ),
+    st.data(),
+)
+def test_prefix_tables_answer_every_range_like_the_per_cell_walk(dims, data):
+    cells = data.draw(st.lists(st.integers(0, 9), min_size=prod(dims), max_size=prod(dims)))
+    cube = Datacube(tuple(dims), tuple(cells))
+    axes = [
+        [(lo, hi) for lo in range(1, n + 1) for hi in range(lo, n + 1)] for n in dims
+    ]
+    for corners in product(*axes):
+        r = Range(tuple(lo for lo, _ in corners), tuple(hi for _, hi in corners))
+        assert (count_exact(cube, r), sum_exact(cube, r)) == _slow_count_sum(cube, r)
+
+
+def test_sums_past_64_bits_fall_back_to_unbounded_integers():
+    big = 2**62 + 1
+    cube = Datacube((2, 3), (big, 0, big, 1, big, big))
+    for r in (cube.full_range(), Range((1, 1), (1, 3)), Range((2, 2), (2, 3)), Range((1, 2), (2, 2))):
+        assert (count_exact(cube, r), sum_exact(cube, r)) == _slow_count_sum(cube, r)
+    assert sum_exact(cube, cube.full_range()) == 4 * big + 1 > 2**63
+    assert isinstance(cube._sums.table, list)  # the 64-bit table would overflow
+
+
+def test_answered_cube_still_equals_hashes_and_saves_like_a_fresh_copy(tmp_path, reference_cube):
+    answered = Datacube(reference_cube.dims, reference_cube.cells)
+    fresh = Datacube(reference_cube.dims, reference_cube.cells)
+    r = Range((2, 2), (9, 5))
+    assert (count_exact(answered, r), sum_exact(answered, r)) == _slow_count_sum(fresh, r)
+    assert answered == fresh and hash(answered) == hash(fresh)
+    save_cube(answered, str(tmp_path / "answered.json"))
+    save_cube(fresh, str(tmp_path / "fresh.json"))
+    assert (tmp_path / "answered.json").read_text() == (tmp_path / "fresh.json").read_text()
+    assert load_cube(str(tmp_path / "answered.json")) == fresh
+
+
 def test_cube_json_round_trip(tmp_path, reference_cube):
     path = tmp_path / "cube.json"
     save_cube(reference_cube, str(path))

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeprob import (
     BlockAggregates,
@@ -8,18 +10,26 @@ from cubeprob import (
     ConstraintError,
     ConstraintSet,
     Datacube,
+    Estimate,
     MacroBlock,
     MacroKind,
+    Pmf,
     QueryKind,
     QuerySpec,
     Range,
     build_summary,
     count_case1,
+    count_case2,
+    count_case3,
+    decompose,
+    detect_macroblocks,
     estimate,
+    sum_case1,
     sum_case2,
     sum_case3,
 )
 from cubeprob import bound_tuple as make_bound_tuple
+from conftest import summarized_ranges
 
 F = Fraction
 
@@ -139,3 +149,47 @@ def test_constraints_of_another_arity_are_rejected():
 def test_query_spec_validation():
     with pytest.raises(ValueError):
         QuerySpec(Range((1,), (2,)), QueryKind.SUM, 4)
+
+
+def _reference_estimate(summary, constraints, spec):
+    """The composition over the full ``decompose`` enumeration, block by block."""
+    deco = decompose(summary, spec.range)
+    is_count = spec.kind is QueryKind.COUNT
+    shift = sum(
+        summary.block(k).count if is_count else summary.block(k).sum for k in deco.total
+    )
+    if not deco.partial:
+        return Estimate(F(shift), F(0), F(0), Pmf.point(shift) if spec.want_pmf else None)
+    want = spec.want_pmf and len(deco.partial) == 1
+    mean, variance, max_error, pmf = F(shift), F(0), F(0), None
+    for index, clip in deco.partial:
+        blk = summary.block(index)
+        if spec.case == 3:
+            bt = make_bound_tuple(constraints, blk.range, clip)
+            part = count_case3(bt, blk.count, want) if is_count else sum_case3(bt, blk.count, blk.sum, want)
+        else:
+            agg = BlockAggregates(blk.size, blk.count, blk.sum, clip.size)
+            law = {(1, True): count_case1, (2, True): count_case2, (1, False): sum_case1, (2, False): sum_case2}
+            part = law[spec.case, is_count](agg, want)
+        mean += part.mean
+        variance += part.variance
+        max_error += part.max_error
+        if want and part.pmf is not None:
+            pmf = part.pmf.shifted(shift)
+    return Estimate(mean, variance, max_error, pmf)
+
+
+@settings(deadline=None, max_examples=150)
+@given(summarized_ranges(), st.data())
+def test_shell_composition_matches_the_per_block_reference(case, data):
+    cube, summary, query = case
+    spec = QuerySpec(
+        query,
+        data.draw(st.sampled_from(QueryKind), label="kind"),
+        data.draw(st.integers(1, 3), label="case"),
+        data.draw(st.booleans(), label="want_pmf"),
+    )
+    constraints = None
+    if spec.case == 3:
+        constraints = detect_macroblocks(cube, data.draw(st.integers(1, 6), label="min_cells"))
+    assert estimate(summary, constraints, spec) == _reference_estimate(summary, constraints, spec)

@@ -6,13 +6,17 @@ from cubeprob import (
     CompressionFactor,
     Datacube,
     FactorError,
+    QueryKind,
+    QuerySpec,
     Range,
     build_summary,
     count_exact,
     decompose,
+    estimate,
     sum_exact,
 )
 from cubeprob.summary import load_summary, save_summary, summary_from_dict, summary_to_dict
+from conftest import summarized_ranges
 
 
 def test_reference_block_aggregates(reference_summary):
@@ -107,6 +111,38 @@ def test_decompose_tiles_the_query(data):
     assert set(covered) == set(query.cells())
     assert all(times == 1 for times in covered.values())
     assert set(deco.total) & {k for k, _ in deco.partial} == set()
+
+
+def _per_block_decompose(summary, query):
+    """Every block of the grid, row-major, sorted into total and clipped partial."""
+    total, partial = [], []
+    for index in summary.factor.block_indices():
+        block_range = summary.factor.block_range(index)
+        clip = query.intersect(block_range)
+        if clip is None:
+            continue
+        if query.contains(block_range):
+            total.append(index)
+        else:
+            partial.append((index, clip))
+    return tuple(total), tuple(partial)
+
+
+@settings(deadline=None, max_examples=200)
+@given(summarized_ranges(max_ndim=4, max_len=5))
+def test_decompose_matches_a_per_block_enumeration(case):
+    _, summary, query = case
+    deco = decompose(summary, query)
+    assert (deco.total, deco.partial) == _per_block_decompose(summary, query)
+
+
+def test_answered_summary_still_equals_hashes_and_saves_like_a_fresh_copy(reference_summary):
+    answered = summary_from_dict(summary_to_dict(reference_summary))
+    for kind in QueryKind:
+        estimate(answered, None, QuerySpec(Range((2, 2), (9, 5)), kind, 2))
+    fresh = summary_from_dict(summary_to_dict(reference_summary))
+    assert answered == fresh and hash(answered) == hash(fresh)
+    assert summary_to_dict(answered) == summary_to_dict(fresh)
 
 
 def test_build_summary_deterministic(reference_cube):
