@@ -26,19 +26,21 @@ from .constraints import (
 from .core import (
     Datacube,
     Range,
+    _load_json,
     count_exact,
     load_cube,
     load_relation_csv,
     save_cube,
     sum_exact,
 )
-from .errors import CubeError
+from .errors import CubeError, FactorError, PopulationError
 from .estimators import Estimate
 from .oracle import PopulationSpec, StatKind, population_stats
 from .planner import QueryKind, QuerySpec, estimate
 from .summary import (
     CompressionFactor,
     build_summary,
+    decompose,
     load_summary,
     save_summary,
 )
@@ -196,8 +198,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_summarize(args) -> int:
     cube = load_cube(args.cube)
     if args.boundaries:
-        with open(args.boundaries) as handle:
-            factor = CompressionFactor(tuple(tuple(axis) for axis in json.load(handle)))
+        factor = _load_json(args.boundaries, CompressionFactor, FactorError, "boundaries")
         if factor.dims != cube.dims:
             raise CubeError(f"boundaries end at {factor.dims}, cube dims are {cube.dims}")
     else:
@@ -273,7 +274,11 @@ def _cmd_query(args) -> int:
     if cube is not None:
         fn = count_exact if spec.kind is QueryKind.COUNT else sum_exact
         exact = fn(cube, spec.range)
-    _emit(_estimate_payload(args, est, exact), args.format)
+    payload = _estimate_payload(args, est, exact)
+    if spec.want_pmf and est.pmf is None:
+        partial = len(decompose(summary, spec.range).partial)
+        payload["pmf_omitted"] = f"{partial} blocks are partially covered; a pmf needs at most one"
+    _emit(payload, args.format)
     return 0
 
 
@@ -313,10 +318,8 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    with open(args.spec) as handle:
-        raw = json.load(handle)
-    stat = StatKind(raw.pop("stat", "count"))
+def _population(payload) -> tuple[PopulationSpec, StatKind]:
+    raw = dict(payload)
     spec = PopulationSpec(
         b=raw["b"],
         fix_t=raw.get("fix_t"),
@@ -325,6 +328,11 @@ def _cmd_oracle(args) -> int:
         forced_null=frozenset(raw.get("forced_null", [])),
         query_positions=frozenset(raw.get("query_positions", [])),
     )
+    return spec, StatKind(raw.get("stat", "count"))
+
+
+def _cmd_oracle(args) -> int:
+    spec, stat = _load_json(args.spec, _population, PopulationError, "population spec")
     pmf, mean, variance = population_stats(spec, stat)
     print(f"stat: {stat.value}")
     print(f"mean: {_frac(mean)}")

@@ -22,7 +22,7 @@ from math import prod
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .core import Coords, Datacube, Range
+from .core import Coords, Datacube, Range, _load_json
 from .errors import ConstraintError
 from .summary import CompressedDatacube
 
@@ -456,9 +456,4 @@ def save_constraints(cs: ConstraintSet, path: str) -> None:
 
 
 def load_constraints(path: str) -> ConstraintSet:
-    with open(path) as handle:
-        payload = json.load(handle)
-    try:
-        return constraints_from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConstraintError(f"malformed constraints file {path}: {exc}")
+    return _load_json(path, constraints_from_dict, ConstraintError, "constraints")

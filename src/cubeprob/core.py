@@ -21,9 +21,10 @@ from itertools import accumulate, repeat
 from itertools import product as _iproduct
 from math import prod
 from operator import add, index
-from typing import IO, Iterable, Iterator, MutableSequence, Sequence
+from typing import IO, Callable, Iterable, Iterator, MutableSequence, Sequence, TypeVar
 
 from .errors import (
+    CubeError,
     DuplicateKeyError,
     OutOfBoundsError,
     RelationFormatError,
@@ -152,9 +153,6 @@ class Range:
     def size(self) -> int:
         """Number of cells in the range."""
         return prod(h - l + 1 for l, h in zip(self.lo, self.hi))
-
-    def contains_cell(self, coords: Sequence[int]) -> bool:
-        return all(l <= c <= h for l, c, h in zip(self.lo, coords, self.hi))
 
     def contains(self, other: "Range") -> bool:
         return all(
@@ -343,10 +341,20 @@ def save_cube(cube: Datacube, path: str) -> None:
         json.dump({"dims": list(cube.dims), "cells": list(cube.cells)}, handle)
 
 
-def load_cube(path: str) -> Datacube:
+_T = TypeVar("_T")
+
+
+def _load_json(path: str, parse: Callable[..., _T], error: type[CubeError], what: str) -> _T:
+    """``parse`` of the JSON in ``path``; a payload of the wrong shape raises ``error``."""
     with open(path) as handle:
         payload = json.load(handle)
     try:
-        return Datacube(tuple(payload["dims"]), tuple(payload["cells"]))
+        return parse(payload)
     except (KeyError, TypeError, ValueError) as exc:
-        raise RelationFormatError(f"malformed cube file {path}: {exc}")
+        raise error(f"malformed {what} file {path}: {exc}")
+
+
+def load_cube(path: str) -> Datacube:
+    return _load_json(
+        path, lambda raw: Datacube(raw["dims"], raw["cells"]), RelationFormatError, "cube"
+    )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, lgamma, sqrt
 from operator import itemgetter
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .constraints import BoundTuple
 from .errors import InfeasibleError, PmfBudgetError
@@ -258,15 +258,20 @@ class BlockAggregates:
             raise InfeasibleError(f"block size {self.b} must be >= 1")
         if not 0 <= self.t <= self.b:
             raise InfeasibleError(f"count {self.t} outside [0..{self.b}]")
-        if self.t > self.s:
-            raise InfeasibleError(f"count {self.t} exceeds sum {self.s}")
-        if self.t == 0 and self.s > 0:
-            raise InfeasibleError(f"sum {self.s} positive with no non-null cells")
+        _check_realizable(self.t, self.s)
         if not 1 <= self.b_in < self.b:
             raise InfeasibleError(
                 f"query size {self.b_in} must satisfy 1 <= b_in < b (b={self.b}); "
                 "full-block queries are exact and belong to the planner"
             )
+
+
+def _check_realizable(t: int, s: int, cells: str = "cells") -> None:
+    """Refuse a count ``t`` and sum ``s`` that no block of naturals can carry."""
+    if t > s:
+        raise InfeasibleError(f"count {t} exceeds sum {s}")
+    if t == 0 and s > 0:
+        raise InfeasibleError(f"sum {s} positive with no non-null {cells}")
 
 
 def _check_pmf_budget(b: int, s: int, budget: int | None) -> None:
@@ -282,31 +287,41 @@ def _check_pmf_budget(b: int, s: int, budget: int | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _support(n: int, m: int, l: int) -> range:
+    """The values h of the draw: max(0, m-(n-l))..min(l, m)."""
+    return range(max(0, m - (n - l)), min(l, m) + 1)
+
+
+def _placements(n: int, m: int, l: int) -> Iterator[tuple[int, int]]:
+    """(h, C(l, h) * C(n - l, m - h)) over the support; the weights total C(n, m)."""
+    return ((h, binom(l, h) * binom(n - l, m - h)) for h in _support(n, m, l))
+
+
+def _moments(n: int, m: int, l: int, shift: int) -> tuple[int, int, int, int]:
+    """Integers (d, c, e, vk) with E[K] = c/d and Var K = vk/(d^2*e).
+
+    ``m`` free non-nulls sit uniformly among ``n`` free cells, ``l`` of which
+    lie inside the query, and the query also holds ``shift`` located
+    non-nulls, so K = shift + h with P(h) = C(l, h) * C(n - l, m - h) / C(n, m).
+    d = n or 1 (n = 0 forces m = l = 0 and K = shift), c = shift*d + l*m,
+    e = n-1, or 1 when n <= 1, and vk = l*m*(n-l)*(n-m), which is 0 whenever n <= 1.
+    """
+    d = n or 1
+    return d, shift * d + l * m, n - 1 if n > 1 else 1, l * m * (n - l) * (n - m)
+
+
 def _hypergeometric(
     n: int, m: int, l: int, shift: int, want_pmf: bool, *, b: int, pmf_budget: int | None
 ) -> Estimate:
-    """Count of ``shift`` located non-nulls plus a hypergeometric draw.
-
-    ``m`` free non-nulls sit uniformly among ``n`` free cells, ``l`` of which
-    lie inside the query, so the count inside is shift + h with
-
-        P(h) = C(l, h) * C(n - l, m - h) / C(n, m),
-
-    mean shift + l*m/n (shift when n = 0) and variance
-    l*m*(n-l)*(n-m) / (n^2*(n-1)) (0 when n <= 1).  The exact pmf is refused
-    when the block size ``b`` is over budget; the sum plays no part.
-    """
-    d = n or 1  # n = 0 forces m = 0: the count is the shift
-    mean = Fraction(shift * d + l * m, d)
-    variance = Fraction(l * m * (n - l) * (n - m), n * n * (n - 1)) if n > 1 else _ZERO
-    h_lo, h_hi = max(0, m - (n - l)), min(l, m)
-    max_error = Fraction(max(l * m - h_lo * d, h_hi * d - l * m), d)
+    """The count K of :func:`_moments`; the exact pmf is refused when ``b`` is over budget."""
+    d, c, e, vk = _moments(n, m, l, shift)
+    support = _support(n, m, l)
+    max_error = Fraction(max(c - (shift + support[0]) * d, (shift + support[-1]) * d - c), d)
     pmf = None
     if want_pmf:
         _check_pmf_budget(b, 0, pmf_budget)
-        weights = {shift + h: binom(l, h) * binom(n - l, m - h) for h in range(h_lo, h_hi + 1)}
-        pmf = Pmf.from_weights(weights, binom(n, m))
-    return Estimate(mean, variance, max_error, pmf)
+        pmf = Pmf.from_weights({shift + h: w for h, w in _placements(n, m, l)}, binom(n, m))
+    return Estimate(Fraction(c, d), Fraction(vk, d * d * e), max_error, pmf)
 
 
 def _hypergeometric_pmf_float(n: int, m: int, l: int, shift: int) -> tuple[tuple[int, float], ...]:
@@ -314,7 +329,7 @@ def _hypergeometric_pmf_float(n: int, m: int, l: int, shift: int) -> tuple[tuple
     log_denom = _log_binom(n, m)
     return tuple(
         (shift + h, exp(_log_binom(l, h) + _log_binom(n - l, m - h) - log_denom))
-        for h in range(max(0, m - (n - l)), min(l, m) + 1)
+        for h in _support(n, m, l)
     )
 
 
@@ -418,7 +433,7 @@ def sum_case2(
 
 
 def _shifted_coordinates(bt: BoundTuple, t: int, s: int | None = None) -> tuple[int, int, int, int]:
-    """Check t (and s) against ``bt``; return the free-cell coordinates (n, m, l, shift).
+    """Check t (and s) against ``bt``; return the draw's coordinates (n, m, l, shift).
 
     n = t_hi_blk - t_lo_blk free block cells hold m = t - t_lo_blk free
     non-nulls; l = t_hi_in - t_lo_in of those cells lie inside the query,
@@ -429,41 +444,32 @@ def _shifted_coordinates(bt: BoundTuple, t: int, s: int | None = None) -> tuple[
             f"block count {t} violates constraint bounds [{bt.t_lo_blk}..{bt.t_hi_blk}]"
         )
     if s is not None:
-        if t > s:
-            raise InfeasibleError(f"count {t} exceeds sum {s}")
-        if t == 0 and s > 0:
-            raise InfeasibleError(f"sum {s} positive with no non-null cells")
+        _check_realizable(t, s)
     return bt.t_hi_blk - bt.t_lo_blk, t - bt.t_lo_blk, bt.t_hi_in - bt.t_lo_in, bt.t_lo_in
 
 
 def _joint_weights(
-    bt: BoundTuple, t: int, s: int, pmf_budget: int | None
+    n: int, m: int, l: int, shift: int, t: int, s: int, *, b: int, pmf_budget: int | None
 ) -> tuple[dict[tuple[int, int], int], int]:
-    """Integer weights of (count, sum) inside the query, and their total."""
-    _check_pmf_budget(bt.b_blk, s, pmf_budget)
-    tu_in, tl_in = bt.t_hi_in, bt.t_lo_in
-    tu_out, tl_out = bt.t_hi_out, bt.t_lo_out
-    denom = n_config_count(bt.t_hi_blk, t, s, bt.t_lo_blk)
-    if denom == 0:
-        raise InfeasibleError(
-            f"constraints contradict aggregates: no configuration with t={t}, s={s} under {bt}"
-        )
+    """Integer weights of (count, sum) inside the query, and their total.
+
+    The draw places k = shift + h of the t non-nulls inside the query in
+    C(l, h) * C(n - l, m - h) ways; the k inside then take a sum v >= k and
+    the t - k outside take s - v, each split into positive values.  The
+    weights total C(n, m) * C(s - 1, s - t), counting the empty split once.
+    """
+    _check_pmf_budget(b, s, pmf_budget)
     weights: dict[tuple[int, int], int] = {}
-    k_lo = max(tl_in, t - tu_out, 0)
-    k_hi = min(tu_in, t - tl_out, t)
-    for k in range(k_lo, k_hi + 1):
+    for h, placements in _placements(n, m, l):
+        k = shift + h
         t_out = t - k
-        # n_config_count factored: the placements depend on the counts only,
-        # the splits of each sum into positive values on the sums too (a
-        # count of 0 admits only a sum of 0)
-        placements = binom(tu_in - tl_in, k - tl_in) * binom(tu_out - tl_out, t_out - tl_out)
         for v in range(k, s - t_out + 1):
             w = placements * compositions_count(k, v - k) * compositions_count(
                 t_out, s - v - t_out
             )
             if w:
                 weights[(k, v)] = w
-    return weights, denom
+    return weights, binom(n, m) * compositions_count(t, s - t)
 
 
 def joint_case3(
@@ -480,8 +486,8 @@ def joint_case3(
 
     Trivial bounds give case 2 (:func:`joint_case2`).
     """
-    _shifted_coordinates(bt, t, s)
-    return JointPmf.from_weights(*_joint_weights(bt, t, s, pmf_budget))
+    draw = _shifted_coordinates(bt, t, s)
+    return JointPmf.from_weights(*_joint_weights(*draw, t, s, b=bt.b_blk, pmf_budget=pmf_budget))
 
 
 def count_case3(
@@ -490,14 +496,9 @@ def count_case3(
     """Count query under constraint bounds.
 
     Removing the located cells leaves a hypergeometric draw in shifted
-    coordinates: with l = t_hi_in - t_lo_in free query slots out of
-    n = t_hi_blk - t_lo_blk free block slots and m = t - t_lo_blk free
-    non-nulls,
-
-        P(count = t_lo_in + h) = C(l, h) * C(n - l, m - h) / C(n, m).
-
-    When every cell is located (n = 0) the count is exactly t_lo_in; the
-    variance is 0 whenever n <= 1.
+    coordinates (:func:`_moments`): l = t_hi_in - t_lo_in free query slots
+    out of n = t_hi_blk - t_lo_blk free block slots hold h of the
+    m = t - t_lo_blk free non-nulls, and the count is t_lo_in + h.
     """
     n, m, l, shift = _shifted_coordinates(bt, t)
     return _hypergeometric(n, m, l, shift, want_pmf, b=bt.b_blk, pmf_budget=pmf_budget)
@@ -509,60 +510,46 @@ def sum_case3(
     """Sum query under constraint bounds.
 
     With l, n, m as in :func:`count_case3` and the moment helpers
-    alpha = s*(s+1)/(t*(t+1)), beta = s*(s-t)/(t*(t+1)):
+    alpha = s*(s+1)/(t*(t+1)), beta = s*(s-t)/(t*(t+1)), the paper gives for n > 1
 
-        mean = t_lo_in*(s/t) + l*(s/t)*(m/n)          (t_lo_in*(s/t) when n = 0)
+        mean = t_lo_in*(s/t) + l*(s/t)*(m/n)
+        variance = alpha*l*(m/n)*[1 + (l-1)*(m-1)/(n-1)]
+                   + (beta + 2*alpha*t_lo_in)*l*(m/n) + alpha*t_lo_in^2 + beta*t_lo_in - mean^2
 
-        variance =
-          alpha*l*(m/n)*[1 + (l-1)*(m-1)/(n-1)]
-            + (beta + 2*alpha*t_lo_in)*l*(m/n)
-            + alpha*t_lo_in^2 + beta*t_lo_in - mean^2          if n > 1
-          s*t_lo_in*(t-t_lo_in)*(s-t)/(t^2*(t+1))              if n = 0, or n = 1 with t at the lower bound
-          s*t_hi_in*(t-t_hi_in)*(s-t)/(t^2*(t+1))              if n = 1 with t at the upper bound
+    For every n the variance is one integer ratio by the law of total
+    variance over the count K inside the query (:func:`_moments`: E[K] = c/d,
+    and Var K = 0 when n <= 1).  Given K the sum has mean K*s/t and variance
+    K*(t-K)*s*(s-t)/(t^2*(t+1)), so mean = s*c/(t*d) and
 
-    The degenerate branches cover the configurations where the count inside
-    the query is already pinned down and only the value split varies.
-
-    For n > 1 the variance is evaluated as one integer ratio by the law of
-    total variance over the count K inside the query: given K the sum has
-    mean K*s/t and variance K*(t-K)*s*(s-t)/(t^2*(t+1)), and K is
-    :func:`count_case3`'s law with mean c/n, c = t_lo_in*n + l*m.
+        variance = s*(s-t)*c*(t*d-c)/(t^2*(t+1)*d^2) + Var K * s*(s+1)/(t*(t+1)).
     """
-    n, m, l, tl_in = _shifted_coordinates(bt, t, s)
+    n, m, l, shift = draw = _shifted_coordinates(bt, t, s)
     if t == 0:
         pmf = Pmf.point(0) if want_pmf else None
         return Estimate(_ZERO, _ZERO, _ZERO, pmf)
-    tu_in = bt.t_hi_in
-    c = tl_in * n + l * m
-    mean_num, mean_den = (s * c, t * n) if n else (s * tl_in, t)
-    mean = Fraction(mean_num, mean_den)
-    if n > 1:
-        variance = Fraction(
-            s * ((s - t) * c * (t * n - c) * (n - 1) + t * (s + 1) * l * m * (n - l) * (n - m)),
-            t * t * (t + 1) * n * n * (n - 1),
-        )
-    elif n == 0 or t == bt.t_lo_blk:
-        variance = Fraction(s * tl_in * (t - tl_in) * (s - t), t * t * (t + 1))
-    else:  # n == 1 and t == bt.t_hi_blk
-        variance = Fraction(s * tu_in * (t - tu_in) * (s - t), t * t * (t + 1))
+    d, c, e, vk = _moments(n, m, l, shift)
+    mean_num, mean_den = s * c, t * d
+    variance = Fraction(
+        s * ((s - t) * c * (t * d - c) * e + t * (s + 1) * vk), t * t * (t + 1) * d * d * e
+    )
     # Extremes of the achievable sum.  Generally the minimum sum puts the
     # fewest possible non-nulls inside (each worth 1) and the maximum leaves
     # the fewest outside; but when the count inside is pinned to t (every
     # non-null inside) the sum is constantly s, and when pinned to 0 it is
     # constantly 0 -- without these corners the bound would not be attained.
-    count_lo = max(tl_in, t - bt.t_hi_out)
-    count_hi = min(tu_in, t - bt.t_lo_out)
+    support = _support(n, m, l)
+    count_lo, count_hi = shift + support[0], shift + support[-1]
     lo = s if count_lo == t else count_lo
     hi = 0 if count_hi == 0 else s - (t - count_hi)
     max_error = Fraction(max(mean_num - lo * mean_den, hi * mean_den - mean_num), mean_den)
     pmf = None
     if want_pmf:
-        weights, denom = _joint_weights(bt, t, s, pmf_budget)
+        weights, denom = _joint_weights(*draw, t, s, b=bt.b_blk, pmf_budget=pmf_budget)
         marginal: dict[int, int] = {}
         for (_, v), w in weights.items():
             marginal[v] = marginal.get(v, 0) + w
         pmf = Pmf.from_weights(marginal, denom)
-    return Estimate(mean, variance, max_error, pmf)
+    return Estimate(Fraction(mean_num, mean_den), variance, max_error, pmf)
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +566,10 @@ def sum_case1_pmf_float(agg: BlockAggregates) -> tuple[tuple[int, float], ...]:
     """Stars-and-bars pmf of case-1 sums as floats, computed in log space."""
     b, s, b_in = agg.b, agg.s, agg.b_in
     log_denom = _log_binom(b + s - 1, s)
-    out = []
-    for v in range(0, s + 1):
-        log_w = _log_binom(b_in + v - 1, v) + _log_binom(b - b_in + s - v - 1, s - v)
-        out.append((v, exp(log_w - log_denom)))
-    return tuple(out)
+    return tuple(
+        (v, exp(_log_binom(b_in + v - 1, v) + _log_binom(b - b_in + s - v - 1, s - v) - log_denom))
+        for v in range(0, s + 1)
+    )
 
 
 def count_case3_pmf_float(bt: BoundTuple, t: int) -> tuple[tuple[int, float], ...]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .constraints import BoundTuple
 from .errors import InfeasibleError
-from .estimators import BlockAggregates, Estimate, Pmf, sum_case2, sum_case3
+from .estimators import BlockAggregates, Estimate, Pmf, _check_realizable, sum_case2, sum_case3
 
 
 class BucketBias(Enum):
@@ -44,10 +44,7 @@ class Bucket:
             raise InfeasibleError(f"bucket width {self.b} must be >= 1")
         if not 0 <= self.t <= self.b:
             raise InfeasibleError(f"count {self.t} outside [0..{self.b}]")
-        if self.t > self.s:
-            raise InfeasibleError(f"count {self.t} exceeds sum {self.s}")
-        if self.t == 0 and self.s > 0:
-            raise InfeasibleError(f"sum {self.s} positive with no non-null frequencies")
+        _check_realizable(self.t, self.s, "frequencies")
         if self.bias in (BucketBias.LOW, BucketBias.HIGH) and self.t < 1:
             raise InfeasibleError("a biased bucket has at least one non-null extreme")
         if self.bias is BucketBias.BOTH and self.t < 2:

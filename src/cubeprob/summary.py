@@ -18,8 +18,17 @@ from itertools import product as _iproduct
 from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import Coords, Datacube, Range, _offset, _PrefixSums, count_exact, sum_exact
+from .core import Coords, Datacube, Range, _integers, _load_json, _offset, _PrefixSums
+from .core import count_exact, sum_exact
 from .errors import FactorError, OutOfBoundsError
+
+
+def _naturals(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """``values`` as naturals under the ingest rule (no floats, no strings)."""
+    try:
+        return _integers(values, what, 0)
+    except ValueError as exc:
+        raise FactorError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -29,7 +38,7 @@ class CompressionFactor:
     boundaries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        bounds = tuple(tuple(int(v) for v in axis) for axis in self.boundaries)
+        bounds = tuple(_naturals(axis, "boundaries") for axis in self.boundaries)
         object.__setattr__(self, "boundaries", bounds)
         if not bounds:
             raise FactorError("factor needs at least one dimension")
@@ -264,16 +273,15 @@ def summary_to_dict(summary: CompressedDatacube) -> dict:
 
 
 def summary_from_dict(payload: dict) -> CompressedDatacube:
-    factor = CompressionFactor(tuple(tuple(axis) for axis in payload["boundaries"]))
+    factor = CompressionFactor(payload["boundaries"])
     by_index = {tuple(b["index"]): b for b in payload["blocks"]}
     blocks = []
     for index in factor.block_indices():
         if index not in by_index:
             raise FactorError(f"summary file is missing block {index}")
         raw = by_index[index]
-        blocks.append(
-            BlockSummary(index, factor.block_range(index), int(raw["count"]), int(raw["sum"]))
-        )
+        count, total = _naturals((raw["count"], raw["sum"]), f"block {index} count and sum")
+        blocks.append(BlockSummary(index, factor.block_range(index), count, total))
     return CompressedDatacube(factor, tuple(blocks))
 
 
@@ -283,9 +291,4 @@ def save_summary(summary: CompressedDatacube, path: str) -> None:
 
 
 def load_summary(path: str) -> CompressedDatacube:
-    with open(path) as handle:
-        payload = json.load(handle)
-    try:
-        return summary_from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FactorError(f"malformed summary file {path}: {exc}")
+    return _load_json(path, summary_from_dict, FactorError, "summary")

@@ -399,3 +399,72 @@ def test_module_runs_commands(reference_files, tmp_path):
     done = run("query", str(summary_path), "--kind", "count", "--range", "2:1,1:2")
     assert done.returncode == 2
     assert done.stderr.startswith("cubeprob: error: ")
+
+
+def _one_error_line(err):
+    return err.startswith("cubeprob: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "7",
+    '{"a": 1}',
+    '[[0,"x",4],[0,2]]',
+    "[[0,3.5,7,10],[0,4,6]]",
+    '[["0","3","7","10"],[0,4,6]]',
+], ids=["number", "object", "string-entry", "float-entry", "string-entries"])
+def test_summarize_malformed_boundaries_exit_2(reference_files, tmp_path, capsys, text):
+    cube_path, _, _ = reference_files
+    bad = tmp_path / "bad_bounds.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    out = tmp_path / "s.json"
+    assert main(["summarize", str(cube_path), "--boundaries", str(bad), "--out", str(out)]) == 2
+    assert _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("spec", [
+    {"fix_t": 1, "query_positions": [1]},
+    {"b": 3, "fix_t": 1, "query_positions": [1], "stat": "mean"},
+], ids=["missing-b", "unknown-stat"])
+def test_oracle_malformed_spec_exits_2(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["oracle", "--spec", str(path)]) == 2
+    assert _one_error_line(capsys.readouterr().err)
+
+
+def test_query_refuses_non_integral_summary_count(reference_files, tmp_path, capsys):
+    _, summary_path, _ = reference_files
+    payload = json.loads(summary_path.read_text())
+    payload["blocks"][0]["count"] += 0.9
+    bad = tmp_path / "bad_summary.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["query", str(bad), "--range", "1:3,1:4", "--kind", "count"]) == 2
+    assert _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_query_pmf_over_two_partial_blocks_says_why_it_is_omitted(reference_files, capsys, fmt):
+    _, summary_path, _ = reference_files
+    capsys.readouterr()
+    rc = main([
+        "query", str(summary_path), "--range", "2:5,1:2", "--kind", "sum", "--pmf", "--format", fmt,
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    reason = "2 blocks are partially covered; a pmf needs at most one"
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["pmf_omitted"] == reason and "pmf" not in payload
+    else:
+        assert "pmf_omitted" in out and reason in out and "pmf:" not in out
+
+
+def test_query_pmf_of_one_partial_block_has_no_omission(reference_files, capsys):
+    _, summary_path, _ = reference_files
+    capsys.readouterr()
+    rc = main(["query", str(summary_path), "--range", "2:3,1:2", "--kind", "sum", "--pmf"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "pmf:" in out and "pmf_omitted" not in out

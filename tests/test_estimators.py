@@ -25,6 +25,8 @@ from cubeprob import (
     sum_case3,
 )
 from cubeprob.estimators import (
+    _joint_weights,
+    _shifted_coordinates,
     count_case1_pmf_float,
     count_case3_pmf_float,
     sum_case1_pmf_float,
@@ -445,3 +447,110 @@ def test_sum_case3_matches_alpha_beta_formula(raw):
     bt, t, s = raw
     est = sum_case3(bt, t, s)
     assert (est.mean, est.variance) == sum_case3_alpha_beta(bt, t, s)
+
+
+# ---------------------------------------------------------------------------
+# Sum laws built on the count draw, against the bound-tuple formulas they replace.
+# ---------------------------------------------------------------------------
+
+
+def sum_case3_by_branches(bt, t, s):
+    """Mean, variance and max_error of sum_case3 as three branches on n.
+
+    n > 1 is the law of total variance with d = n; n = 0, and n = 1 with t
+    at the lower bound, pin the count inside at t_lo_in; n = 1 with t at the
+    upper bound pins it at t_hi_in.  The extremes are read in bound-tuple
+    coordinates.
+    """
+    n, m, l = bt.t_hi_blk - bt.t_lo_blk, t - bt.t_lo_blk, bt.t_hi_in - bt.t_lo_in
+    tl_in, tu_in = bt.t_lo_in, bt.t_hi_in
+    if t == 0:
+        return F(0), F(0), F(0)
+    c = tl_in * n + l * m
+    mean = F(s * c, t * n) if n else F(s * tl_in, t)
+    if n > 1:
+        variance = F(
+            s * ((s - t) * c * (t * n - c) * (n - 1) + t * (s + 1) * l * m * (n - l) * (n - m)),
+            t * t * (t + 1) * n * n * (n - 1),
+        )
+    elif n == 0 or t == bt.t_lo_blk:
+        variance = F(s * tl_in * (t - tl_in) * (s - t), t * t * (t + 1))
+    else:
+        variance = F(s * tu_in * (t - tu_in) * (s - t), t * t * (t + 1))
+    count_lo = max(tl_in, t - bt.t_hi_out)
+    count_hi = min(tu_in, t - bt.t_lo_out)
+    lo = s if count_lo == t else count_lo
+    hi = 0 if count_hi == 0 else s - (t - count_hi)
+    return mean, variance, max(mean - lo, hi - mean)
+
+
+def joint_weights_by_bounds(bt, t, s):
+    """(count, sum) weights and their total, looping over bound-tuple counts."""
+    tu_in, tl_in, tu_out, tl_out = bt.t_hi_in, bt.t_lo_in, bt.t_hi_out, bt.t_lo_out
+    weights = {}
+    for k in range(max(tl_in, t - tu_out, 0), min(tu_in, t - tl_out, t) + 1):
+        t_out = t - k
+        placements = binom(tu_in - tl_in, k - tl_in) * binom(tu_out - tl_out, t_out - tl_out)
+        for v in range(k, s - t_out + 1):
+            w = placements * compositions_count(k, v - k) * compositions_count(
+                t_out, s - v - t_out
+            )
+            if w:
+                weights[(k, v)] = w
+    return weights, n_config_count(bt.t_hi_blk, t, s, bt.t_lo_blk)
+
+
+@st.composite
+def located_blocks(draw, max_b=200, max_s=2000):
+    """A block split into located and free cells, with t and s it can carry.
+
+    In about half the examples the block keeps n = 0 or 1 free cells and t
+    sits at one end of its bounds, where the count inside is pinned down.
+    """
+    b = draw(st.integers(2, max_b))
+    b_in = draw(st.integers(1, b - 1))
+    b_out = b - b_in
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 1))
+        free_in = draw(st.integers(max(0, n - b_out), min(n, b_in)))
+        free_out = n - free_in
+    else:
+        free_in, free_out = draw(st.integers(0, b_in)), draw(st.integers(0, b_out))
+    tl_in = draw(st.integers(0, b_in - free_in))  # located non-nulls inside
+    tl_blk = tl_in + draw(st.integers(0, b_out - free_out))
+    bt = BoundTuple(tl_in, tl_in + free_in, tl_blk, tl_blk + free_in + free_out, b_in, b)
+    ends = st.sampled_from((bt.t_lo_blk, bt.t_hi_blk))
+    t = draw(ends | st.integers(bt.t_lo_blk, bt.t_hi_blk))
+    s = draw(st.integers(t, max(t, max_s))) if t else 0
+    return bt, t, s
+
+
+@settings(deadline=None, max_examples=400)
+@given(located_blocks())
+def test_sum_case3_matches_branch_formulas(raw):
+    est = sum_case3(*raw)
+    assert (est.mean, est.variance, est.max_error) == sum_case3_by_branches(*raw)
+
+
+@settings(deadline=None, max_examples=150)
+@given(located_blocks(max_b=40, max_s=60))
+def test_joint_weights_match_bound_tuple_loop(raw):
+    bt, t, s = raw
+    draw = _shifted_coordinates(bt, t, s)
+    assert _joint_weights(*draw, t, s, b=bt.b_blk, pmf_budget=None) == joint_weights_by_bounds(
+        bt, t, s
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(located_blocks(max_b=30, max_s=45))
+def test_sum_case3_max_error_is_attained(raw):
+    bt, t, s = raw
+    est = sum_case3(bt, t, s, want_pmf=True)
+    assert est.pmf.mean() == est.mean and est.pmf.variance() == est.variance
+    lo, hi = est.pmf.min_value(), est.pmf.max_value()
+    assert est.max_error == max(est.mean - lo, hi - est.mean)
+    count = count_case3(bt, t, want_pmf=True).pmf
+    # the fewest non-nulls inside, each worth 1, give the smallest sum, unless all t are inside
+    assert lo == (s if count.min_value() == t else count.min_value())
+    assert hi == (0 if count.max_value() == 0 else s - (t - count.max_value()))

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,3 +160,23 @@ def test_summary_json_round_trip(tmp_path, reference_summary):
 
 def test_summary_dict_round_trip(reference_summary):
     assert summary_from_dict(summary_to_dict(reference_summary)) == reference_summary
+
+
+@pytest.mark.parametrize(
+    "axis", [(0, 2.5, 4), ("0", "2", "4"), (0, 1.0, 4)], ids=["float", "str", "whole-float"]
+)
+def test_factor_refuses_non_integral_boundaries(axis):
+    with pytest.raises(FactorError, match="boundaries must be integers"):
+        CompressionFactor((axis, (0, 2)))
+
+
+@pytest.mark.parametrize("field", ["count", "sum"])
+def test_summary_refuses_non_integral_aggregates(tmp_path, reference_summary, field):
+    payload = summary_to_dict(reference_summary)
+    payload["blocks"][0][field] += 0.9
+    with pytest.raises(FactorError, match="must be integers"):
+        summary_from_dict(payload)
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FactorError):
+        load_summary(str(path))
