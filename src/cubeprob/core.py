@@ -26,6 +26,7 @@ from typing import IO, Callable, Iterable, Iterator, MutableSequence, Sequence, 
 from .errors import (
     CubeError,
     DuplicateKeyError,
+    InfeasibleError,
     OutOfBoundsError,
     RelationFormatError,
 )
@@ -56,6 +57,14 @@ def _offset(coords: Sequence[int], dims: Sequence[int]) -> int:
     for c, n in zip(coords, dims):
         off = off * n + (c - 1)
     return off
+
+
+def _check_realizable(t: int, s: int, cells: str = "cells") -> None:
+    """Refuse a count ``t`` and sum ``s`` that no block of naturals can carry."""
+    if t > s:
+        raise InfeasibleError(f"count {t} exceeds sum {s}")
+    if t == 0 and s > 0:
+        raise InfeasibleError(f"sum {s} positive with no non-null {cells}")
 
 
 def _check_coords(coords: Sequence[int], dims: Coords, where: str = "") -> None:

@@ -15,8 +15,9 @@ knowledge are supported:
 * case 3 -- ``t``, ``s`` plus lower/upper bounds on non-null counts derived
   from integrity constraints (a :class:`~cubeprob.constraints.BoundTuple`).
 
-Every count law is one hypergeometric draw in shifted coordinates, and exact
-pmfs are built from integer weights with a single division at the end.
+Every count law is one hypergeometric draw in shifted coordinates, every
+law's moments come from one integer kernel, and exact pmfs are built from
+integer weights with a single division at the end.
 
 All probabilities, means, variances and maximum-error bounds are exact
 rationals over arbitrary-precision integers; float views are provided at the
@@ -36,6 +37,7 @@ from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .constraints import BoundTuple
+from .core import _check_realizable
 from .errors import InfeasibleError, PmfBudgetError
 
 DEFAULT_PMF_BUDGET = 10_000
@@ -266,14 +268,6 @@ class BlockAggregates:
             )
 
 
-def _check_realizable(t: int, s: int, cells: str = "cells") -> None:
-    """Refuse a count ``t`` and sum ``s`` that no block of naturals can carry."""
-    if t > s:
-        raise InfeasibleError(f"count {t} exceeds sum {s}")
-    if t == 0 and s > 0:
-        raise InfeasibleError(f"sum {s} positive with no non-null {cells}")
-
-
 def _check_pmf_budget(b: int, s: int, budget: int | None) -> None:
     if budget is not None and (b > budget or s > budget):
         raise PmfBudgetError(
@@ -282,14 +276,36 @@ def _check_pmf_budget(b: int, s: int, budget: int | None) -> None:
         )
 
 
+# Moment kernels, one per law: each returns the mean, variance and max error
+# as unreduced integer ratios (mean_num, mean_den, var_num, var_den, err_num,
+# err_den).  The public estimators wrap them in an Estimate; the planner adds
+# their numerators over a query's partial blocks and divides once per moment.
+_Moments = tuple[int, int, int, int, int, int]
+
+
+def _estimate(moments: _Moments, pmf: Pmf | None = None) -> Estimate:
+    """The Estimate of a kernel's integer ratios."""
+    mean_num, mean_den, var_num, var_den, err_num, err_den = moments
+    return Estimate(
+        Fraction(mean_num, mean_den), Fraction(var_num, var_den), Fraction(err_num, err_den), pmf
+    )
+
+
 # ---------------------------------------------------------------------------
 # Count law: one hypergeometric draw in shifted coordinates.
 # ---------------------------------------------------------------------------
 
 
+def _ends(n: int, m: int, l: int) -> tuple[int, int]:
+    """The least and greatest value h of the draw: max(0, m-(n-l)) and min(l, m)."""
+    lo = m - (n - l)
+    return lo if lo > 0 else 0, l if l < m else m
+
+
 def _support(n: int, m: int, l: int) -> range:
-    """The values h of the draw: max(0, m-(n-l))..min(l, m)."""
-    return range(max(0, m - (n - l)), min(l, m) + 1)
+    """The values h of the draw, from one end of :func:`_ends` to the other."""
+    lo, hi = _ends(n, m, l)
+    return range(lo, hi + 1)
 
 
 def _placements(n: int, m: int, l: int) -> Iterator[tuple[int, int]]:
@@ -310,18 +326,27 @@ def _moments(n: int, m: int, l: int, shift: int) -> tuple[int, int, int, int]:
     return d, shift * d + l * m, n - 1 if n > 1 else 1, l * m * (n - l) * (n - m)
 
 
+def _count_kernel(n: int, m: int, l: int, shift: int) -> _Moments:
+    """Moments of the count K of :func:`_moments`.
+
+    The max error is the larger distance from E[K] to an end of the
+    support, where d*(K - E[K]) = h*d - l*m.
+    """
+    d, c, e, vk = _moments(n, m, l, shift)
+    lo, hi = _ends(n, m, l)
+    below, above = l * m - lo * d, hi * d - l * m
+    return c, d, vk, d * d * e, below if below > above else above, d
+
+
 def _hypergeometric(
     n: int, m: int, l: int, shift: int, want_pmf: bool, *, b: int, pmf_budget: int | None
 ) -> Estimate:
     """The count K of :func:`_moments`; the exact pmf is refused when ``b`` is over budget."""
-    d, c, e, vk = _moments(n, m, l, shift)
-    support = _support(n, m, l)
-    max_error = Fraction(max(c - (shift + support[0]) * d, (shift + support[-1]) * d - c), d)
     pmf = None
     if want_pmf:
         _check_pmf_budget(b, 0, pmf_budget)
         pmf = Pmf.from_weights({shift + h: w for h, w in _placements(n, m, l)}, binom(n, m))
-    return Estimate(Fraction(c, d), Fraction(vk, d * d * e), max_error, pmf)
+    return _estimate(_count_kernel(n, m, l, shift), pmf)
 
 
 def _hypergeometric_pmf_float(n: int, m: int, l: int, shift: int) -> tuple[tuple[int, float], ...]:
@@ -353,6 +378,15 @@ def count_case1(
     return _hypergeometric(agg.b, agg.t, agg.b_in, 0, want_pmf, b=agg.b, pmf_budget=pmf_budget)
 
 
+def _sum_case1_kernel(b: int, s: int, b_in: int) -> _Moments:
+    """The case-1 sum of :func:`sum_case1`: s spread over b cells, b_in of them inside."""
+    inside, outside = b_in * s, (b - b_in) * s
+    return (
+        inside, b, inside * (b - b_in) * (b + s), b * b * (b + 1),
+        inside if inside > outside else outside, b,
+    )
+
+
 def sum_case1(
     agg: BlockAggregates, want_pmf: bool = False, *, pmf_budget: int | None = DEFAULT_PMF_BUDGET
 ) -> Estimate:
@@ -368,9 +402,6 @@ def sum_case1(
     max(mean, s - mean).
     """
     b, s, b_in = agg.b, agg.s, agg.b_in
-    mean = Fraction(b_in * s, b)
-    variance = Fraction(b_in * s * (b - b_in) * (b + s), b * b * (b + 1))
-    max_error = max(mean, s - mean)
     pmf = None
     if want_pmf:
         _check_pmf_budget(b, s, pmf_budget)
@@ -380,7 +411,7 @@ def sum_case1(
             for v in range(0, s + 1)
         }
         pmf = Pmf.from_weights(weights, denom)
-    return Estimate(mean, variance, max_error, pmf)
+    return _estimate(_sum_case1_kernel(b, s, b_in), pmf)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +535,29 @@ def count_case3(
     return _hypergeometric(n, m, l, shift, want_pmf, b=bt.b_blk, pmf_budget=pmf_budget)
 
 
+def _sum_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
+    """The case-2/3 sum of :func:`sum_case3` for the draw (n, m, l, shift); 0 when t = 0."""
+    if t == 0:
+        return 0, 1, 0, 1, 0, 1
+    d, c, e, vk = _moments(n, m, l, shift)
+    mean_num, mean_den = s * c, t * d
+    # Extremes of the achievable sum.  Generally the minimum sum puts the
+    # fewest possible non-nulls inside (each worth 1) and the maximum leaves
+    # the fewest outside; but when the count inside is pinned to t (every
+    # non-null inside) the sum is constantly s, and when pinned to 0 it is
+    # constantly 0 -- without these corners the bound would not be attained.
+    h_lo, h_hi = _ends(n, m, l)
+    count_lo, count_hi = shift + h_lo, shift + h_hi
+    lo = s if count_lo == t else count_lo
+    hi = 0 if count_hi == 0 else s - (t - count_hi)
+    below, above = mean_num - lo * mean_den, hi * mean_den - mean_num
+    return (
+        mean_num, mean_den,
+        s * ((s - t) * c * (t * d - c) * e + t * (s + 1) * vk), t * t * (t + 1) * d * d * e,
+        below if below > above else above, mean_den,
+    )
+
+
 def sum_case3(
     bt: BoundTuple, t: int, s: int, want_pmf: bool = False, *, pmf_budget: int | None = DEFAULT_PMF_BUDGET
 ) -> Estimate:
@@ -523,33 +577,17 @@ def sum_case3(
 
         variance = s*(s-t)*c*(t*d-c)/(t^2*(t+1)*d^2) + Var K * s*(s+1)/(t*(t+1)).
     """
-    n, m, l, shift = draw = _shifted_coordinates(bt, t, s)
-    if t == 0:
-        pmf = Pmf.point(0) if want_pmf else None
-        return Estimate(_ZERO, _ZERO, _ZERO, pmf)
-    d, c, e, vk = _moments(n, m, l, shift)
-    mean_num, mean_den = s * c, t * d
-    variance = Fraction(
-        s * ((s - t) * c * (t * d - c) * e + t * (s + 1) * vk), t * t * (t + 1) * d * d * e
-    )
-    # Extremes of the achievable sum.  Generally the minimum sum puts the
-    # fewest possible non-nulls inside (each worth 1) and the maximum leaves
-    # the fewest outside; but when the count inside is pinned to t (every
-    # non-null inside) the sum is constantly s, and when pinned to 0 it is
-    # constantly 0 -- without these corners the bound would not be attained.
-    support = _support(n, m, l)
-    count_lo, count_hi = shift + support[0], shift + support[-1]
-    lo = s if count_lo == t else count_lo
-    hi = 0 if count_hi == 0 else s - (t - count_hi)
-    max_error = Fraction(max(mean_num - lo * mean_den, hi * mean_den - mean_num), mean_den)
+    draw = _shifted_coordinates(bt, t, s)
     pmf = None
-    if want_pmf:
+    if want_pmf and t == 0:
+        pmf = Pmf.point(0)
+    elif want_pmf:
         weights, denom = _joint_weights(*draw, t, s, b=bt.b_blk, pmf_budget=pmf_budget)
         marginal: dict[int, int] = {}
         for (_, v), w in weights.items():
             marginal[v] = marginal.get(v, 0) + w
         pmf = Pmf.from_weights(marginal, denom)
-    return Estimate(Fraction(mean_num, mean_den), variance, max_error, pmf)
+    return _estimate(_sum_kernel(*draw, t, s), pmf)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ from enum import Enum
 from fractions import Fraction
 
 from .constraints import BoundTuple
+from .core import _check_realizable
 from .errors import InfeasibleError
-from .estimators import BlockAggregates, Estimate, Pmf, _check_realizable, sum_case2, sum_case3
+from .estimators import BlockAggregates, Estimate, Pmf, sum_case2, sum_case3
 
 
 class BucketBias(Enum):

@@ -18,9 +18,9 @@ from itertools import product as _iproduct
 from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import Coords, Datacube, Range, _integers, _load_json, _offset, _PrefixSums
-from .core import count_exact, sum_exact
-from .errors import FactorError, OutOfBoundsError
+from .core import Coords, Datacube, Range, _check_realizable, _integers, _load_json, _offset
+from .core import _PrefixSums, count_exact, sum_exact
+from .errors import FactorError, InfeasibleError, OutOfBoundsError
 
 
 def _naturals(values: Sequence[int], what: str) -> tuple[int, ...]:
@@ -122,12 +122,12 @@ class BlockSummary:
     sum: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.count <= self.range.size:
-            raise ValueError(f"block {self.index}: count {self.count} outside [0..{self.range.size}]")
-        if self.count > self.sum:
-            raise ValueError(f"block {self.index}: count {self.count} exceeds sum {self.sum}")
-        if (self.sum == 0) != (self.count == 0):
-            raise ValueError(f"block {self.index}: sum {self.sum} and count {self.count} disagree on emptiness")
+        try:
+            if not 0 <= self.count <= self.range.size:
+                raise InfeasibleError(f"count {self.count} outside [0..{self.range.size}]")
+            _check_realizable(self.count, self.sum)
+        except InfeasibleError as exc:
+            raise InfeasibleError(f"block {self.index}: {exc}") from None
 
     @property
     def size(self) -> int:
@@ -166,11 +166,15 @@ class CompressedDatacube:
     blocks: tuple[BlockSummary, ...]
 
     def __post_init__(self) -> None:
-        expected = list(self.factor.block_indices())
-        if [b.index for b in self.blocks] != expected:
+        factor = self.factor
+        if [b.index for b in self.blocks] != list(factor.block_indices()):
             raise FactorError("block grid does not tile the factor in row-major order")
-        for blk in self.blocks:
-            if blk.range != self.factor.block_range(blk.index):
+        # block k of an axis spans axis[k-1]+1..axis[k]: the corners of every
+        # block, row-major, are the products of the per-axis starts and ends
+        los = _iproduct(*([c + 1 for c in axis[:-1]] for axis in factor.boundaries))
+        his = _iproduct(*(axis[1:] for axis in factor.boundaries))
+        for blk, lo, hi in zip(self.blocks, los, his):
+            if blk.range.lo != lo or blk.range.hi != hi:
                 raise FactorError(f"block {blk.index} carries a range inconsistent with the factor")
 
     @property

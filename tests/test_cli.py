@@ -444,6 +444,19 @@ def test_query_refuses_non_integral_summary_count(reference_files, tmp_path, cap
     assert _one_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("count, total", [(3, 2), (0, 4)], ids=["count-over-sum", "sum-without-count"])
+def test_query_refuses_unrealizable_summary_block(reference_files, tmp_path, capsys, count, total):
+    _, summary_path, _ = reference_files
+    payload = json.loads(summary_path.read_text())
+    payload["blocks"][0].update(count=count, sum=total)
+    bad = tmp_path / "bad_summary.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["query", str(bad), "--range", "1:3,1:4", "--kind", "count"]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "block (1, 1)" in err
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_query_pmf_over_two_partial_blocks_says_why_it_is_omitted(reference_files, capsys, fmt):
     _, summary_path, _ = reference_files

@@ -25,8 +25,11 @@ from cubeprob import (
     sum_case3,
 )
 from cubeprob.estimators import (
+    _count_kernel,
     _joint_weights,
     _shifted_coordinates,
+    _sum_case1_kernel,
+    _sum_kernel,
     count_case1_pmf_float,
     count_case3_pmf_float,
     sum_case1_pmf_float,
@@ -554,3 +557,51 @@ def test_sum_case3_max_error_is_attained(raw):
     # the fewest non-nulls inside, each worth 1, give the smallest sum, unless all t are inside
     assert lo == (s if count.min_value() == t else count.min_value())
     assert hi == (0 if count.max_value() == 0 else s - (t - count.max_value()))
+
+
+# ---------------------------------------------------------------------------
+# Integer moment kernels, as the planner calls them, against the estimators.
+# ---------------------------------------------------------------------------
+
+
+def as_fractions(moments):
+    mean_num, mean_den, var_num, var_den, err_num, err_den = moments
+    return F(mean_num, mean_den), F(var_num, var_den), F(err_num, err_den)
+
+
+def fields(est):
+    return est.mean, est.variance, est.max_error
+
+
+@settings(deadline=None, max_examples=300)
+@given(large_aggregates())
+def test_moment_kernels_equal_the_case1_and_case2_estimators(raw):
+    b, t, s, b_in = raw
+    agg = BlockAggregates(*raw)
+    assert as_fractions(_count_kernel(b, t, b_in, 0)) == fields(count_case1(agg))
+    assert as_fractions(_sum_case1_kernel(b, s, b_in)) == fields(sum_case1(agg))
+    assert as_fractions(_sum_kernel(b, t, b_in, 0, t, s)) == fields(sum_case2(agg))
+
+
+@st.composite
+def kernel_blocks(draw):
+    """A bound tuple with t and s, b <= 200; half the draws have n in {0, 1} and t in {0, b}."""
+    if draw(st.booleans()):
+        return draw(located_blocks())
+    b = draw(st.integers(2, 200))
+    b_in = draw(st.integers(1, b - 1))
+    n = draw(st.integers(0, 1))
+    free_in = draw(st.integers(max(0, n - (b - b_in)), min(n, b_in)))
+    if draw(st.booleans()):  # every cell but the free ones located null
+        return BoundTuple(0, free_in, 0, n, b_in, b), 0, 0
+    # every cell but the free ones located non-null, and all b non-null
+    return BoundTuple(b_in - free_in, b_in, b - n, b, b_in, b), b, draw(st.integers(b, 2000))
+
+
+@settings(deadline=None, max_examples=400)
+@given(kernel_blocks())
+def test_moment_kernels_equal_the_case3_estimators(raw):
+    bt, t, s = raw
+    draw = _shifted_coordinates(bt, t, s)
+    assert as_fractions(_count_kernel(*draw)) == fields(count_case3(bt, t))
+    assert as_fractions(_sum_kernel(*draw, t, s)) == fields(sum_case3(bt, t, s))

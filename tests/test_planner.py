@@ -193,3 +193,22 @@ def test_shell_composition_matches_the_per_block_reference(case, data):
     if spec.case == 3:
         constraints = detect_macroblocks(cube, data.draw(st.integers(1, 6), label="min_cells"))
     assert estimate(summary, constraints, spec) == _reference_estimate(summary, constraints, spec)
+
+
+@pytest.fixture(scope="module")
+def uneven_summary(sparse_cube):
+    """The sparse cube under a factor whose blocks all differ in size, and its constraints."""
+    factor = CompressionFactor(((0, 7, 30, 31, 72, 120, 163, 200), (0, 5, 13, 14, 40, 60)))
+    return build_summary(sparse_cube, factor), detect_macroblocks(sparse_cube, 20)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(QueryKind))
+@pytest.mark.parametrize("query", [Range((4, 3), (150, 52)), Range((25, 10), (80, 45))])
+def test_non_uniform_factor_matches_the_per_block_reference(uneven_summary, query, kind, case):
+    summary, constraints = uneven_summary
+    spec = QuerySpec(query, kind, case)
+    cs = constraints if case == 3 else None
+    partial = [summary.block(index) for index, _ in decompose(summary, query).partial]
+    assert len({blk.size for blk in partial}) > 5
+    assert estimate(summary, cs, spec) == _reference_estimate(summary, cs, spec)

@@ -8,6 +8,7 @@ from cubeprob import (
     CompressionFactor,
     Datacube,
     FactorError,
+    InfeasibleError,
     QueryKind,
     QuerySpec,
     Range,
@@ -17,7 +18,7 @@ from cubeprob import (
     estimate,
     sum_exact,
 )
-from cubeprob.summary import load_summary, save_summary, summary_from_dict, summary_to_dict
+from cubeprob.summary import BlockSummary, CompressedDatacube, load_summary, save_summary, summary_from_dict, summary_to_dict
 from conftest import summarized_ranges
 
 
@@ -180,3 +181,33 @@ def test_summary_refuses_non_integral_aggregates(tmp_path, reference_summary, fi
     path.write_text(json.dumps(payload))
     with pytest.raises(FactorError):
         load_summary(str(path))
+
+
+@pytest.mark.parametrize(
+    "count, total, message",
+    [(3, 2, "count 3 exceeds sum 2"), (0, 4, "sum 4 positive with no non-null cells"), (13, 20, "count 13 outside")],
+    ids=["count-over-sum", "sum-without-count", "count-over-size"],
+)
+def test_unrealizable_block_aggregates_are_infeasible(tmp_path, reference_summary, count, total, message):
+    r = Range((1, 1), (2, 3))
+    with pytest.raises(InfeasibleError, match=rf"block \(1, 1\): {message}"):
+        BlockSummary((1, 1), r, count, total)
+    payload = summary_to_dict(reference_summary)
+    payload["blocks"][0].update(count=count, sum=total)
+    with pytest.raises(InfeasibleError, match=message):
+        summary_from_dict(payload)
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InfeasibleError, match=message):
+        load_summary(str(path))
+
+
+@pytest.mark.parametrize("lo, hi", [((2,), (2,)), ((1,), (3,))], ids=["lo", "hi"])
+def test_block_range_inconsistent_with_the_factor_is_refused(lo, hi):
+    factor = CompressionFactor(((0, 2, 4),))
+    first = BlockSummary((1,), Range(lo, hi), 0, 0)
+    second = BlockSummary((2,), factor.block_range((2,)), 1, 5)
+    with pytest.raises(FactorError, match=r"block \(1,\) carries a range inconsistent"):
+        CompressedDatacube(factor, (first, second))
+    ok = CompressedDatacube(factor, (BlockSummary((1,), factor.block_range((1,)), 0, 0), second))
+    assert ok.block((2,)).range == Range((3,), (4,))
