@@ -59,8 +59,10 @@ def _offset(coords: Sequence[int], dims: Sequence[int]) -> int:
     return off
 
 
-def _check_realizable(t: int, s: int, cells: str = "cells") -> None:
-    """Refuse a count ``t`` and sum ``s`` that no block of naturals can carry."""
+def _check_realizable(b: int, t: int, s: int, cells: str = "cells") -> None:
+    """Refuse a count ``t`` and sum ``s`` that no block of ``b`` naturals can carry."""
+    if not 0 <= t <= b:
+        raise InfeasibleError(f"count {t} outside [0..{b}]")
     if t > s:
         raise InfeasibleError(f"count {t} exceeds sum {s}")
     if t == 0 and s > 0:

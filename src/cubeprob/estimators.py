@@ -15,16 +15,18 @@ knowledge are supported:
 * case 3 -- ``t``, ``s`` plus lower/upper bounds on non-null counts derived
   from integrity constraints (a :class:`~cubeprob.constraints.BoundTuple`).
 
-Every count law is one hypergeometric draw in shifted coordinates, every
-law's moments come from one integer kernel, and exact pmfs are built from
-integer weights with a single division at the end.
+Every law reads one hypergeometric draw (n, m, l, shift) in shifted
+coordinates: cases 1-2 draw (b, t, b_in, 0) and case 3 removes the located
+cells first.  The law table ``_LAWS`` is the one place where a (kind, case)
+picks its law, an integer moment kernel paired with an integer pmf-weights
+builder; the public estimators and the planner both answer through it, and
+exact pmfs divide their weights once at the end.
 
 All probabilities, means, variances and maximum-error bounds are exact
 rationals over arbitrary-precision integers; float views are provided at the
 boundary.  Requesting an exact pmf is refused above a size budget
-(``DEFAULT_PMF_BUDGET``) -- moments are always available in closed form, and
-the ``*_pmf_float`` helpers offer a log-space floating fallback for the
-single-variable distributions.
+(``DEFAULT_PMF_BUDGET``): the closed-form moments are always available, and
+``pmf_budget=None`` lifts the budget.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, lgamma, sqrt
+from math import comb, sqrt
 from operator import itemgetter
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .constraints import BoundTuple
 from .core import _check_realizable
@@ -98,10 +100,6 @@ def n_config_count(t_hi: int, t: int, s: int, t_lo: int) -> int:
     if t == 0:
         return 1 if s == 0 else 0
     return binom(t_hi - t_lo, t - t_lo) * binom(s - 1, s - t)
-
-
-def _log_binom(n: int, k: int) -> float:
-    return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +256,7 @@ class BlockAggregates:
     def __post_init__(self) -> None:
         if self.b < 1:
             raise InfeasibleError(f"block size {self.b} must be >= 1")
-        if not 0 <= self.t <= self.b:
-            raise InfeasibleError(f"count {self.t} outside [0..{self.b}]")
-        _check_realizable(self.t, self.s)
+        _check_realizable(self.b, self.t, self.s)
         if not 1 <= self.b_in < self.b:
             raise InfeasibleError(
                 f"query size {self.b_in} must satisfy 1 <= b_in < b (b={self.b}); "
@@ -272,28 +268,24 @@ def _check_pmf_budget(b: int, s: int, budget: int | None) -> None:
     if budget is not None and (b > budget or s > budget):
         raise PmfBudgetError(
             f"exact pmf refused for b={b}, s={s} (budget {budget}); "
-            "use the closed-form moments or a *_pmf_float helper"
+            "use the closed-form moments, or pass pmf_budget=None"
         )
 
 
-# Moment kernels, one per law: each returns the mean, variance and max error
-# as unreduced integer ratios (mean_num, mean_den, var_num, var_den, err_num,
-# err_den).  The public estimators wrap them in an Estimate; the planner adds
-# their numerators over a query's partial blocks and divides once per moment.
+# ---------------------------------------------------------------------------
+# The laws: each reads one hypergeometric draw in shifted coordinates.
+# ---------------------------------------------------------------------------
+
+# A law pairs a moment kernel with a pmf-weights builder, both called with the
+# draw (n, m, l, shift) and the block's count t and sum s.  A kernel returns
+# the mean, variance and max error as unreduced integer ratios (mean_num,
+# mean_den, var_num, var_den, err_num, err_den): the public estimators wrap
+# them in an Estimate, and the planner adds their numerators over a query's
+# partial blocks and divides once per moment.  A builder returns integer
+# weights by value and their total, which the pmf divides by once.
+_Draw = tuple[int, int, int, int]
 _Moments = tuple[int, int, int, int, int, int]
-
-
-def _estimate(moments: _Moments, pmf: Pmf | None = None) -> Estimate:
-    """The Estimate of a kernel's integer ratios."""
-    mean_num, mean_den, var_num, var_den, err_num, err_den = moments
-    return Estimate(
-        Fraction(mean_num, mean_den), Fraction(var_num, var_den), Fraction(err_num, err_den), pmf
-    )
-
-
-# ---------------------------------------------------------------------------
-# Count law: one hypergeometric draw in shifted coordinates.
-# ---------------------------------------------------------------------------
+_Weights = tuple[dict, int]
 
 
 def _ends(n: int, m: int, l: int) -> tuple[int, int]:
@@ -302,15 +294,10 @@ def _ends(n: int, m: int, l: int) -> tuple[int, int]:
     return lo if lo > 0 else 0, l if l < m else m
 
 
-def _support(n: int, m: int, l: int) -> range:
-    """The values h of the draw, from one end of :func:`_ends` to the other."""
-    lo, hi = _ends(n, m, l)
-    return range(lo, hi + 1)
-
-
 def _placements(n: int, m: int, l: int) -> Iterator[tuple[int, int]]:
-    """(h, C(l, h) * C(n - l, m - h)) over the support; the weights total C(n, m)."""
-    return ((h, binom(l, h) * binom(n - l, m - h)) for h in _support(n, m, l))
+    """(h, C(l, h) * C(n - l, m - h)) for h between the :func:`_ends`; the weights total C(n, m)."""
+    lo, hi = _ends(n, m, l)
+    return ((h, binom(l, h) * binom(n - l, m - h)) for h in range(lo, hi + 1))
 
 
 def _moments(n: int, m: int, l: int, shift: int) -> tuple[int, int, int, int]:
@@ -326,8 +313,8 @@ def _moments(n: int, m: int, l: int, shift: int) -> tuple[int, int, int, int]:
     return d, shift * d + l * m, n - 1 if n > 1 else 1, l * m * (n - l) * (n - m)
 
 
-def _count_kernel(n: int, m: int, l: int, shift: int) -> _Moments:
-    """Moments of the count K of :func:`_moments`.
+def _count_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
+    """Moments of the count K of :func:`_moments`; the count law reads neither t nor s.
 
     The max error is the larger distance from E[K] to an end of the
     support, where d*(K - E[K]) = h*d - l*m.
@@ -338,23 +325,120 @@ def _count_kernel(n: int, m: int, l: int, shift: int) -> _Moments:
     return c, d, vk, d * d * e, below if below > above else above, d
 
 
-def _hypergeometric(
-    n: int, m: int, l: int, shift: int, want_pmf: bool, *, b: int, pmf_budget: int | None
+def _count_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights:
+    """Weights of the count K: shift + h -> C(l, h) * C(n - l, m - h), totalling C(n, m)."""
+    return {shift + h: w for h, w in _placements(n, m, l)}, binom(n, m)
+
+
+def _sum_case1_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
+    """The case-1 sum of :func:`sum_case1`: s spread over n = b cells, l = b_in of them inside."""
+    inside, outside = l * s, (n - l) * s
+    return (
+        inside, n, inside * (n - l) * (n + s), n * n * (n + 1),
+        inside if inside > outside else outside, n,
+    )
+
+
+def _sum_case1_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights:
+    """Weights of the case-1 sum: v -> compositions of v inside times of s - v outside."""
+    weights = {v: compositions_count(l, v) * compositions_count(n - l, s - v) for v in range(s + 1)}
+    return weights, compositions_count(n, s)
+
+
+def _sum_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
+    """The case-2/3 sum of :func:`sum_case3` for the draw (n, m, l, shift); 0 when t = 0."""
+    if t == 0:
+        return 0, 1, 0, 1, 0, 1
+    d, c, e, vk = _moments(n, m, l, shift)
+    mean_num, mean_den = s * c, t * d
+    # Extremes of the achievable sum.  Generally the minimum sum puts the
+    # fewest possible non-nulls inside (each worth 1) and the maximum leaves
+    # the fewest outside; but when the count inside is pinned to t (every
+    # non-null inside) the sum is constantly s, and when pinned to 0 it is
+    # constantly 0 -- without these corners the bound would not be attained.
+    h_lo, h_hi = _ends(n, m, l)
+    count_lo, count_hi = shift + h_lo, shift + h_hi
+    lo = s if count_lo == t else count_lo
+    hi = 0 if count_hi == 0 else s - (t - count_hi)
+    below, above = mean_num - lo * mean_den, hi * mean_den - mean_num
+    return (
+        mean_num, mean_den,
+        s * ((s - t) * c * (t * d - c) * e + t * (s + 1) * vk), t * t * (t + 1) * d * d * e,
+        below if below > above else above, mean_den,
+    )
+
+
+def _joint_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights:
+    """Integer weights of (count, sum) inside the query, and their total.
+
+    The draw places k = shift + h of the t non-nulls inside the query in
+    C(l, h) * C(n - l, m - h) ways; the k inside then take a sum v >= k and
+    the t - k outside take s - v, each split into positive values.  The
+    weights total C(n, m) * C(s - 1, s - t), counting the empty split once.
+    """
+    weights: dict[tuple[int, int], int] = {}
+    for h, placements in _placements(n, m, l):
+        k = shift + h
+        t_out = t - k
+        for v in range(k, s - t_out + 1):
+            w = placements * compositions_count(k, v - k) * compositions_count(
+                t_out, s - v - t_out
+            )
+            if w:
+                weights[(k, v)] = w
+    return weights, binom(n, m) * compositions_count(t, s - t)
+
+
+def _sum_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights:
+    """Weights of the case-2/3 sum: :func:`_joint_weights` summed over the count."""
+    joint, total = _joint_weights(n, m, l, shift, t, s)
+    weights: dict[int, int] = {}
+    for (_, v), w in joint.items():
+        weights[v] = weights.get(v, 0) + w
+    return weights, total
+
+
+class _Law(NamedTuple):
+    """A moment kernel, a pmf-weights builder, and ``sizes(b, t, s)``: the block
+    size and sum that the exact pmf of a block of b cells is budgeted by."""
+
+    kernel: Callable[[int, int, int, int, int, int], _Moments]
+    weights: Callable[[int, int, int, int, int, int], _Weights]
+    sizes: Callable[[int, int, int], tuple[int, int]]
+
+
+_COUNT = _Law(_count_kernel, _count_weights, lambda b, t, s: (b, 0))
+# Knowing t = 0 pins the case-2/3 sum at 0: that point mass is served at any block size.
+_SUM = _Law(_sum_kernel, _sum_weights, lambda b, t, s: (b, s) if t else (0, 0))
+# The case-2/3 law with (count, sum) weights, budgeted by b and s even when t = 0.
+_JOINT = _Law(_sum_kernel, _joint_weights, lambda b, t, s: (b, s))
+
+# The law of each (kind, case), and the one place where the case picks it:
+# case 2 is case 3 under BoundTuple.trivial, and count case 2 is count case 1.
+_LAWS: dict[tuple[str, int], _Law] = {
+    ("count", 1): _COUNT,
+    ("count", 2): _COUNT,
+    ("count", 3): _COUNT,
+    ("sum", 1): _Law(_sum_case1_kernel, _sum_case1_weights, lambda b, t, s: (b, s)),
+    ("sum", 2): _SUM,
+    ("sum", 3): _SUM,
+}
+
+
+def _law_weights(law: _Law, draw: _Draw, t: int, s: int, b: int, pmf_budget: int | None) -> _Weights:
+    """``law``'s pmf weights for ``draw``, refused when its sizes for b cells exceed the budget."""
+    _check_pmf_budget(*law.sizes(b, t, s), pmf_budget)
+    return law.weights(*draw, t, s)
+
+
+def _answer(
+    law: _Law, draw: _Draw, t: int, s: int, want_pmf: bool, b: int, pmf_budget: int | None
 ) -> Estimate:
-    """The count K of :func:`_moments`; the exact pmf is refused when ``b`` is over budget."""
-    pmf = None
-    if want_pmf:
-        _check_pmf_budget(b, 0, pmf_budget)
-        pmf = Pmf.from_weights({shift + h: w for h, w in _placements(n, m, l)}, binom(n, m))
-    return _estimate(_count_kernel(n, m, l, shift), pmf)
-
-
-def _hypergeometric_pmf_float(n: int, m: int, l: int, shift: int) -> tuple[tuple[int, float], ...]:
-    """The pmf of :func:`_hypergeometric` as floats, computed in log space."""
-    log_denom = _log_binom(n, m)
-    return tuple(
-        (shift + h, exp(_log_binom(l, h) + _log_binom(n - l, m - h) - log_denom))
-        for h in _support(n, m, l)
+    """``law``'s Estimate for ``draw`` in a block of b cells; the exact pmf when ``want_pmf``."""
+    pmf = Pmf.from_weights(*_law_weights(law, draw, t, s, b, pmf_budget)) if want_pmf else None
+    mean_num, mean_den, var_num, var_den, err_num, err_den = law.kernel(*draw, t, s)
+    return Estimate(
+        Fraction(mean_num, mean_den), Fraction(var_num, var_den), Fraction(err_num, err_den), pmf
     )
 
 
@@ -375,16 +459,8 @@ def count_case1(
 
     with mean (b_in/b)*t and variance t*(b-t)*b_in*(b-b_in) / (b^2*(b-1)).
     """
-    return _hypergeometric(agg.b, agg.t, agg.b_in, 0, want_pmf, b=agg.b, pmf_budget=pmf_budget)
-
-
-def _sum_case1_kernel(b: int, s: int, b_in: int) -> _Moments:
-    """The case-1 sum of :func:`sum_case1`: s spread over b cells, b_in of them inside."""
-    inside, outside = b_in * s, (b - b_in) * s
-    return (
-        inside, b, inside * (b - b_in) * (b + s), b * b * (b + 1),
-        inside if inside > outside else outside, b,
-    )
+    draw = agg.b, agg.t, agg.b_in, 0
+    return _answer(_LAWS["count", 1], draw, agg.t, agg.s, want_pmf, agg.b, pmf_budget)
 
 
 def sum_case1(
@@ -401,17 +477,8 @@ def sum_case1(
     The answer can be anything from 0 to s, so the worst-case error is
     max(mean, s - mean).
     """
-    b, s, b_in = agg.b, agg.s, agg.b_in
-    pmf = None
-    if want_pmf:
-        _check_pmf_budget(b, s, pmf_budget)
-        denom = compositions_count(b, s)
-        weights = {
-            v: compositions_count(b_in, v) * compositions_count(b - b_in, s - v)
-            for v in range(0, s + 1)
-        }
-        pmf = Pmf.from_weights(weights, denom)
-    return _estimate(_sum_case1_kernel(b, s, b_in), pmf)
+    draw = agg.b, agg.t, agg.b_in, 0
+    return _answer(_LAWS["sum", 1], draw, agg.t, agg.s, want_pmf, agg.b, pmf_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +530,7 @@ def sum_case2(
 # ---------------------------------------------------------------------------
 
 
-def _shifted_coordinates(bt: BoundTuple, t: int, s: int | None = None) -> tuple[int, int, int, int]:
+def _shifted_coordinates(bt: BoundTuple, t: int, s: int | None = None) -> _Draw:
     """Check t (and s) against ``bt``; return the draw's coordinates (n, m, l, shift).
 
     n = t_hi_blk - t_lo_blk free block cells hold m = t - t_lo_blk free
@@ -475,32 +542,8 @@ def _shifted_coordinates(bt: BoundTuple, t: int, s: int | None = None) -> tuple[
             f"block count {t} violates constraint bounds [{bt.t_lo_blk}..{bt.t_hi_blk}]"
         )
     if s is not None:
-        _check_realizable(t, s)
+        _check_realizable(bt.b_blk, t, s)
     return bt.t_hi_blk - bt.t_lo_blk, t - bt.t_lo_blk, bt.t_hi_in - bt.t_lo_in, bt.t_lo_in
-
-
-def _joint_weights(
-    n: int, m: int, l: int, shift: int, t: int, s: int, *, b: int, pmf_budget: int | None
-) -> tuple[dict[tuple[int, int], int], int]:
-    """Integer weights of (count, sum) inside the query, and their total.
-
-    The draw places k = shift + h of the t non-nulls inside the query in
-    C(l, h) * C(n - l, m - h) ways; the k inside then take a sum v >= k and
-    the t - k outside take s - v, each split into positive values.  The
-    weights total C(n, m) * C(s - 1, s - t), counting the empty split once.
-    """
-    _check_pmf_budget(b, s, pmf_budget)
-    weights: dict[tuple[int, int], int] = {}
-    for h, placements in _placements(n, m, l):
-        k = shift + h
-        t_out = t - k
-        for v in range(k, s - t_out + 1):
-            w = placements * compositions_count(k, v - k) * compositions_count(
-                t_out, s - v - t_out
-            )
-            if w:
-                weights[(k, v)] = w
-    return weights, binom(n, m) * compositions_count(t, s - t)
 
 
 def joint_case3(
@@ -518,7 +561,7 @@ def joint_case3(
     Trivial bounds give case 2 (:func:`joint_case2`).
     """
     draw = _shifted_coordinates(bt, t, s)
-    return JointPmf.from_weights(*_joint_weights(*draw, t, s, b=bt.b_blk, pmf_budget=pmf_budget))
+    return JointPmf.from_weights(*_law_weights(_JOINT, draw, t, s, bt.b_blk, pmf_budget))
 
 
 def count_case3(
@@ -531,31 +574,9 @@ def count_case3(
     out of n = t_hi_blk - t_lo_blk free block slots hold h of the
     m = t - t_lo_blk free non-nulls, and the count is t_lo_in + h.
     """
-    n, m, l, shift = _shifted_coordinates(bt, t)
-    return _hypergeometric(n, m, l, shift, want_pmf, b=bt.b_blk, pmf_budget=pmf_budget)
-
-
-def _sum_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
-    """The case-2/3 sum of :func:`sum_case3` for the draw (n, m, l, shift); 0 when t = 0."""
-    if t == 0:
-        return 0, 1, 0, 1, 0, 1
-    d, c, e, vk = _moments(n, m, l, shift)
-    mean_num, mean_den = s * c, t * d
-    # Extremes of the achievable sum.  Generally the minimum sum puts the
-    # fewest possible non-nulls inside (each worth 1) and the maximum leaves
-    # the fewest outside; but when the count inside is pinned to t (every
-    # non-null inside) the sum is constantly s, and when pinned to 0 it is
-    # constantly 0 -- without these corners the bound would not be attained.
-    h_lo, h_hi = _ends(n, m, l)
-    count_lo, count_hi = shift + h_lo, shift + h_hi
-    lo = s if count_lo == t else count_lo
-    hi = 0 if count_hi == 0 else s - (t - count_hi)
-    below, above = mean_num - lo * mean_den, hi * mean_den - mean_num
-    return (
-        mean_num, mean_den,
-        s * ((s - t) * c * (t * d - c) * e + t * (s + 1) * vk), t * t * (t + 1) * d * d * e,
-        below if below > above else above, mean_den,
-    )
+    draw = _shifted_coordinates(bt, t)
+    # the count law reads no sum, so 0 stands in for the unknown s
+    return _answer(_LAWS["count", 3], draw, t, 0, want_pmf, bt.b_blk, pmf_budget)
 
 
 def sum_case3(
@@ -578,38 +599,4 @@ def sum_case3(
         variance = s*(s-t)*c*(t*d-c)/(t^2*(t+1)*d^2) + Var K * s*(s+1)/(t*(t+1)).
     """
     draw = _shifted_coordinates(bt, t, s)
-    pmf = None
-    if want_pmf and t == 0:
-        pmf = Pmf.point(0)
-    elif want_pmf:
-        weights, denom = _joint_weights(*draw, t, s, b=bt.b_blk, pmf_budget=pmf_budget)
-        marginal: dict[int, int] = {}
-        for (_, v), w in weights.items():
-            marginal[v] = marginal.get(v, 0) + w
-        pmf = Pmf.from_weights(marginal, denom)
-    return _estimate(_sum_kernel(*draw, t, s), pmf)
-
-
-# ---------------------------------------------------------------------------
-# Log-space floating fallbacks for large single-variable pmfs.
-# ---------------------------------------------------------------------------
-
-
-def count_case1_pmf_float(agg: BlockAggregates) -> tuple[tuple[int, float], ...]:
-    """Hypergeometric pmf of case-1 counts as floats, computed in log space."""
-    return _hypergeometric_pmf_float(agg.b, agg.t, agg.b_in, 0)
-
-
-def sum_case1_pmf_float(agg: BlockAggregates) -> tuple[tuple[int, float], ...]:
-    """Stars-and-bars pmf of case-1 sums as floats, computed in log space."""
-    b, s, b_in = agg.b, agg.s, agg.b_in
-    log_denom = _log_binom(b + s - 1, s)
-    return tuple(
-        (v, exp(_log_binom(b_in + v - 1, v) + _log_binom(b - b_in + s - v - 1, s - v) - log_denom))
-        for v in range(0, s + 1)
-    )
-
-
-def count_case3_pmf_float(bt: BoundTuple, t: int) -> tuple[tuple[int, float], ...]:
-    """Shifted hypergeometric pmf of case-3 counts as floats."""
-    return _hypergeometric_pmf_float(*_shifted_coordinates(bt, t))
+    return _answer(_LAWS["sum", 3], draw, t, s, want_pmf, bt.b_blk, pmf_budget)

@@ -43,9 +43,7 @@ class Bucket:
     def __post_init__(self) -> None:
         if self.b < 1:
             raise InfeasibleError(f"bucket width {self.b} must be >= 1")
-        if not 0 <= self.t <= self.b:
-            raise InfeasibleError(f"count {self.t} outside [0..{self.b}]")
-        _check_realizable(self.t, self.s, "frequencies")
+        _check_realizable(self.b, self.t, self.s, "frequencies")
         if self.bias in (BucketBias.LOW, BucketBias.HIGH) and self.t < 1:
             raise InfeasibleError("a biased bucket has at least one non-null extreme")
         if self.bias is BucketBias.BOTH and self.t < 2:

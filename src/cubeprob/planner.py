@@ -4,10 +4,11 @@ A query range splits into the box of blocks it totally contains and the
 shell of blocks it only partially overlaps.  The totally contained blocks
 add a known constant, the exact shift, read in 2^r lookups from the
 summary's prefix sums over the block grid, so their number does not matter.
-Only the shell carries uncertainty: the loop runs over its blocks alone,
-each answered by its law's integer moment kernel (the one the public
-single-block estimators wrap).  Numerators add per denominator, and each
-moment becomes one exact fraction per query.  Means add by linearity;
+Only the shell carries uncertainty: the query's law is picked once from the
+estimators' law table, the one place where the case chooses it, and the
+loop runs over the shell blocks alone, calling that law's integer moment
+kernel once each.  Numerators add per denominator, and each moment becomes
+one exact fraction per query.  Means add by linearity;
 variances add because blocks are treated as statistically independent; the
 worst-case error bound is composed additively, which is exact whenever the
 per-block extremes are simultaneously achievable and conservative otherwise.
@@ -20,27 +21,16 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .constraints import BoundTuple, ConstraintSet, bound_tuple, validate
+from .constraints import ConstraintSet, bound_tuple, validate
 from .core import Range
 from .errors import ConstraintError
-from .estimators import (
-    BlockAggregates,
-    Estimate,
-    Pmf,
-    _count_kernel,
-    _shifted_coordinates,
-    _sum_case1_kernel,
-    _sum_kernel,
-    count_case1,
-    count_case2,
-    count_case3,
-    sum_case1,
-    sum_case2,
-    sum_case3,
-)
-# ``decompose`` is not called here, but stays bound: bench/tracing.py patches
-# this module's bindings by name, and work moved off the path reads as 0.
-from .summary import BlockSummary, CompressedDatacube, decompose  # noqa: F401
+from .estimators import DEFAULT_PMF_BUDGET, _LAWS, Estimate, Pmf, _law_weights, _shifted_coordinates
+from .summary import CompressedDatacube
+
+# Not called here, but kept bound: bench/tracing.py patches these names on
+# this module, and a traced layer whose work moved off the path reads as 0.
+from .estimators import count_case1, count_case2, count_case3, sum_case1, sum_case2, sum_case3  # noqa: F401
+from .summary import decompose  # noqa: F401
 
 
 class QueryKind(Enum):
@@ -96,33 +86,26 @@ def estimate(
     pmf = None
     want_block_pmf = spec.want_pmf and len(split.shell) == 1
     case, q_lo, q_hi = spec.case, spec.range.lo, spec.range.hi
+    law = _LAWS[spec.kind.value, case]
+    kernel = law.kernel
     for _, blk in split.shell:
         t, s, r = blk.count, blk.sum, blk.range
-        b_in = 1
-        for ql, qh, bl, bh in zip(q_lo, q_hi, r.lo, r.hi):
-            b_in *= (qh if qh < bh else bh) - (ql if ql > bl else bl) + 1
-        bt = None
         if case == 3:
-            bt = bound_tuple(constraints, r, spec.range.intersect(r))
-            if is_count:
-                moments = _count_kernel(*_shifted_coordinates(bt, t))
-            else:
-                moments = _sum_kernel(*_shifted_coordinates(bt, t, s), t, s)
-        # Cases 1-2 take the draw under trivial bounds, (n, m, l, shift) =
-        # (size, t, b_in, 0), unchecked: a BlockSummary is realizable and a
-        # shell block holds 1 <= b_in < size cells of the query.
-        elif is_count:
-            moments = _count_kernel(blk.size, t, b_in, 0)
-        elif case == 1:
-            moments = _sum_case1_kernel(blk.size, s, b_in)
+            draw = _shifted_coordinates(bound_tuple(constraints, r, spec.range.intersect(r)), t, s)
         else:
-            moments = _sum_kernel(blk.size, t, b_in, 0, t, s)
-        mean_num, mean_den, var_num, var_den, err_num, err_den = moments
+            # Cases 1-2 take the draw under trivial bounds, (n, m, l, shift) =
+            # (size, t, b_in, 0), unchecked: a BlockSummary is realizable and a
+            # shell block holds 1 <= b_in < size cells of the query.
+            b_in = 1
+            for ql, qh, bl, bh in zip(q_lo, q_hi, r.lo, r.hi):
+                b_in *= (qh if qh < bh else bh) - (ql if ql > bl else bl) + 1
+            draw = blk.size, t, b_in, 0
+        mean_num, mean_den, var_num, var_den, err_num, err_den = kernel(*draw, t, s)
         mean[mean_den] = mean.get(mean_den, 0) + mean_num
         variance[var_den] = variance.get(var_den, 0) + var_num
         max_error[err_den] = max_error.get(err_den, 0) + err_num
         if want_block_pmf:
-            pmf = _block_pmf(spec, blk, b_in, bt)
+            pmf = Pmf.from_weights(*_law_weights(law, draw, t, s, blk.size, DEFAULT_PMF_BUDGET))
             if exact_shift:
                 pmf = pmf.shifted(exact_shift)
     return Estimate(_ratio(mean), _ratio(variance), _ratio(max_error), pmf)
@@ -132,17 +115,3 @@ def _ratio(parts: dict[int, int]) -> Fraction:
     """The sum of ``numerator/denominator`` over ``parts``, over their least common multiple."""
     common = lcm(*parts)
     return Fraction(sum(num * (common // den) for den, num in parts.items()), common)
-
-
-def _block_pmf(spec: QuerySpec, blk: BlockSummary, b_in: int, bt: BoundTuple | None) -> Pmf:
-    """The exact pmf of one partial block, from its public estimator."""
-    is_count = spec.kind is QueryKind.COUNT
-    if spec.case == 3:
-        part = count_case3(bt, blk.count, True) if is_count else sum_case3(bt, blk.count, blk.sum, True)
-    else:
-        agg = BlockAggregates(blk.size, blk.count, blk.sum, b_in)
-        if spec.case == 1:
-            part = count_case1(agg, True) if is_count else sum_case1(agg, True)
-        else:
-            part = count_case2(agg, True) if is_count else sum_case2(agg, True)
-    return part.pmf

@@ -123,9 +123,7 @@ class BlockSummary:
 
     def __post_init__(self) -> None:
         try:
-            if not 0 <= self.count <= self.range.size:
-                raise InfeasibleError(f"count {self.count} outside [0..{self.range.size}]")
-            _check_realizable(self.count, self.sum)
+            _check_realizable(self.range.size, self.count, self.sum)
         except InfeasibleError as exc:
             raise InfeasibleError(f"block {self.index}: {exc}") from None
 

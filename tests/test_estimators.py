@@ -30,9 +30,6 @@ from cubeprob.estimators import (
     _shifted_coordinates,
     _sum_case1_kernel,
     _sum_kernel,
-    count_case1_pmf_float,
-    count_case3_pmf_float,
-    sum_case1_pmf_float,
 )
 
 F = Fraction
@@ -347,20 +344,6 @@ def test_prob_looks_up_the_support():
     assert [j.prob(*k) for k in keys] == [0, 0, F(1, 2), F(1, 2), 0, 0]
 
 
-def test_float_fallbacks_track_exact():
-    agg = BlockAggregates(12, 5, 9, 4)
-    exact = dict(count_case1(agg, want_pmf=True).pmf.support)
-    for v, p in count_case1_pmf_float(agg):
-        assert abs(p - float(exact[v])) < 1e-12
-    exact = dict(sum_case1(agg, want_pmf=True).pmf.support)
-    for v, p in sum_case1_pmf_float(agg):
-        assert abs(p - float(exact[v])) < 1e-12
-    bt = BoundTuple(1, 3, 1, 10, 4, 12)
-    exact = dict(count_case3(bt, 5, want_pmf=True).pmf.support)
-    for v, p in count_case3_pmf_float(bt, 5):
-        assert abs(p - float(exact[v])) < 1e-12
-
-
 aggregates = st.tuples(st.integers(2, 6), st.integers(0, 6), st.integers(0, 8), st.integers(1, 5)).map(
     lambda raw: (raw[0], min(raw[1], raw[0]), raw[2], min(raw[3], raw[0] - 1))
 ).filter(lambda raw: raw[1] <= raw[2] <= 8 and (raw[1] > 0 or raw[2] == 0))
@@ -540,9 +523,7 @@ def test_sum_case3_matches_branch_formulas(raw):
 def test_joint_weights_match_bound_tuple_loop(raw):
     bt, t, s = raw
     draw = _shifted_coordinates(bt, t, s)
-    assert _joint_weights(*draw, t, s, b=bt.b_blk, pmf_budget=None) == joint_weights_by_bounds(
-        bt, t, s
-    )
+    assert _joint_weights(*draw, t, s) == joint_weights_by_bounds(bt, t, s)
 
 
 @settings(deadline=None, max_examples=200)
@@ -578,8 +559,8 @@ def fields(est):
 def test_moment_kernels_equal_the_case1_and_case2_estimators(raw):
     b, t, s, b_in = raw
     agg = BlockAggregates(*raw)
-    assert as_fractions(_count_kernel(b, t, b_in, 0)) == fields(count_case1(agg))
-    assert as_fractions(_sum_case1_kernel(b, s, b_in)) == fields(sum_case1(agg))
+    assert as_fractions(_count_kernel(b, t, b_in, 0, t, s)) == fields(count_case1(agg))
+    assert as_fractions(_sum_case1_kernel(b, t, b_in, 0, t, s)) == fields(sum_case1(agg))
     assert as_fractions(_sum_kernel(b, t, b_in, 0, t, s)) == fields(sum_case2(agg))
 
 
@@ -603,5 +584,5 @@ def kernel_blocks(draw):
 def test_moment_kernels_equal_the_case3_estimators(raw):
     bt, t, s = raw
     draw = _shifted_coordinates(bt, t, s)
-    assert as_fractions(_count_kernel(*draw)) == fields(count_case3(bt, t))
+    assert as_fractions(_count_kernel(*draw, t, s)) == fields(count_case3(bt, t))
     assert as_fractions(_sum_kernel(*draw, t, s)) == fields(sum_case3(bt, t, s))

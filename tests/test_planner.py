@@ -14,6 +14,7 @@ from cubeprob import (
     MacroBlock,
     MacroKind,
     Pmf,
+    PmfBudgetError,
     QueryKind,
     QuerySpec,
     Range,
@@ -98,6 +99,27 @@ def test_tb_only_pmf_is_point_mass(two_block_line):
     _, summary = two_block_line
     est = estimate(summary, None, QuerySpec(Range((3,), (4,)), QueryKind.SUM, 2, want_pmf=True))
     assert est.pmf is not None and est.pmf.support == ((2, F(1)),)
+
+
+@pytest.fixture(scope="module")
+def wide_empty_block():
+    """A 1-D cube whose first block holds 10,001 null cells, one over the default pmf budget."""
+    cells = [0] * 10_002
+    cells[-1] = 3
+    return build_summary(Datacube((10_002,), tuple(cells)), CompressionFactor(((0, 10_001, 10_002),)))
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(QueryKind))
+def test_single_block_pmf_respects_the_budget(wide_empty_block, kind, case):
+    spec = QuerySpec(Range((1,), (5,)), kind, case, want_pmf=True)
+    constraints = ConstraintSet() if case == 3 else None
+    if kind is QueryKind.SUM and case > 1:
+        # knowing t = 0 pins the sum: the point mass is served at any block size
+        assert estimate(wide_empty_block, constraints, spec).pmf == Pmf.point(0)
+    else:
+        with pytest.raises(PmfBudgetError):
+            estimate(wide_empty_block, constraints, spec)
 
 
 def test_case3_uses_bound_tuples(two_block_line):
