@@ -56,7 +56,7 @@ class ConstraintSet:
                     raise ConstraintError(
                         f"macro-blocks of arity {a.range.ndim} and arity {b.range.ndim} mix: {a.range} and {b.range}"
                     )
-                if a.range.intersect(b.range) is not None:
+                if a.range.overlap_size(b.range):
                     raise ConstraintError(
                         f"macro-blocks overlap: {a.range} ({a.kind.value}) and {b.range} ({b.kind.value})"
                     )
@@ -69,7 +69,7 @@ def _located(cs: ConstraintSet, r: Range) -> tuple[int, int]:
     """(null, non-null) cells of ``r`` that the macro-blocks locate.
 
     A range of another arity than the macro-blocks raises
-    ``ConstraintError``: ``Range.intersect`` would zip the corners and
+    ``ConstraintError``: ``Range.overlap_size`` would zip the corners and
     count a meaningless overlap.
     """
     if cs.blocks and cs.blocks[0].range.ndim != r.ndim:
@@ -146,6 +146,10 @@ def bound_tuple(cs: ConstraintSet, block: Range, query: Range) -> BoundTuple:
     ones, where the complement (block minus query) overlap of each macro-block
     is its overlap with the block minus its overlap with the query.
     """
+    if block.ndim != query.ndim:
+        raise ConstraintError(
+            f"block {block} has arity {block.ndim}, the query {query} has arity {query.ndim}"
+        )
     if not block.contains(query):
         raise ConstraintError(f"query {query} not inside block {block}")
     b_in = query.size

@@ -79,6 +79,14 @@ def _check_coords(coords: Sequence[int], dims: Coords, where: str = "") -> None:
             raise OutOfBoundsError(f"{where}coordinate {tuple(coords)} outside [1..{dims}]")
 
 
+def _check_range(r: Range, dims: Coords) -> None:
+    if r.ndim != len(dims):
+        raise OutOfBoundsError(f"range arity {r.ndim} does not match cube arity {len(dims)}")
+    for hi_q, n in zip(r.hi, dims):
+        if hi_q > n:
+            raise OutOfBoundsError(f"range {r} outside cube dims {dims}")
+
+
 class _PrefixSums:
     """Inclusive prefix sums of a row-major r-D array of naturals.
 
@@ -179,9 +187,15 @@ class Range:
         return Range(lo, hi)
 
     def overlap_size(self, other: "Range") -> int:
-        """Cell count of the intersection (0 when disjoint)."""
-        common = self.intersect(other)
-        return common.size if common is not None else 0
+        """Cell count of the intersection (0 when disjoint): the clipped extents
+        multiply as plain ints, no ``Range`` is built, and callers check arity."""
+        size = 1
+        for sl, sh, ol, oh in zip(self.lo, self.hi, other.lo, other.hi):
+            extent = (sh if sh < oh else oh) - (sl if sl > ol else ol) + 1
+            if extent <= 0:
+                return 0
+            size *= extent
+        return size
 
     def cells(self) -> Iterator[Coords]:
         """All coordinates in the range, row-major (last dimension fastest)."""
@@ -254,13 +268,7 @@ class Datacube:
         _check_coords(coords, self.dims)
 
     def check_range(self, r: Range) -> None:
-        if r.ndim != self.ndim:
-            raise OutOfBoundsError(
-                f"range arity {r.ndim} does not match cube arity {self.ndim}"
-            )
-        for hi_q, n in zip(r.hi, self.dims):
-            if hi_q > n:
-                raise OutOfBoundsError(f"range {r} outside cube dims {self.dims}")
+        _check_range(r, self.dims)
 
 
 def _densify(rows: Iterable[tuple[str, Sequence[int], int]], dims: Sequence[int]) -> Datacube:

@@ -24,9 +24,9 @@ exact pmfs divide their weights once at the end.
 
 All probabilities, means, variances and maximum-error bounds are exact
 rationals over arbitrary-precision integers; float views are provided at the
-boundary.  Requesting an exact pmf is refused above a size budget
-(``DEFAULT_PMF_BUDGET``): the closed-form moments are always available, and
-``pmf_budget=None`` lifts the budget.
+boundary.  Requesting an exact pmf of a non-empty block is refused above a
+size budget (``DEFAULT_PMF_BUDGET``): the closed-form moments are always
+available, and ``pmf_budget=None`` lifts the budget.
 """
 
 from __future__ import annotations
@@ -399,19 +399,18 @@ def _sum_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights
 
 
 class _Law(NamedTuple):
-    """A moment kernel, a pmf-weights builder, and ``sizes(b, t, s)``: the block
+    """A moment kernel, a pmf-weights builder, and ``sizes(b, s)``: the block
     size and sum that the exact pmf of a block of b cells is budgeted by."""
 
     kernel: Callable[[int, int, int, int, int, int], _Moments]
     weights: Callable[[int, int, int, int, int, int], _Weights]
-    sizes: Callable[[int, int, int], tuple[int, int]]
+    sizes: Callable[[int, int], tuple[int, int]]
 
 
-_COUNT = _Law(_count_kernel, _count_weights, lambda b, t, s: (b, 0))
-# Knowing t = 0 pins the case-2/3 sum at 0: that point mass is served at any block size.
-_SUM = _Law(_sum_kernel, _sum_weights, lambda b, t, s: (b, s) if t else (0, 0))
-# The case-2/3 law with (count, sum) weights, budgeted by b and s even when t = 0.
-_JOINT = _Law(_sum_kernel, _joint_weights, lambda b, t, s: (b, s))
+_COUNT = _Law(_count_kernel, _count_weights, lambda b, s: (b, 0))
+_SUM = _Law(_sum_kernel, _sum_weights, lambda b, s: (b, s))
+# The case-2/3 law with (count, sum) weights.
+_JOINT = _Law(_sum_kernel, _joint_weights, lambda b, s: (b, s))
 
 # The law of each (kind, case), and the one place where the case picks it:
 # case 2 is case 3 under BoundTuple.trivial, and count case 2 is count case 1.
@@ -419,15 +418,17 @@ _LAWS: dict[tuple[str, int], _Law] = {
     ("count", 1): _COUNT,
     ("count", 2): _COUNT,
     ("count", 3): _COUNT,
-    ("sum", 1): _Law(_sum_case1_kernel, _sum_case1_weights, lambda b, t, s: (b, s)),
+    ("sum", 1): _Law(_sum_case1_kernel, _sum_case1_weights, lambda b, s: (b, s)),
     ("sum", 2): _SUM,
     ("sum", 3): _SUM,
 }
 
 
 def _law_weights(law: _Law, draw: _Draw, t: int, s: int, b: int, pmf_budget: int | None) -> _Weights:
-    """``law``'s pmf weights for ``draw``, refused when its sizes for b cells exceed the budget."""
-    _check_pmf_budget(*law.sizes(b, t, s), pmf_budget)
+    """``law``'s pmf weights for ``draw``, refused when its sizes for b cells exceed the
+    budget; an empty block (t = 0) is a point mass under every law, served at any size."""
+    if t:
+        _check_pmf_budget(*law.sizes(b, s), pmf_budget)
     return law.weights(*draw, t, s)
 
 

@@ -85,21 +85,18 @@ def estimate(
     max_error: dict[int, int] = {}
     pmf = None
     want_block_pmf = spec.want_pmf and len(split.shell) == 1
-    case, q_lo, q_hi = spec.case, spec.range.lo, spec.range.hi
+    case, query = spec.case, spec.range
     law = _LAWS[spec.kind.value, case]
     kernel = law.kernel
     for _, blk in split.shell:
         t, s, r = blk.count, blk.sum, blk.range
         if case == 3:
-            draw = _shifted_coordinates(bound_tuple(constraints, r, spec.range.intersect(r)), t, s)
+            draw = _shifted_coordinates(bound_tuple(constraints, r, query.intersect(r)), t, s)
         else:
             # Cases 1-2 take the draw under trivial bounds, (n, m, l, shift) =
             # (size, t, b_in, 0), unchecked: a BlockSummary is realizable and a
             # shell block holds 1 <= b_in < size cells of the query.
-            b_in = 1
-            for ql, qh, bl, bh in zip(q_lo, q_hi, r.lo, r.hi):
-                b_in *= (qh if qh < bh else bh) - (ql if ql > bl else bl) + 1
-            draw = blk.size, t, b_in, 0
+            draw = blk.size, t, r.overlap_size(query), 0
         mean_num, mean_den, var_num, var_den, err_num, err_den = kernel(*draw, t, s)
         mean[mean_den] = mean.get(mean_den, 0) + mean_num
         variance[var_den] = variance.get(var_den, 0) + var_num

@@ -18,9 +18,9 @@ from itertools import product as _iproduct
 from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import Coords, Datacube, Range, _check_realizable, _integers, _load_json, _offset
-from .core import _PrefixSums, count_exact, sum_exact
-from .errors import FactorError, InfeasibleError, OutOfBoundsError
+from .core import Coords, Datacube, Range, _check_coords, _check_range, _check_realizable, _integers
+from .core import _PrefixSums, _load_json, _offset, count_exact, sum_exact
+from .errors import FactorError, InfeasibleError
 
 
 def _naturals(values: Sequence[int], what: str) -> tuple[int, ...]:
@@ -68,14 +68,9 @@ class CompressionFactor:
 
     def block_range(self, index: Sequence[int]) -> Range:
         """Cell range of block ``index`` (1-based block coordinates)."""
-        lo = []
-        hi = []
-        for k, axis in zip(index, self.boundaries):
-            if not 1 <= k <= len(axis) - 1:
-                raise OutOfBoundsError(f"block index {tuple(index)} outside grid {self.shape}")
-            lo.append(axis[k - 1] + 1)
-            hi.append(axis[k])
-        return Range(tuple(lo), tuple(hi))
+        _check_coords(index, self.shape, "block ")
+        lo = tuple(axis[k - 1] + 1 for k, axis in zip(index, self.boundaries))
+        return Range(lo, tuple(axis[k] for k, axis in zip(index, self.boundaries)))
 
     def block_indices(self) -> Iterator[Coords]:
         """All block indices in row-major order."""
@@ -180,12 +175,9 @@ class CompressedDatacube:
         return self.factor.dims
 
     def block(self, index: Sequence[int]) -> BlockSummary:
-        off = 0
-        for k, m in zip(index, self.factor.shape):
-            if not 1 <= k <= m:
-                raise OutOfBoundsError(f"block index {tuple(index)} outside grid {self.factor.shape}")
-            off = off * m + (k - 1)
-        return self.blocks[off]
+        shape = self.factor.shape
+        _check_coords(index, shape, "block ")
+        return self.blocks[_offset(index, shape)]
 
     # Prefix sums over the block grid, built on first use and cached on the
     # instance; they are not fields, so equality, hashing and JSON ignore them.
@@ -200,11 +192,7 @@ class CompressedDatacube:
     def _split(self, query: Range) -> _Split:
         """The inner box and the partial shell of ``query`` (see ``_Split``)."""
         factor = self.factor
-        if query.ndim != factor.ndim:
-            raise OutOfBoundsError(f"query arity {query.ndim} does not match cube arity {factor.ndim}")
-        for hi_q, n in zip(query.hi, factor.dims):
-            if hi_q > n:
-                raise OutOfBoundsError(f"query {query} outside cube dims {factor.dims}")
+        _check_range(query, factor.dims)
         runs, inner = [], []
         for lo_q, hi_q, axis in zip(query.lo, query.hi, factor.boundaries):
             # block k spans axis[k-1]+1..axis[k]: the first overlapped one ends

@@ -82,6 +82,13 @@ def test_range_of_another_arity_rejected(locate, make):
         locate(cs, Range((1, 1), (4, 4)))
 
 
+def test_bound_tuple_refuses_a_query_of_another_arity_than_its_block():
+    # Range.contains zips the corners, so the 1-D query 2:3 used to pass as
+    # inside the 2-D block and get BoundTuple(0, 2, 0, 16, 2, 16)
+    with pytest.raises(ConstraintError, match="arity 2.*arity 1"):
+        bound_tuple(ConstraintSet(()), Range((1, 1), (4, 4)), Range((2,), (3,)))
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_lb_monotone_on_nested_ranges(data):

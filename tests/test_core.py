@@ -92,6 +92,39 @@ def test_out_of_bounds_range_query():
         count_exact(cube, Range((1, 1), (3, 2)))
 
 
+@st.composite
+def box_pairs(draw):
+    """Two boxes of one arity (1-4): unrelated, the second nested in the first,
+    or the second touching the first's upper face on one axis (sharing one
+    slice of cells, or adjacent to it and disjoint)."""
+    ndim = draw(st.integers(1, 4))
+    spans = [sorted(draw(st.lists(st.integers(1, 5), min_size=2, max_size=2))) for _ in range(ndim)]
+    a = Range(*zip(*spans))
+    mode = draw(st.sampled_from(["free", "nested", "touching"]))
+    lo, hi = [], []
+    for axis, (a_lo, a_hi) in enumerate(spans):
+        if mode == "nested":
+            l = draw(st.integers(a_lo, a_hi))
+            h = draw(st.integers(l, a_hi))
+        elif mode == "touching" and axis == 0:
+            l = a_hi + draw(st.integers(0, 1))
+            h = l + draw(st.integers(0, 2))
+        else:
+            l, h = sorted(draw(st.lists(st.integers(1, 5), min_size=2, max_size=2)))
+        lo.append(l)
+        hi.append(h)
+    return a, Range(tuple(lo), tuple(hi))
+
+
+@settings(deadline=None, max_examples=300)
+@given(box_pairs())
+def test_overlap_size_counts_the_shared_cells(pair):
+    a, b = pair
+    common = a.intersect(b)
+    shared = sum(all(l <= c <= h for c, l, h in zip(cell, b.lo, b.hi)) for cell in a.cells())
+    assert a.overlap_size(b) == b.overlap_size(a) == (common.size if common else 0) == shared
+
+
 small_cubes = st.integers(2, 4).flatmap(
     lambda n: st.tuples(
         st.just((n, 3)),

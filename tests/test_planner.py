@@ -101,25 +101,40 @@ def test_tb_only_pmf_is_point_mass(two_block_line):
     assert est.pmf is not None and est.pmf.support == ((2, F(1)),)
 
 
+def _wide_block(first):
+    """A 1-D cube whose first block of 10,001 cells, one over the default pmf
+    budget, holds ``first`` in its first cell and nulls elsewhere."""
+    cells = [0] * 10_002
+    cells[0], cells[-1] = first, 3
+    return build_summary(Datacube((10_002,), tuple(cells)), CompressionFactor(((0, 10_001, 10_002),)))
+
+
 @pytest.fixture(scope="module")
 def wide_empty_block():
-    """A 1-D cube whose first block holds 10,001 null cells, one over the default pmf budget."""
-    cells = [0] * 10_002
-    cells[-1] = 3
-    return build_summary(Datacube((10_002,), tuple(cells)), CompressionFactor(((0, 10_001, 10_002),)))
+    return _wide_block(0)
+
+
+@pytest.fixture(scope="module")
+def wide_nonempty_block():
+    return _wide_block(1)
+
+
+def _wide_query(kind, case):
+    return ConstraintSet() if case == 3 else None, QuerySpec(Range((1,), (5,)), kind, case, want_pmf=True)
 
 
 @pytest.mark.parametrize("case", [1, 2, 3])
 @pytest.mark.parametrize("kind", list(QueryKind))
 def test_single_block_pmf_respects_the_budget(wide_empty_block, kind, case):
-    spec = QuerySpec(Range((1,), (5,)), kind, case, want_pmf=True)
-    constraints = ConstraintSet() if case == 3 else None
-    if kind is QueryKind.SUM and case > 1:
-        # knowing t = 0 pins the sum: the point mass is served at any block size
-        assert estimate(wide_empty_block, constraints, spec).pmf == Pmf.point(0)
-    else:
-        with pytest.raises(PmfBudgetError):
-            estimate(wide_empty_block, constraints, spec)
+    # knowing t = 0 pins every law: the point mass is served at any block size
+    assert estimate(wide_empty_block, *_wide_query(kind, case)).pmf == Pmf.point(0)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(QueryKind))
+def test_single_block_pmf_over_the_budget_is_refused(wide_nonempty_block, kind, case):
+    with pytest.raises(PmfBudgetError):
+        estimate(wide_nonempty_block, *_wide_query(kind, case))
 
 
 def test_case3_uses_bound_tuples(two_block_line):

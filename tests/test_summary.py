@@ -9,6 +9,7 @@ from cubeprob import (
     Datacube,
     FactorError,
     InfeasibleError,
+    OutOfBoundsError,
     QueryKind,
     QuerySpec,
     Range,
@@ -58,6 +59,32 @@ def test_equal_width_remainder_to_last_block():
 def test_from_block_shape():
     factor = CompressionFactor.from_block_shape((10, 6), (3, 4))
     assert factor.boundaries == ((0, 3, 6, 10), (0, 6))
+
+
+@pytest.mark.parametrize(
+    "index, match",
+    [((1,), "arity 1"), ((2, 1, 7), "arity 3"), ((4, 1), "outside"), ((1, 0), "outside")],
+    ids=["arity-1", "arity-3", "past-grid", "zero"],
+)
+def test_block_index_outside_the_grid_is_refused(reference_summary, index, match):
+    # zipping the index with the grid's shape used to read (1,) as block
+    # (1, 1) and (2, 1, 7) as block (2, 1), and block_range((1,)) as 1:3
+    with pytest.raises(OutOfBoundsError, match=match):
+        reference_summary.block(index)
+    with pytest.raises(OutOfBoundsError, match=match):
+        reference_summary.factor.block_range(index)
+
+
+@pytest.mark.parametrize(
+    "query, match",
+    [(Range((1,), (2,)), "arity 1"), (Range((1, 1), (11, 2)), "outside")],
+    ids=["arity", "past-dims"],
+)
+def test_range_outside_the_cube_is_refused(reference_cube, reference_summary, query, match):
+    with pytest.raises(OutOfBoundsError, match=match):
+        count_exact(reference_cube, query)
+    with pytest.raises(OutOfBoundsError, match=match):
+        reference_summary._split(query)
 
 
 def test_decompose_reference_query(reference_summary):
