@@ -69,10 +69,10 @@ def _check_realizable(b: int, t: int, s: int, cells: str = "cells") -> None:
         raise InfeasibleError(f"sum {s} positive with no non-null {cells}")
 
 
-def _check_coords(coords: Sequence[int], dims: Coords, where: str = "") -> None:
+def _check_coords(coords: Sequence[int], dims: Coords, where: str = "", space: str = "cube") -> None:
     if len(coords) != len(dims):
         raise OutOfBoundsError(
-            f"{where}coordinate arity {len(coords)} does not match cube arity {len(dims)}"
+            f"{where}coordinate arity {len(coords)} does not match {space} arity {len(dims)}"
         )
     for c, n in zip(coords, dims):
         if not 1 <= c <= n:
@@ -173,13 +173,19 @@ class Range:
         """Number of cells in the range."""
         return prod(h - l + 1 for l, h in zip(self.lo, self.hi))
 
+    def _check_arity(self, other: "Range") -> None:
+        if len(self.lo) != len(other.lo):
+            raise ValueError(f"range arity mismatch: {len(self.lo)} vs {len(other.lo)}")
+
     def contains(self, other: "Range") -> bool:
+        self._check_arity(other)
         return all(
             sl <= ol and oh <= sh
             for sl, sh, ol, oh in zip(self.lo, self.hi, other.lo, other.hi)
         )
 
     def intersect(self, other: "Range") -> "Range | None":
+        self._check_arity(other)
         lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
         hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
         if any(l > h for l, h in zip(lo, hi)):

@@ -20,7 +20,7 @@ coordinates: cases 1-2 draw (b, t, b_in, 0) and case 3 removes the located
 cells first.  The law table ``_LAWS`` is the one place where a (kind, case)
 picks its law, an integer moment kernel paired with an integer pmf-weights
 builder; the public estimators and the planner both answer through it, and
-exact pmfs divide their weights once at the end.
+exact pmfs divide their stepped integer weights once.
 
 All probabilities, means, variances and maximum-error bounds are exact
 rationals over arbitrary-precision integers; float views are provided at the
@@ -34,8 +34,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
-from operator import itemgetter
+from itertools import accumulate
+from math import comb, lcm, sqrt
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .constraints import BoundTuple
@@ -120,16 +121,19 @@ class _ExactLaw:
     _key = int
 
     def __post_init__(self) -> None:
-        entries = tuple((self._key(k), Fraction(p)) for k, p in self.support)
+        entries = tuple(
+            (self._key(k), p if type(p) is Fraction else Fraction(p)) for k, p in self.support
+        )
         object.__setattr__(self, "support", entries)
         if not entries:
             raise ValueError(f"a {self._name} needs at least one support point")
         keys = [k for k, _ in entries]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError(f"{self._name} support must strictly increase")
-        if any(p <= 0 for _, p in entries):
+        if any(p.numerator <= 0 for _, p in entries):
             raise ValueError(f"{self._name} probabilities must be positive")
-        if sum(p for _, p in entries) != 1:
+        common = lcm(*(p.denominator for _, p in entries))
+        if sum(p.numerator * (common // p.denominator) for _, p in entries) != common:
             raise ValueError(f"{self._name} probabilities must sum to exactly 1")
 
     @classmethod
@@ -295,9 +299,13 @@ def _ends(n: int, m: int, l: int) -> tuple[int, int]:
 
 
 def _placements(n: int, m: int, l: int) -> Iterator[tuple[int, int]]:
-    """(h, C(l, h) * C(n - l, m - h)) for h between the :func:`_ends`; the weights total C(n, m)."""
+    """(h, C(l, h) * C(n - l, m - h)) for h between the :func:`_ends`; the weights total C(n, m).
+    Each is the last times (l - h)(m - h) / ((h + 1)(n - l - m + h + 1)), exact at every step."""
     lo, hi = _ends(n, m, l)
-    return ((h, binom(l, h) * binom(n - l, m - h)) for h in range(lo, hi + 1))
+    w = binom(l, lo) * binom(n - l, m - lo)
+    for h in range(lo, hi + 1):
+        yield h, w
+        w = w * (l - h) * (m - h) // ((h + 1) * (n - l - m + h + 1))
 
 
 def _moments(n: int, m: int, l: int, shift: int) -> tuple[int, int, int, int]:
@@ -339,10 +347,16 @@ def _sum_case1_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Mo
     )
 
 
+def _stepped_compositions(cells: int, top: int) -> list[int]:
+    """:func:`compositions_count` of ``cells`` for totals 0..top, by ratio recurrence:
+    C(cells + j, j + 1) = C(cells + j - 1, j) * (cells + j) / (j + 1), exact at every step."""
+    return list(accumulate(range(top), lambda c, j: c * (cells + j) // (j + 1), initial=1))
+
+
 def _sum_case1_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights:
     """Weights of the case-1 sum: v -> compositions of v inside times of s - v outside."""
-    weights = {v: compositions_count(l, v) * compositions_count(n - l, s - v) for v in range(s + 1)}
-    return weights, compositions_count(n, s)
+    inside, outside = _stepped_compositions(l, s), _stepped_compositions(n - l, s)
+    return dict(enumerate(map(mul, inside, reversed(outside)))), compositions_count(n, s)
 
 
 def _sum_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
@@ -368,34 +382,40 @@ def _sum_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
     )
 
 
-def _joint_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights:
-    """Integer weights of (count, sum) inside the query, and their total.
+def _joint_rows(n: int, m: int, l: int, shift: int, t: int, s: int) -> Iterator[tuple[int, list[int]]]:
+    """(k, row) for each count k inside the query; row[j] weighs (count, sum) = (k, k + j).
 
     The draw places k = shift + h of the t non-nulls inside the query in
-    C(l, h) * C(n - l, m - h) ways; the k inside then take a sum v >= k and
-    the t - k outside take s - v, each split into positive values.  The
-    weights total C(n, m) * C(s - 1, s - t), counting the empty split once.
+    C(l, h) * C(n - l, m - h) ways; the k inside then take a sum v = k + j
+    and the t - k outside take s - v, each split into positive values, in
+    compositions_count(k, j) * compositions_count(t - k, s - t - j) ways.
+    The first row's counts are stepped along j by ratio recurrence; the next
+    row's inside counts are the last row's prefix sums (the hockey-stick
+    identity) and its outside counts their differences: no term takes a binomial.
     """
-    weights: dict[tuple[int, int], int] = {}
+    top = s - t
+    k = shift + _ends(n, m, l)[0]
+    inside, outside = _stepped_compositions(k, top), _stepped_compositions(t - k, top)
     for h, placements in _placements(n, m, l):
-        k = shift + h
-        t_out = t - k
-        for v in range(k, s - t_out + 1):
-            w = placements * compositions_count(k, v - k) * compositions_count(
-                t_out, s - v - t_out
-            )
-            if w:
-                weights[(k, v)] = w
+        yield shift + h, [placements * w for w in map(mul, inside, reversed(outside))]
+        inside = list(accumulate(inside))
+        outside = list(map(sub, outside, [0, *outside[:-1]]))
+
+
+def _joint_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights:
+    """Weights of (count, sum) from :func:`_joint_rows`; they total C(n, m) * C(s - 1, s - t)."""
+    rows = _joint_rows(n, m, l, shift, t, s)
+    weights = {(k, k + j): w for k, row in rows for j, w in enumerate(row) if w}
     return weights, binom(n, m) * compositions_count(t, s - t)
 
 
 def _sum_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights:
-    """Weights of the case-2/3 sum: :func:`_joint_weights` summed over the count."""
-    joint, total = _joint_weights(n, m, l, shift, t, s)
-    weights: dict[int, int] = {}
-    for (_, v), w in joint.items():
-        weights[v] = weights.get(v, 0) + w
-    return weights, total
+    """Weights of the case-2/3 sum: the rows of :func:`_joint_rows` added along the count."""
+    weights = [0] * (s + 1)
+    for k, row in _joint_rows(n, m, l, shift, t, s):
+        end = k + len(row)
+        weights[k:end] = map(add, weights[k:end], row)
+    return {v: w for v, w in enumerate(weights) if w}, binom(n, m) * compositions_count(t, s - t)
 
 
 class _Law(NamedTuple):

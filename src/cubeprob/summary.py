@@ -68,7 +68,7 @@ class CompressionFactor:
 
     def block_range(self, index: Sequence[int]) -> Range:
         """Cell range of block ``index`` (1-based block coordinates)."""
-        _check_coords(index, self.shape, "block ")
+        _check_coords(index, self.shape, "block ", "grid")
         lo = tuple(axis[k - 1] + 1 for k, axis in zip(index, self.boundaries))
         return Range(lo, tuple(axis[k] for k, axis in zip(index, self.boundaries)))
 
@@ -176,7 +176,7 @@ class CompressedDatacube:
 
     def block(self, index: Sequence[int]) -> BlockSummary:
         shape = self.factor.shape
-        _check_coords(index, shape, "block ")
+        _check_coords(index, shape, "block ", "grid")
         return self.blocks[_offset(index, shape)]
 
     # Prefix sums over the block grid, built on first use and cached on the

@@ -125,6 +125,16 @@ def test_overlap_size_counts_the_shared_cells(pair):
     assert a.overlap_size(b) == b.overlap_size(a) == (common.size if common else 0) == shared
 
 
+@pytest.mark.parametrize("method", ["contains", "intersect"])
+def test_range_of_another_arity_is_refused(method):
+    # zipping the corners used to answer True and Range((2,), (3,)) here
+    square, segment = Range((1, 1), (4, 4)), Range((2,), (3,))
+    with pytest.raises(ValueError, match="arity mismatch: 2 vs 1"):
+        getattr(square, method)(segment)
+    with pytest.raises(ValueError, match="arity mismatch: 1 vs 2"):
+        getattr(segment, method)(square)
+
+
 small_cubes = st.integers(2, 4).flatmap(
     lambda n: st.tuples(
         st.just((n, 3)),

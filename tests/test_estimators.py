@@ -1,14 +1,18 @@
+import hashlib
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubeprob import (
     BlockAggregates,
     BoundTuple,
+    ConstraintError,
     InfeasibleError,
+    JointPmf,
     Pmf,
     PmfBudgetError,
     binom,
@@ -26,10 +30,13 @@ from cubeprob import (
 )
 from cubeprob.estimators import (
     _count_kernel,
+    _count_weights,
     _joint_weights,
     _shifted_coordinates,
     _sum_case1_kernel,
+    _sum_case1_weights,
     _sum_kernel,
+    _sum_weights,
 )
 
 F = Fraction
@@ -344,6 +351,35 @@ def test_prob_looks_up_the_support():
     assert [j.prob(*k) for k in keys] == [0, 0, F(1, 2), F(1, 2), 0, 0]
 
 
+@pytest.mark.parametrize("make", [Pmf, JointPmf], ids=["pmf", "joint"])
+@pytest.mark.parametrize(
+    "probs, keys, match",
+    [
+        ((F(0), F(1)), (0, 1), "positive"),
+        ((F(-1, 2), F(3, 2)), (0, 1), "positive"),
+        ((F(1, 2), F(1, 2) + F(1, 10**40)), (0, 1), "exactly 1"),
+        ((F(1, 2), F(1, 2) - F(1, 10**40)), (0, 1), "exactly 1"),
+        ((F(1, 2), F(1, 2)), (1, 0), "increase"),
+        ((F(1, 2), F(1, 2)), (1, 1), "increase"),
+        ((0.1, 0.2, 0.7), (0, 1, 2), "exactly 1"),
+        ((0.1, 0.9), (0, 1), "exactly 1"),
+    ],
+    ids=["zero", "negative", "above-1", "below-1", "decreasing", "repeated", "floats", "float-pair"],
+)
+def test_pmf_types_refuse_an_invalid_law(make, probs, keys, match):
+    if make is JointPmf:
+        keys = [(k, k) for k in keys]
+    with pytest.raises(ValueError, match=match):
+        make(tuple(zip(keys, probs)))
+
+
+def test_pmf_types_accept_exact_probabilities_of_any_number_type():
+    # binary floats that sum to 1 exactly, ints and Fractions are all exact
+    pmf = Pmf(((0, 0.5), (1, 0.25), (2, F(1, 4))))
+    assert pmf.support == ((0, F(1, 2)), (1, F(1, 4)), (2, F(1, 4)))
+    assert JointPmf((((2, 3), 1),)).support == (((2, 3), F(1)),)
+
+
 aggregates = st.tuples(st.integers(2, 6), st.integers(0, 6), st.integers(0, 8), st.integers(1, 5)).map(
     lambda raw: (raw[0], min(raw[1], raw[0]), raw[2], min(raw[3], raw[0] - 1))
 ).filter(lambda raw: raw[1] <= raw[2] <= 8 and (raw[1] > 0 or raw[2] == 0))
@@ -524,6 +560,85 @@ def test_joint_weights_match_bound_tuple_loop(raw):
     bt, t, s = raw
     draw = _shifted_coordinates(bt, t, s)
     assert _joint_weights(*draw, t, s) == joint_weights_by_bounds(bt, t, s)
+
+
+@settings(deadline=None, max_examples=200)
+@given(located_blocks(max_b=40, max_s=60))
+@example((BoundTuple.trivial(2, 5), 0, 0))  # t = 0
+@example((BoundTuple(0, 0, 0, 3, 2, 5), 2, 6))  # l = 0, so every count inside is k = 0
+@example((BoundTuple(2, 3, 2, 3, 3, 5), 3, 7))  # t_out = 0: no non-null outside
+@example((BoundTuple(1, 2, 2, 3, 2, 4), 3, 5))  # n = 1
+@example((BoundTuple(1, 1, 1, 1, 2, 4), 1, 4))  # n = 0
+def test_sum_weights_are_the_count_marginal_of_the_bound_tuple_loop(raw):
+    bt, t, s = raw
+    joint, total = joint_weights_by_bounds(bt, t, s)
+    marginal = {}
+    for (_, v), w in joint.items():
+        marginal[v] = marginal.get(v, 0) + w
+    assert _sum_weights(*_shifted_coordinates(bt, t, s), t, s) == (marginal, total)
+
+
+def compositions_by_comb(cells, total):
+    return comb(cells + total - 1, total) if cells else int(total == 0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), st.integers(0, n), st.integers(0, 3), st.integers(0, 60)
+)))
+@example((0, 0, 0, 0, 0))
+@example((1, 1, 0, 0, 5))
+@example((1, 0, 1, 2, 5))
+@example((3, 3, 3, 0, 4))
+def test_stepped_weights_equal_their_comb_product_formulas(raw):
+    n, m, l, shift, s = raw
+    # the count law reads no t or s, and the case-1 sum reads no count
+    assert _count_weights(n, m, l, shift, m, s) == (
+        {shift + h: comb(l, h) * comb(n - l, m - h) for h in range(m + 1) if h <= l and m - h <= n - l},
+        comb(n, m),
+    )
+    assert _sum_case1_weights(n, m, l, shift, m, s) == (
+        {v: compositions_by_comb(l, v) * compositions_by_comb(n - l, s - v) for v in range(s + 1)},
+        compositions_by_comb(n, s),
+    )
+
+
+def pmf_grid_text():
+    """Every law's exact pmf, joint included, one line each, over small blocks and bound tuples."""
+    lines = []
+
+    def emit(name, args, law):
+        lines.append(f"{name}{args} " + " ".join(f"{k}:{p}" for k, p in law.support))
+
+    for b in range(2, 6):
+        for b_in, t in product(range(1, b), range(b + 1)):
+            for s in range(t, t + 4) if t else (0,):
+                agg = BlockAggregates(b, t, s, b_in)
+                for fn in (count_case1, count_case2, sum_case1, sum_case2):
+                    emit(fn.__name__, (b, t, s, b_in), fn(agg, want_pmf=True).pmf)
+                emit("joint_case2", (b, t, s, b_in), joint_case2(agg))
+        for bounds in product(range(b + 1), repeat=4):
+            for b_in in range(1, b):
+                try:
+                    bt = BoundTuple(*bounds, b_in, b)
+                except ConstraintError:
+                    continue
+                for t in range(bt.t_lo_blk, bt.t_hi_blk + 1):
+                    emit("count_case3", (*bounds, b_in, b, t), count_case3(bt, t, want_pmf=True).pmf)
+                    for s in range(t, t + 3) if t else (0,):
+                        emit("sum_case3", (*bounds, b_in, b, t, s), sum_case3(bt, t, s, want_pmf=True).pmf)
+                        emit("joint_case3", (*bounds, b_in, b, t, s), joint_case3(bt, t, s))
+    return "\n".join(lines)
+
+
+def test_every_law_pmf_is_pinned():
+    # 6,607 laws; the digest was taken from the comb-per-term builders that
+    # the stepped ones replaced, so any change to a weight or a support shows
+    text = pmf_grid_text()
+    assert len(text.splitlines()) == 6607
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b3764bef91d69bb09e3c6daa4c9c374d8d645f5a99bbe47f43e64ce527fb7539"
+    )
 
 
 @settings(deadline=None, max_examples=200)

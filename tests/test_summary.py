@@ -63,7 +63,12 @@ def test_from_block_shape():
 
 @pytest.mark.parametrize(
     "index, match",
-    [((1,), "arity 1"), ((2, 1, 7), "arity 3"), ((4, 1), "outside"), ((1, 0), "outside")],
+    [
+        ((1,), "arity 1 does not match grid arity 2"),
+        ((2, 1, 7), "arity 3 does not match grid arity 2"),
+        ((4, 1), "outside"),
+        ((1, 0), "outside"),
+    ],
     ids=["arity-1", "arity-3", "past-grid", "zero"],
 )
 def test_block_index_outside_the_grid_is_refused(reference_summary, index, match):
