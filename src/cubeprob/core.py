@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -277,30 +278,40 @@ class Datacube:
         _check_range(r, self.dims)
 
 
-def _densify(rows: Iterable[tuple[str, Sequence[int], int]], dims: Sequence[int]) -> Datacube:
-    """Write ``(where, coords, value)`` relation rows into a cube, checking each once.
+def _densify(rows: Iterable[tuple[int, Sequence[int]]], dims: Sequence[int]) -> Datacube:
+    """Write ``(line, [c1, ..., cr, value])`` rows of ints into a cube, checking each once.
 
-    ``where`` prefixes a row's errors: ``""``, or ``"line N: "`` for CSV.  Each row
-    needs integer coordinates inside the cube, a natural value, and coordinates no
-    earlier row gave (dimensions are a key, even when a value is 0).
+    ``line`` is the row's CSV line, or 0 for ``from_relation``.  A row needs
+    coordinates inside the cube, a natural value, and coordinates no earlier row
+    gave (dimensions are a key, even when a value is 0).
     """
     dims = _as_coords(dims, "dimension lengths")
+    width = len(dims) + 1
     cells = [0] * prod(dims)
-    given: dict[int, str] = {}  # row-major offset -> where it was first given
-    for where, coords, value in rows:
-        try:
-            coords, value = tuple(map(index, coords)), index(value)
-        except TypeError as exc:
-            raise RelationFormatError(f"{where}non-integer coordinate or value: {exc}") from None
+    first_line = array("q", [-1]) * len(cells)  # 8 B per cell; -1: not given yet
+    for line, fields in rows:
+        off = 0
+        for c, n in zip(fields, dims):
+            if not 0 < c <= n:
+                break
+            off = off * n + c - 1
+        else:
+            if len(fields) == width and fields[-1] >= 0 and first_line[off] < 0:
+                first_line[off] = line
+                cells[off] = fields[-1]
+                continue
+        # refused: check the row again, in order, to say why
+        where = f"line {line}: " if line else ""
+        if line and len(fields) != width:
+            raise RelationFormatError(
+                f"{where}expected {width - 1} coordinates plus a value, got {len(fields)} fields"
+            )
+        coords = tuple(fields[:-1])
         _check_coords(coords, dims, where)
-        if value < 0:
-            raise RelationFormatError(f"{where}measure value must be a natural, got {value}")
-        off = _offset(coords, dims)
-        if off in given:
-            first = f", first given on {given[off][:-2]}" if given[off] else ""
-            raise DuplicateKeyError(f"{where}duplicate coordinates {coords}{first}")
-        given[off] = where
-        cells[off] = value
+        if fields[-1] < 0:
+            raise RelationFormatError(f"{where}measure value must be a natural, got {fields[-1]}")
+        first = f", first given on line {first_line[off]}" if first_line[off] else ""
+        raise DuplicateKeyError(f"{where}duplicate coordinates {coords}{first}")
     return Datacube(dims, tuple(cells))
 
 
@@ -308,7 +319,16 @@ def from_relation(
     tuples: Iterable[tuple[Sequence[int], int]], dims: Sequence[int]
 ) -> Datacube:
     """Densify ``(coords, value)`` entries into a cube; value 0 and absence both mean null."""
-    return _densify((("", coords, value) for coords, value in tuples), dims)
+
+    def rows() -> Iterator[tuple[int, list[int]]]:
+        for coords, value in tuples:
+            try:
+                fields = [*map(index, coords), index(value)]
+            except TypeError as exc:
+                raise RelationFormatError(f"non-integer coordinate or value: {exc}") from None
+            yield 0, fields
+
+    return _densify(rows(), dims)
 
 
 def count_exact(cube: Datacube, r: Range) -> int:
@@ -328,36 +348,40 @@ def sum_exact(cube: Datacube, r: Range) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _csv_rows(stream: IO[str], r: int) -> Iterator[tuple[str, list[int], int]]:
-    """The ``(where, coords, value)`` rows of a CSV relation, read lazily."""
+_NUMBER = re.compile(r"\s*[+-]?\.?\d")  # how every int() field, and 1.5 or .5, starts
+
+
+def _csv_rows(stream: IO[str]) -> Iterator[tuple[int, list[int]]]:
+    """The ``(line, fields)`` int rows of a CSV relation, read lazily."""
+    header_allowed = True
     for lineno, row in enumerate(csv.reader(stream), start=1):
-        if not "".join(row).strip():
-            continue
         try:
-            numbers = list(map(int, row))  # int() ignores surrounding spaces
+            fields = list(map(int, row))  # int() ignores surrounding spaces
         except ValueError:
-            if lineno == 1:
-                continue  # header row
-            raise RelationFormatError(f"line {lineno}: non-integer field in {row}")
-        if len(numbers) != r + 1:
-            raise RelationFormatError(
-                f"line {lineno}: expected {r} coordinates plus a value, got {len(numbers)} fields"
-            )
-        yield f"line {lineno}: ", numbers[:r], numbers[r]
+            if not "".join(row).strip():
+                continue
+            if header_allowed and not any(map(_NUMBER.match, row)):
+                header_allowed = False
+                continue
+            raise RelationFormatError(f"line {lineno}: non-integer field in {row}") from None
+        if fields:
+            header_allowed = False
+            yield lineno, fields
 
 
 def read_relation_csv(stream: IO[str], dims: Sequence[int]) -> Datacube:
     """Parse rows of ``d1,...,dr,value`` into a cube.
 
-    A single header row is tolerated (detected by non-integer tokens).
-    Errors name the offending 1-based line number.
+    Blank rows are skipped, and so is a header: the first non-blank row, when
+    none of its fields starts like a number (so ``1,x,5`` and ``1.5,2.5,3`` are
+    refused, not skipped).  Errors name the offending 1-based line.
     """
-    return _densify(_csv_rows(stream, len(dims)), dims)
+    return _densify(_csv_rows(stream), dims)
 
 
 def load_relation_csv(path: str, dims: Sequence[int]) -> Datacube:
-    """``read_relation_csv`` over a file path."""
-    with open(path, newline="") as handle:
+    """``read_relation_csv`` over a UTF-8 file path; a leading byte-order mark is dropped."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         return read_relation_csv(handle, dims)
 
 

@@ -19,7 +19,7 @@ from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import Coords, Datacube, Range, _check_coords, _check_range, _check_realizable, _integers
-from .core import _PrefixSums, _load_json, _offset, count_exact, sum_exact
+from .core import _PrefixSums, _load_json, _offset
 from .errors import FactorError, InfeasibleError
 
 
@@ -75,6 +75,13 @@ class CompressionFactor:
     def block_indices(self) -> Iterator[Coords]:
         """All block indices in row-major order."""
         return _iproduct(*(range(1, m + 1) for m in self.shape))
+
+    def block_corners(self) -> Iterator[tuple[Coords, Coords]]:
+        """The ``(lo, hi)`` cell corners of every block, in ``block_indices`` order."""
+        # block k of an axis spans axis[k-1]+1..axis[k], so the corners are the
+        # row-major products of the per-axis starts and ends
+        los = _iproduct(*([c + 1 for c in axis[:-1]] for axis in self.boundaries))
+        return zip(los, _iproduct(*(axis[1:] for axis in self.boundaries)))
 
     @classmethod
     def equal_width(cls, dims: Sequence[int], blocks: Sequence[int]) -> "CompressionFactor":
@@ -162,11 +169,7 @@ class CompressedDatacube:
         factor = self.factor
         if [b.index for b in self.blocks] != list(factor.block_indices()):
             raise FactorError("block grid does not tile the factor in row-major order")
-        # block k of an axis spans axis[k-1]+1..axis[k]: the corners of every
-        # block, row-major, are the products of the per-axis starts and ends
-        los = _iproduct(*([c + 1 for c in axis[:-1]] for axis in factor.boundaries))
-        his = _iproduct(*(axis[1:] for axis in factor.boundaries))
-        for blk, lo, hi in zip(self.blocks, los, his):
+        for blk, (lo, hi) in zip(self.blocks, factor.block_corners()):
             if blk.range.lo != lo or blk.range.hi != hi:
                 raise FactorError(f"block {blk.index} carries a range inconsistent with the factor")
 
@@ -228,11 +231,12 @@ def build_summary(cube: Datacube, factor: CompressionFactor) -> CompressedDatacu
     """Aggregate every block of the factor over the cube."""
     if factor.dims != cube.dims:
         raise FactorError(f"factor partitions {factor.dims}, cube has dims {cube.dims}")
-    blocks = []
-    for index in factor.block_indices():
-        r = factor.block_range(index)
-        blocks.append(BlockSummary(index, r, count_exact(cube, r), sum_exact(cube, r)))
-    return CompressedDatacube(factor, tuple(blocks))
+    counts, sums = cube._counts.total, cube._sums.total
+    blocks = tuple(
+        BlockSummary(index, Range(lo, hi), counts(lo, hi), sums(lo, hi))
+        for index, (lo, hi) in zip(factor.block_indices(), factor.block_corners())
+    )
+    return CompressedDatacube(factor, blocks)
 
 
 def decompose(summary: CompressedDatacube, query: Range) -> RangeDecomposition:

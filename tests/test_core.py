@@ -20,7 +20,7 @@ from cubeprob import (
     from_relation,
     sum_exact,
 )
-from cubeprob.core import load_cube, read_relation_csv, save_cube
+from cubeprob.core import load_cube, load_relation_csv, read_relation_csv, save_cube
 
 
 def test_from_relation_empty_is_all_null():
@@ -195,8 +195,9 @@ def test_row_runs_match_the_per_cell_walk(cube_and_range, data):
     for n in cube.dims:
         cuts = data.draw(st.sets(st.integers(1, n - 1)), label="cuts") if n > 1 else set()
         axes.append((0, *sorted(cuts), n))
-    summary = build_summary(cube, CompressionFactor(tuple(axes)))
-    for blk in summary.blocks:
+    factor = CompressionFactor(tuple(axes))
+    for blk in build_summary(cube, factor).blocks:
+        assert blk.range == factor.block_range(blk.index)
         assert (blk.count, blk.sum) == _slow_count_sum(cube, blk.range)
 
 
@@ -238,6 +239,57 @@ def test_csv_errors_name_lines():
         read_relation_csv(io.StringIO("1,1,5\n1,x,2\n"), (2, 2))
     with pytest.raises(DuplicateKeyError, match="line 3"):
         read_relation_csv(io.StringIO("1,1,5\n1,2,1\n1,1,2\n"), (2, 2))
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("1,1,5.5\n2,2,3\n", 1),
+        ("1,x,5\n2,2,3\n", 1),
+        ("\ufeff1,1,5\n2,2,3\n", 1),
+        ("1.5,2.5,3.5\n", 1),
+        ("\n,,\n1,1,5.5\n", 3),
+        ("d1,d2,value\nd1,d2,value\n1,1,5\n", 2),
+        ("1,1,5\nd1,d2,value\n", 2),
+    ],
+)
+def test_csv_refuses_non_integer_rows_other_than_a_leading_header(text, line):
+    with pytest.raises(RelationFormatError, match=f"^line {line}: non-integer field in "):
+        read_relation_csv(io.StringIO(text), (2, 2))
+
+
+@pytest.mark.parametrize("coords", [(1,), (1, 1, 1)])
+def test_rows_of_another_arity_are_refused(coords):
+    text = "1,1,5\n" + ",".join(map(str, (*coords, 2))) + "\n"
+    expected = f"line 2: expected 2 coordinates plus a value, got {len(coords) + 1} fields"
+    with pytest.raises(RelationFormatError) as raised:
+        read_relation_csv(io.StringIO(text), (2, 2))
+    assert str(raised.value) == expected
+    with pytest.raises(OutOfBoundsError) as raised:
+        from_relation([((1, 1), 5), (coords, 2)], (2, 2))
+    assert str(raised.value) == f"coordinate arity {len(coords)} does not match cube arity 2"
+
+
+def test_csv_header_is_the_first_non_blank_row():
+    cube = read_relation_csv(io.StringIO("\n ,\nd1,d2,value\n1,1,5\n"), (2, 2))
+    assert cube.cells == (5, 0, 0, 0)
+
+
+@pytest.mark.parametrize("header", ["", "d1,d2,value\n"])
+def test_load_relation_csv_drops_a_byte_order_mark(tmp_path, header):
+    text = header + "1,1,5\n2,2,3\n"
+    (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+    plain = load_relation_csv(str(tmp_path / "plain.csv"), (2, 2))
+    assert plain.cells == (5, 0, 0, 3)
+    assert load_relation_csv(str(tmp_path / "bom.csv"), (2, 2)) == plain
+
+
+def test_a_duplicate_names_a_first_line_past_65535():
+    text = "\n" * 69_999 + "1,1\n1,2\n"
+    with pytest.raises(DuplicateKeyError) as raised:
+        read_relation_csv(io.StringIO(text), (2,))
+    assert str(raised.value) == "line 70001: duplicate coordinates (1,), first given on line 70000"
 
 
 def test_from_relation_refuses_non_integral_input():
@@ -304,22 +356,29 @@ def relations(draw):
         elif rows:
             c = list(rows[draw(st.integers(0, len(rows) - 1))][0])
         rows.insert(at, (tuple(c), value))
-    blank_before = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
-    return dims, rows, blank_before
+    return dims, rows
 
 
 @settings(deadline=None, max_examples=300)
-@given(relations())
-def test_ingest_paths_match_a_per_row_reference(relation):
-    dims, rows, blank_before = relation
-    lines = [",".join([f"d{q}" for q in range(1, len(dims) + 1)] + ["value"])]
+@given(relations(), st.data())
+def test_ingest_paths_match_a_per_row_reference(relation, data):
+    dims, rows = relation
+    # per row: a blank row to put before it (or None), and how each field is
+    # written: plain, quoted, space-padded, or padded inside the quotes
+    blank = st.sampled_from([None, None, "", ",,", "  "])
+    field_formats = st.sampled_from(["{}", '"{}"', " {} ", '" {}"'])
+    formats = st.lists(field_formats, min_size=len(dims) + 1, max_size=len(dims) + 1)
+    layout = data.draw(st.lists(st.tuples(blank, formats), min_size=len(rows), max_size=len(rows)))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    header = ",".join([f"d{q}" for q in range(1, len(dims) + 1)] + ["value"])
+    lines = [header] if data.draw(st.booleans()) else []
     line_of = []
-    for (coords, value), blank in zip(rows, blank_before):
-        if blank:
-            lines.append("")
-        lines.append(",".join(map(str, (*coords, value))))
+    for (coords, value), (blank, formats) in zip(rows, layout):
+        if blank is not None:
+            lines.append(blank)
+        lines.append(",".join(f.format(x) for f, x in zip(formats, (*coords, value))))
         line_of.append(len(lines))
-    text = "\n".join(lines) + "\n"
+    text = newline.join(lines) + newline
     expected, error = _reference_densify(dims, rows)
     if error is None:
         assert from_relation(rows, dims) == expected
