@@ -365,6 +365,9 @@ def _csv_rows(stream: IO[str]) -> Iterator[tuple[int, list[int]]]:
                 continue
             raise RelationFormatError(f"line {lineno}: non-integer field in {row}") from None
         if fields:
+            text = "".join(row)
+            if "_" in text or not text.isascii():  # int() also takes 1_0 and non-ASCII digits
+                raise RelationFormatError(f"line {lineno}: non-integer field in {row}")
             header_allowed = False
             yield lineno, fields
 

@@ -212,9 +212,12 @@ class JointPmf(_ExactLaw):
 class Estimate:
     """Mean, variance and a worst-case error bound; optionally the full pmf.
 
-    ``max_error`` is exact (a rational): it equals the largest possible
-    |true answer - mean| over the compatible population, and is attained by
-    some member of it.
+    From a single-block estimator, ``max_error`` is exact (a rational): it
+    equals the largest possible |true answer - mean| over the compatible
+    population, and is attained by some member of it.  From the planner's
+    ``estimate`` it is the sum of the partial blocks' bounds: it dominates
+    every member, but is attained only when every block's worse side (above
+    or below its mean) is the same side.
     """
 
     mean: Fraction

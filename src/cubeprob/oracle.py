@@ -4,11 +4,12 @@ A block is a flat vector of ``b`` natural-valued cells (position never
 matters to the statistics, only how many query cells are covered).  A
 population fixes some combination of the non-null count ``t``, the sum
 ``s``, and forced null / non-null positions, and the statistic of interest
-is the count or sum over a designated set of query positions.
+is the count or sum over a designated set of query positions.  A query over
+several blocks ranges over the product of their populations.
 
-Enumeration is exhaustive, duplicate-free and lexicographic, and the
-empirical distribution is computed by direct accumulation -- independently
-of the closed forms it serves to check.
+Enumeration is exhaustive and duplicate-free, and the empirical
+distribution is computed by direct accumulation -- independently of the
+closed forms it serves to check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product as _iproduct
+from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -62,21 +63,6 @@ class PopulationSpec:
             raise PopulationError("a position cannot be forced both null and non-null")
 
 
-def _positive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of ``parts`` positive integers summing to ``total``, lex order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _positive_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _size_bound(spec: PopulationSpec) -> int:
     """Cheap upper bound on the population size (guard only)."""
     free = spec.b - len(spec.forced_nonnull) - len(spec.forced_null)
@@ -91,68 +77,47 @@ def _size_bound(spec: PopulationSpec) -> int:
 
 
 def enumerate_population(spec: PopulationSpec) -> Iterator[tuple[int, ...]]:
-    """Yield every compatible block vector exactly once, lexicographically.
+    """Yield every compatible block vector exactly once.
 
-    * ``fix_t`` and ``fix_s``: all supports of size t respecting the forced
-      positions, each filled with every positive composition of s.
-    * ``fix_s`` alone: every natural-valued vector summing to s (forced
-      non-null positions hold >= 1, forced null positions hold 0).
-    * ``fix_t`` alone: values are unbounded, so only 0/1 placement indicator
-      vectors are produced; they determine every count statistic.
+    A member is a support -- its set of non-null positions, which holds every
+    forced non-null position and no forced null one -- filled with values.
+    ``fix_t`` fixes the support size; without it every size from 0 to
+    min(b, s) is tried.  With ``fix_s`` the support is filled with every
+    positive composition of s; without it values are unbounded, so the
+    support is filled with ones, the 0/1 placement indicator that determines
+    every count statistic.  Members come by support size, then by support
+    (its sorted positions, lexicographically), then by values (lexicographically).
     """
     if _size_bound(spec) > MAX_POPULATION:
         raise PopulationError(
             f"population bound {_size_bound(spec)} exceeds cap {MAX_POPULATION}"
         )
-    b = spec.b
-    if spec.fix_t is not None:
-        t = spec.fix_t
-        if not 0 <= t <= b:
-            return
-        if len(spec.forced_nonnull) > t:
-            return
-        for support in combinations(range(1, b + 1), t):
-            chosen = frozenset(support)
-            if not spec.forced_nonnull <= chosen or chosen & spec.forced_null:
-                continue
-            if spec.fix_s is None:
+    b, s, forced = spec.b, spec.fix_s, spec.forced_nonnull
+    free = [p for p in range(1, b + 1) if p not in forced and p not in spec.forced_null]
+    sizes = range(min(b, s) + 1) if spec.fix_t is None else (spec.fix_t,)
+    for size in sizes:
+        if size < len(forced):  # a negative fix_t too: an empty population
+            continue
+        for extra in combinations(free, size - len(forced)):
+            support = sorted((*forced, *extra))
+            for values in _fillings(size, s):
                 vec = [0] * b
-                for p in support:
-                    vec[p - 1] = 1
-                yield tuple(vec)
-                continue
-            for parts in _positive_compositions(spec.fix_s, t):
-                vec = [0] * b
-                for p, v in zip(support, parts):
+                for p, v in zip(support, values):
                     vec[p - 1] = v
                 yield tuple(vec)
-        return
 
-    # fix_s alone: compose the sum over all non-forced-null cells.
-    s = spec.fix_s
-    assert s is not None
-    minima = [
-        1 if (p in spec.forced_nonnull) else 0
-        for p in range(1, b + 1)
-    ]
-    frozen = [p in spec.forced_null for p in range(1, b + 1)]
 
-    def rec(pos: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if pos == b:
-            if remaining == 0:
-                yield ()
-            return
-        if frozen[pos]:
-            if minima[pos] == 0:
-                for rest in rec(pos + 1, remaining):
-                    yield (0,) + rest
-            return
-        needed_after = sum(minima[pos + 1 :])
-        for v in range(minima[pos], remaining - needed_after + 1):
-            for rest in rec(pos + 1, remaining - v):
-                yield (v,) + rest
-
-    yield from rec(0, s)
+def _fillings(size: int, total: int | None) -> Iterator[tuple[int, ...]]:
+    """The values of a support: all ones without a sum, else every positive
+    composition of ``total`` into ``size`` parts, lexicographically (by cut points)."""
+    if total is None:
+        yield (1,) * size
+    elif size == 0:
+        if total == 0:
+            yield ()
+    elif total >= size:
+        for cuts in combinations(range(1, total), size - 1):
+            yield tuple(hi - lo for lo, hi in zip((0, *cuts), (*cuts, total)))
 
 
 def _stat_value(vec: Sequence[int], query: Iterable[int], stat: StatKind) -> int:
@@ -161,31 +126,49 @@ def _stat_value(vec: Sequence[int], query: Iterable[int], stat: StatKind) -> int
     return sum(vec[p - 1] for p in query)
 
 
+def _product_counts(specs: Sequence[PopulationSpec], stat: StatKind) -> dict[int, int]:
+    """Members of the product of the block populations, per summed statistic value.
+
+    Each block contributes the statistic over its own query positions; the
+    product is enumerated outright, with no independence shortcut.
+    """
+    stat = StatKind(stat)
+    if not specs:
+        raise PopulationError("the product oracle needs at least one block")
+    per_block = []
+    size = 1
+    for spec in specs:
+        if stat is StatKind.SUM and spec.fix_s is None:
+            raise PopulationError(
+                "sum statistics are undefined on the count-only population (values unbounded)"
+            )
+        query = sorted(spec.query_positions)
+        values = [_stat_value(vec, query, stat) for vec in enumerate_population(spec)]
+        if not values:
+            raise PopulationError(f"empty population for {spec}")
+        per_block.append(values)
+        size *= len(values)
+    if size > MAX_POPULATION:
+        raise PopulationError(f"product population {size} exceeds cap {MAX_POPULATION}")
+    counts: dict[int, int] = {}
+    for combo in product(*per_block):
+        value = sum(combo)
+        counts[value] = counts.get(value, 0) + 1
+    return counts
+
+
+def _moments(counts: dict[int, int]) -> tuple[Fraction, Fraction]:
+    n = sum(counts.values())
+    mean = Fraction(sum(v * c for v, c in counts.items()), n)
+    return mean, Fraction(sum(v * v * c for v, c in counts.items()), n) - mean * mean
+
+
 def population_stats(
     spec: PopulationSpec, stat: StatKind
 ) -> tuple[Pmf, Fraction, Fraction]:
     """Exact empirical (pmf, mean, variance) of the statistic over the population."""
-    stat = StatKind(stat)
-    if stat is StatKind.SUM and spec.fix_s is None:
-        raise PopulationError(
-            "sum statistics are undefined on the count-only population (values unbounded)"
-        )
-    query = sorted(spec.query_positions)
-    weights: dict[int, int] = {}
-    n = 0
-    acc1 = 0
-    acc2 = 0
-    for vec in enumerate_population(spec):
-        value = _stat_value(vec, query, stat)
-        weights[value] = weights.get(value, 0) + 1
-        n += 1
-        acc1 += value
-        acc2 += value * value
-    if n == 0:
-        raise PopulationError(f"empty population for {spec}")
-    mean = Fraction(acc1, n)
-    variance = Fraction(acc2, n) - mean * mean
-    return Pmf.from_weights(weights, n), mean, variance
+    counts = _product_counts([spec], stat)
+    return Pmf.from_weights(counts), *_moments(counts)
 
 
 def two_block_population_stats(
@@ -193,35 +176,10 @@ def two_block_population_stats(
 ) -> tuple[Fraction, Fraction]:
     """Exact (mean, variance) of the summed statistic over a product population.
 
-    Each block contributes the statistic over its own query positions; the
-    population is the Cartesian product of the per-block populations, which is
-    enumerated outright (no independence shortcut) so the result can audit
-    the planner's additive composition.
+    The population is the Cartesian product of the per-block populations of
+    one or more blocks, each contributing the statistic over its own query
+    positions.  It is enumerated outright (no independence shortcut), so the
+    result can audit the planner's additive composition; a product larger
+    than ``MAX_POPULATION`` is refused before it is enumerated.
     """
-    stat = StatKind(stat)
-    if not 1 <= len(specs) <= 2:
-        raise PopulationError("the product oracle handles one or two blocks")
-    per_block = []
-    for spec in specs:
-        if stat is StatKind.SUM and spec.fix_s is None:
-            raise PopulationError(
-                "sum statistics are undefined on the count-only population"
-            )
-        query = sorted(spec.query_positions)
-        values = [
-            _stat_value(vec, query, stat) for vec in enumerate_population(spec)
-        ]
-        if not values:
-            raise PopulationError(f"empty population for {spec}")
-        per_block.append(values)
-    n = 0
-    acc1 = 0
-    acc2 = 0
-    for combo in _iproduct(*per_block):
-        value = sum(combo)
-        n += 1
-        acc1 += value
-        acc2 += value * value
-    mean = Fraction(acc1, n)
-    variance = Fraction(acc2, n) - mean * mean
-    return mean, variance
+    return _moments(_product_counts(specs, stat))

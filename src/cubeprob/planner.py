@@ -8,10 +8,12 @@ Only the shell carries uncertainty: the query's law is picked once from the
 estimators' law table, the one place where the case chooses it, and the
 loop runs over the shell blocks alone, calling that law's integer moment
 kernel once each.  Numerators add per denominator, and each moment becomes
-one exact fraction per query.  Means add by linearity;
-variances add because blocks are treated as statistically independent; the
-worst-case error bound is composed additively, which is exact whenever the
-per-block extremes are simultaneously achievable and conservative otherwise.
+one exact fraction per query.  Means add by linearity.  Variances add
+exactly: the aggregates and the macro-blocks both act block by block, so the
+compatible population is a product over blocks, in which the blocks are
+independent.  The worst-case error bound is the sum of the per-block bounds:
+it dominates every member, but is attained only when every block's worse side
+(above or below its mean) is the same side.
 """
 
 from __future__ import annotations

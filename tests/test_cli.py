@@ -425,7 +425,8 @@ def test_summarize_malformed_boundaries_exit_2(reference_files, tmp_path, capsys
 @pytest.mark.parametrize("spec", [
     {"fix_t": 1, "query_positions": [1]},
     {"b": 3, "fix_t": 1, "query_positions": [1], "stat": "mean"},
-], ids=["missing-b", "unknown-stat"])
+    {"b": 3, "fix_t": -1, "query_positions": [1]},  # an empty population
+], ids=["missing-b", "unknown-stat", "negative-fix-t"])
 def test_oracle_malformed_spec_exits_2(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

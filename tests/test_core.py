@@ -258,6 +258,16 @@ def test_csv_refuses_non_integer_rows_other_than_a_leading_header(text, line):
         read_relation_csv(io.StringIO(text), (2, 2))
 
 
+@pytest.mark.parametrize(
+    "field", ["1_0", "\u0663", "\u00a02"], ids=["underscore", "arabic-indic-digit", "no-break-space"]
+)
+def test_csv_refuses_fields_that_only_int_reads_as_integers(field):
+    text = f"x_1,y\u2082,value\n1,1,5\n2,{field},3\n"
+    with pytest.raises(RelationFormatError, match="^line 3: non-integer field in "):
+        read_relation_csv(io.StringIO(text), (2, 20))
+    assert read_relation_csv(io.StringIO(text.replace(field, "2")), (2, 20)).cells[20 + 1] == 3
+
+
 @pytest.mark.parametrize("coords", [(1,), (1, 1, 1)])
 def test_rows_of_another_arity_are_refused(coords):
     text = "1,1,5\n" + ",".join(map(str, (*coords, 2))) + "\n"

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeprob import (
     PopulationError,
@@ -133,3 +136,60 @@ def test_spec_validation():
         PopulationSpec(b=2, fix_t=1, forced_nonnull=frozenset({3}))
     with pytest.raises(PopulationError):
         PopulationSpec(b=2, fix_t=1, forced_nonnull=frozenset({1}), forced_null=frozenset({1}))
+
+
+@st.composite
+def population_specs(draw):
+    b = draw(st.integers(1, 5), label="b")
+    t = draw(st.none() | st.integers(-1, b + 1), label="fix_t")
+    s = draw(st.integers(0, 6) if t is None else st.none() | st.integers(0, 6), label="fix_s")
+    cells = st.sets(st.integers(1, b), max_size=2)
+    forced_nonnull = draw(cells, label="forced_nonnull")
+    forced_null = draw(cells.map(lambda c: c - forced_nonnull), label="forced_null")
+    return PopulationSpec(
+        b=b, fix_t=t, fix_s=s, forced_nonnull=forced_nonnull, forced_null=forced_null
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(population_specs())
+def test_enumeration_is_the_filtered_value_grid(spec):
+    """With s set, every natural vector of sum s that fits; count-only, every 0/1 placement."""
+    vectors = list(enumerate_population(spec))
+    assert len(set(vectors)) == len(vectors)
+    grid = product(range(spec.fix_s + 1) if spec.fix_s is not None else (0, 1), repeat=spec.b)
+    expected = {
+        v for v in grid
+        if (spec.fix_s is None or sum(v) == spec.fix_s)
+        and (spec.fix_t is None or sum(1 for x in v if x) == spec.fix_t)
+        and all(v[p - 1] > 0 for p in spec.forced_nonnull)
+        and not any(v[p - 1] for p in spec.forced_null)
+    }
+    assert set(vectors) == expected
+
+
+def test_sum_only_population_comes_by_support_size():
+    spec = PopulationSpec(b=2, fix_s=2)
+    assert list(enumerate_population(spec)) == [(2, 0), (0, 2), (1, 1)]
+
+
+def test_negative_count_is_an_empty_population():
+    spec = PopulationSpec(b=3, fix_t=-1, query_positions=frozenset({1}))
+    assert list(enumerate_population(spec)) == []
+    with pytest.raises(PopulationError, match="empty population"):
+        population_stats(spec, StatKind.COUNT)
+
+
+def test_product_of_three_blocks():
+    block = PopulationSpec(b=2, fix_t=1, fix_s=2, query_positions=frozenset({1}))
+    mean, variance = two_block_population_stats([block] * 3, StatKind.SUM)
+    # three independent uniform {0, 2} cells
+    assert mean == 3 and variance == 3
+
+
+def test_product_oracle_refuses_no_blocks_and_oversized_products():
+    with pytest.raises(PopulationError):
+        two_block_population_stats([], StatKind.COUNT)
+    block = PopulationSpec(b=8, fix_t=4)  # 70 placements; 70^4 passes the cap
+    with pytest.raises(PopulationError, match="exceeds cap"):
+        two_block_population_stats([block] * 4, StatKind.COUNT)

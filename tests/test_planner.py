@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import islice
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubeprob import (
@@ -15,19 +17,25 @@ from cubeprob import (
     MacroKind,
     Pmf,
     PmfBudgetError,
+    PopulationError,
+    PopulationSpec,
     QueryKind,
     QuerySpec,
     Range,
+    StatKind,
     build_summary,
     count_case1,
     count_case2,
     count_case3,
     decompose,
     detect_macroblocks,
+    enumerate_population,
     estimate,
+    population_stats,
     sum_case1,
     sum_case2,
     sum_case3,
+    two_block_population_stats,
 )
 from cubeprob import bound_tuple as make_bound_tuple
 from conftest import summarized_ranges
@@ -249,3 +257,65 @@ def test_non_uniform_factor_matches_the_per_block_reference(uneven_summary, quer
     partial = [summary.block(index) for index, _ in decompose(summary, query).partial]
     assert len({blk.size for blk in partial}) > 5
     assert estimate(summary, cs, spec) == _reference_estimate(summary, cs, spec)
+
+
+def _block_populations(summary, constraints, spec):
+    """One oracle population per block the query overlaps, straight from the paper's definition.
+
+    Positions number the block's cells in ``Range.cells`` order; the query and
+    the macro-blocks are clipped to the block.  Case 1 knows t alone (count)
+    or s alone (sum), cases 2-3 both, and case 3 the macro-blocks too.
+    """
+    populations = []
+    for blk in summary.blocks:
+        clip = spec.range.intersect(blk.range)
+        if clip is None:
+            continue
+        position = {cell: i for i, cell in enumerate(blk.range.cells(), start=1)}
+        forced = {MacroKind.ALL_NULL: set(), MacroKind.ALL_NONNULL: set()}
+        for macro in constraints.blocks if constraints else ():
+            part = macro.range.intersect(blk.range)
+            if part is not None:
+                forced[macro.kind].update(position[cell] for cell in part.cells())
+        is_count = spec.kind is QueryKind.COUNT
+        populations.append(PopulationSpec(
+            b=blk.size,
+            fix_t=blk.count if spec.case > 1 or is_count else None,
+            fix_s=blk.sum if spec.case > 1 or not is_count else None,
+            forced_nonnull=frozenset(forced[MacroKind.ALL_NONNULL]),
+            forced_null=frozenset(forced[MacroKind.ALL_NULL]),
+            query_positions=frozenset(position[cell] for cell in clip.cells()),
+        ))
+    return populations
+
+
+def _members_up_to(population, limit):
+    """The population's size, or ``limit + 1`` once it is known to be larger."""
+    try:
+        return sum(1 for _ in islice(enumerate_population(population), limit + 1))
+    except PopulationError:  # its size bound passes the oracle's cap
+        return limit + 1
+
+
+@settings(deadline=None, max_examples=400)
+@given(summarized_ranges(max_ndim=2, max_len=6, max_value=2), st.data())
+def test_estimate_equals_the_product_population_of_its_blocks(case, data):
+    cube, summary, query = case
+    assume(cube.size <= 12)
+    spec = QuerySpec(
+        query,
+        data.draw(st.sampled_from(QueryKind), label="kind"),
+        data.draw(st.integers(1, 3), label="case"),
+    )
+    constraints = None
+    if spec.case == 3:
+        constraints = detect_macroblocks(cube, data.draw(st.integers(1, 6), label="min_cells"))
+    populations = _block_populations(summary, constraints, spec)
+    assume(prod(_members_up_to(p, 5000) for p in populations) <= 5000)
+    stat = StatKind(spec.kind.value)
+    est = estimate(summary, constraints, spec)
+    assert (est.mean, est.variance) == two_block_population_stats(populations, stat)
+    # the product's extremes are the sums of the blocks' extremes
+    pmfs = [population_stats(p, stat)[0] for p in populations]
+    top, bottom = sum(p.max_value() for p in pmfs), sum(p.min_value() for p in pmfs)
+    assert est.max_error >= max(top - est.mean, est.mean - bottom)
