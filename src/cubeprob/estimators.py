@@ -20,7 +20,7 @@ coordinates: cases 1-2 draw (b, t, b_in, 0) and case 3 removes the located
 cells first.  The law table ``_LAWS`` is the one place where a (kind, case)
 picks its law, an integer moment kernel paired with an integer pmf-weights
 builder; the public estimators and the planner both answer through it, and
-exact pmfs divide their stepped integer weights once.
+an exact pmf keeps its stepped integer weights over their one total.
 
 All probabilities, means, variances and maximum-error bounds are exact
 rationals over arbitrary-precision integers; float views are provided at the
@@ -34,9 +34,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
-from math import comb, lcm, sqrt
-from operator import add, itemgetter, mul, sub
+from math import comb, gcd, lcm, sqrt
+from operator import add, index, lt, mul, sub
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .constraints import BoundTuple
@@ -44,8 +45,6 @@ from .core import _check_realizable
 from .errors import InfeasibleError, PmfBudgetError
 
 DEFAULT_PMF_BUDGET = 10_000
-
-_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -108,95 +107,108 @@ def n_config_count(t_hi: int, t: int, s: int, t_lo: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, init=False)
 class _ExactLaw:
-    """Validation, integer-weight construction and lookup shared by the pmf types.
+    """Validation, construction and lookup shared by the pmf types.
 
-    Subclasses are frozen dataclasses whose ``support`` holds
-    ``(key, probability)`` pairs in strictly increasing key order; ``_key``
-    coerces a key and ``_name`` names the type in error messages.
+    A law is integer ``weights`` at strictly increasing integer ``keys`` over
+    their sum ``total``, all divided by their gcd so that equal laws have
+    equal fields; ``support`` holds its (key, probability) pairs, built on
+    first read.  ``_key`` coerces a key and ``_name`` names the type in errors.
     """
 
-    support: tuple
+    keys: tuple
+    weights: tuple[int, ...]
+    total: int
     _name = "pmf"
-    _key = int
+    _key = index
 
-    def __post_init__(self) -> None:
-        entries = tuple(
-            (self._key(k), p if type(p) is Fraction else Fraction(p)) for k, p in self.support
-        )
-        object.__setattr__(self, "support", entries)
-        if not entries:
+    def __init__(self, support: tuple) -> None:
+        probs = [Fraction(p) for _, p in support]
+        common = lcm(*(p.denominator for p in probs))
+        self._set([k for k, _ in support], [p.numerator * common // p.denominator for p in probs], common)
+
+    def _set(self, keys, weights, total: int):
+        """Check the law in integers, store it divided by the weights' gcd, return it."""
+        try:
+            keys = tuple(map(self._key, keys))
+        except TypeError:
+            raise ValueError(f"{self._name} keys must be integers") from None
+        if not keys:
             raise ValueError(f"a {self._name} needs at least one support point")
-        keys = [k for k, _ in entries]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
+        if not all(map(lt, keys, keys[1:])):
             raise ValueError(f"{self._name} support must strictly increase")
-        if any(p.numerator <= 0 for _, p in entries):
+        if min(weights) <= 0:
             raise ValueError(f"{self._name} probabilities must be positive")
-        common = lcm(*(p.denominator for _, p in entries))
-        if sum(p.numerator * (common // p.denominator) for _, p in entries) != common:
+        if sum(weights) != total:
             raise ValueError(f"{self._name} probabilities must sum to exactly 1")
+        g = gcd(*weights)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "weights", tuple(w // g for w in weights))
+        object.__setattr__(self, "total", total // g)
+        return self
 
     @classmethod
     def from_weights(cls, weights: Mapping, denominator: int | None = None):
         total = sum(weights.values()) if denominator is None else denominator
         if total <= 0:
             raise InfeasibleError("empty distribution: no compatible configuration")
-        return cls(tuple((k, Fraction(w, total)) for k, w in sorted(weights.items()) if w))
+        keys = sorted(k for k, w in weights.items() if w)
+        return cls.__new__(cls)._set(keys, [weights[k] for k in keys], total)
+
+    @cached_property
+    def support(self) -> tuple:
+        return tuple((k, Fraction(w, self.total)) for k, w in zip(self.keys, self.weights))
 
     def _prob(self, key) -> Fraction:
-        i = bisect_left(self.support, key, key=itemgetter(0))
-        if i < len(self.support) and self.support[i][0] == key:
-            return self.support[i][1]
-        return _ZERO
+        i = bisect_left(self.keys, key)
+        found = i < len(self.keys) and self.keys[i] == key
+        return Fraction(self.weights[i] if found else 0, self.total)
 
 
-@dataclass(frozen=True)
 class Pmf(_ExactLaw):
     """Exact probability mass function over integer values."""
 
-    support: tuple[tuple[int, Fraction], ...]
-
     @classmethod
     def point(cls, value: int) -> "Pmf":
-        return cls(((value, Fraction(1)),))
+        return cls.from_weights({value: 1})
 
     def prob(self, value: int) -> Fraction:
         return self._prob(value)
 
     def mean(self) -> Fraction:
-        return sum((p * v for v, p in self.support), _ZERO)
+        return Fraction(sum(map(mul, self.keys, self.weights)), self.total)
 
     def variance(self) -> Fraction:
-        mu = self.mean()
-        return sum((p * v * v for v, p in self.support), _ZERO) - mu * mu
+        first = sum(map(mul, self.keys, self.weights))
+        second = sum(map(mul, self.keys, map(mul, self.keys, self.weights)))
+        return Fraction(second * self.total - first * first, self.total * self.total)
 
     def min_value(self) -> int:
-        return self.support[0][0]
+        return self.keys[0]
 
     def max_value(self) -> int:
-        return self.support[-1][0]
+        return self.keys[-1]
 
     def shifted(self, delta: int) -> "Pmf":
-        return Pmf(tuple((v + delta, p) for v, p in self.support))
+        return Pmf.__new__(Pmf)._set([v + delta for v in self.keys], self.weights, self.total)
 
 
-@dataclass(frozen=True)
 class JointPmf(_ExactLaw):
     """Exact joint distribution of (count, sum) inside a query range."""
 
-    support: tuple[tuple[tuple[int, int], Fraction], ...]
     _name = "joint pmf"
 
     @staticmethod
     def _key(key: tuple[int, int]) -> tuple[int, int]:
         t_in, s_in = key
-        return int(t_in), int(s_in)
+        return index(t_in), index(s_in)
 
     def _marginal(self, axis: int) -> Pmf:
-        acc: dict[int, Fraction] = {}
-        for key, p in self.support:
-            acc[key[axis]] = acc.get(key[axis], _ZERO) + p
-        return Pmf(tuple(sorted(acc.items())))
+        acc: dict[int, int] = {}
+        for key, w in zip(self.keys, self.weights):
+            acc[key[axis]] = acc.get(key[axis], 0) + w
+        return Pmf.from_weights(acc, self.total)
 
     def marginal_count(self) -> Pmf:
         return self._marginal(0)
@@ -289,7 +301,7 @@ def _check_pmf_budget(b: int, s: int, budget: int | None) -> None:
 # mean_den, var_num, var_den, err_num, err_den): the public estimators wrap
 # them in an Estimate, and the planner adds their numerators over a query's
 # partial blocks and divides once per moment.  A builder returns integer
-# weights by value and their total, which the pmf divides by once.
+# weights by value and their total, which the pmf keeps, divided by their gcd.
 _Draw = tuple[int, int, int, int]
 _Moments = tuple[int, int, int, int, int, int]
 _Weights = tuple[dict, int]

@@ -71,8 +71,8 @@ def _size_bound(spec: PopulationSpec) -> int:
         splits = comb(max(spec.fix_s - 1, 0), max(spec.fix_s - spec.fix_t, 0))
         return placements * max(splits, 1)
     if spec.fix_s is not None:
-        cells = spec.b - len(spec.forced_null)
-        return comb(cells + spec.fix_s - 1, spec.fix_s) if cells else 1
+        cells, s = spec.b - len(spec.forced_null), max(spec.fix_s, 0)
+        return comb(cells + s - 1, s) if cells else 1
     return comb(max(free, 0), max(spec.fix_t - len(spec.forced_nonnull), 0))
 
 
@@ -157,18 +157,12 @@ def _product_counts(specs: Sequence[PopulationSpec], stat: StatKind) -> dict[int
     return counts
 
 
-def _moments(counts: dict[int, int]) -> tuple[Fraction, Fraction]:
-    n = sum(counts.values())
-    mean = Fraction(sum(v * c for v, c in counts.items()), n)
-    return mean, Fraction(sum(v * v * c for v, c in counts.items()), n) - mean * mean
-
-
 def population_stats(
     spec: PopulationSpec, stat: StatKind
 ) -> tuple[Pmf, Fraction, Fraction]:
     """Exact empirical (pmf, mean, variance) of the statistic over the population."""
-    counts = _product_counts([spec], stat)
-    return Pmf.from_weights(counts), *_moments(counts)
+    pmf = Pmf.from_weights(_product_counts([spec], stat))
+    return pmf, pmf.mean(), pmf.variance()
 
 
 def two_block_population_stats(
@@ -182,4 +176,5 @@ def two_block_population_stats(
     result can audit the planner's additive composition; a product larger
     than ``MAX_POPULATION`` is refused before it is enumerated.
     """
-    return _moments(_product_counts(specs, stat))
+    pmf = Pmf.from_weights(_product_counts(specs, stat))
+    return pmf.mean(), pmf.variance()

@@ -104,8 +104,8 @@ def estimate(
         variance[var_den] = variance.get(var_den, 0) + var_num
         max_error[err_den] = max_error.get(err_den, 0) + err_num
         if want_block_pmf:
-            weights, total = _law_weights(law, draw, t, s, blk.size, DEFAULT_PMF_BUDGET)
-            pmf = Pmf.from_weights({v + exact_shift: w for v, w in weights.items()}, total)
+            weights = _law_weights(law, draw, t, s, blk.size, DEFAULT_PMF_BUDGET)
+            pmf = Pmf.from_weights(*weights).shifted(exact_shift)
     return Estimate(_ratio(mean), _ratio(variance), _ratio(max_error), pmf)
 
 

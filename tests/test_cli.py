@@ -426,7 +426,8 @@ def test_summarize_malformed_boundaries_exit_2(reference_files, tmp_path, capsys
     {"fix_t": 1, "query_positions": [1]},
     {"b": 3, "fix_t": 1, "query_positions": [1], "stat": "mean"},
     {"b": 3, "fix_t": -1, "query_positions": [1]},  # an empty population
-], ids=["missing-b", "unknown-stat", "negative-fix-t"])
+    {"b": 3, "fix_s": -1},  # an empty population too
+], ids=["missing-b", "unknown-stat", "negative-fix-t", "negative-fix-s"])
 def test_oracle_malformed_spec_exits_2(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

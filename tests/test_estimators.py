@@ -363,8 +363,13 @@ def test_prob_looks_up_the_support():
         ((F(1, 2), F(1, 2)), (1, 1), "increase"),
         ((0.1, 0.2, 0.7), (0, 1, 2), "exactly 1"),
         ((0.1, 0.9), (0, 1), "exactly 1"),
+        ((F(1, 2), F(1, 2)), (1.5, 2.9), "keys must be integers"),
+        ((F(1),), ("3",), "keys must be integers"),
     ],
-    ids=["zero", "negative", "above-1", "below-1", "decreasing", "repeated", "floats", "float-pair"],
+    ids=[
+        "zero", "negative", "above-1", "below-1", "decreasing", "repeated", "floats", "float-pair",
+        "float-keys", "string-key",
+    ],
 )
 def test_pmf_types_refuse_an_invalid_law(make, probs, keys, match):
     if make is JointPmf:
@@ -378,6 +383,48 @@ def test_pmf_types_accept_exact_probabilities_of_any_number_type():
     pmf = Pmf(((0, 0.5), (1, 0.25), (2, F(1, 4))))
     assert pmf.support == ((0, F(1, 2)), (1, F(1, 4)), (2, F(1, 4)))
     assert JointPmf((((2, 3), 1),)).support == (((2, 3), F(1)),)
+
+
+def _fraction_mean(support) -> Fraction:
+    return sum((p * v for v, p in support), F(0))
+
+
+def _fraction_variance(support) -> Fraction:
+    mu = _fraction_mean(support)
+    return sum((p * v * v for v, p in support), F(0)) - mu * mu
+
+
+def _fraction_marginal(support, axis: int) -> tuple:
+    acc: dict[int, Fraction] = {}
+    for key, p in support:
+        acc[key[axis]] = acc.get(key[axis], F(0)) + p
+    return tuple(sorted(acc.items()))
+
+
+weight_maps = st.dictionaries(st.integers(-30, 30), st.integers(1, 10**6), min_size=1, max_size=12)
+joint_weight_maps = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 30)), st.integers(1, 10**6), min_size=1, max_size=12
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(weight_maps, joint_weight_maps, st.integers(1, 10**12))
+def test_integer_weight_laws_agree_with_their_fraction_support(weights, joint_weights, k):
+    """Scaled weights give an equal law; the support rebuilds it; the integer
+    moments and marginals equal their Fraction sums over the support."""
+    pmf, joint = Pmf.from_weights(weights), JointPmf.from_weights(joint_weights)
+    for law, raw in ((pmf, weights), (joint, joint_weights)):
+        scaled = type(law).from_weights({key: k * w for key, w in raw.items()})
+        assert scaled == law and hash(scaled) == hash(law)
+        assert type(law)(law.support) == law
+        assert sum(p for _, p in law.support) == 1
+    assert pmf.mean() == _fraction_mean(pmf.support)
+    assert pmf.variance() == _fraction_variance(pmf.support)
+    assert pmf.shifted(-7).support == tuple((v - 7, p) for v, p in pmf.support)
+    for axis, marginal in enumerate((joint.marginal_count(), joint.marginal_sum())):
+        assert marginal.support == _fraction_marginal(joint.support, axis)
+        assert marginal.mean() == _fraction_mean(marginal.support)
+        assert marginal.variance() == _fraction_variance(marginal.support)
 
 
 aggregates = st.tuples(st.integers(2, 6), st.integers(0, 6), st.integers(0, 8), st.integers(1, 5)).map(
