@@ -201,7 +201,10 @@ class JointPmf(_ExactLaw):
 
     @staticmethod
     def _key(key: tuple[int, int]) -> tuple[int, int]:
-        t_in, s_in = key
+        try:
+            t_in, s_in = key
+        except (TypeError, ValueError):
+            raise ValueError(f"joint pmf keys must be (count, sum) pairs, got {key!r}") from None
         return index(t_in), index(s_in)
 
     def _marginal(self, axis: int) -> Pmf:

@@ -89,27 +89,23 @@ def cva_estimate(bucket: Bucket, q: BucketQuery, want_pmf: bool = False) -> Esti
 def biased_estimate(bucket: Bucket, q: BucketQuery, want_pmf: bool = False) -> Estimate:
     """Sum estimate exploiting the bucket's known non-null extremes.
 
-    A high-biased bucket mirrors to the low-biased case by swapping which
-    extreme the query touches; the four resulting configurations map onto the
-    constrained estimator via ``t_hi_blk = b``, ``t_hi_in = b_in`` and
+    With ``low`` and ``high`` saying which extremes are known, the bucket maps
+    onto the constrained estimator via ``t_hi_blk = b``, ``t_hi_in = b_in`` and
 
-        one extreme known:  t_lo_blk = 1, t_lo_in = 1 if the query covers it
-        both extremes known: t_lo_blk = 2, t_lo_in = 1 if the query covers one
+        t_lo_blk = low + high
+        t_lo_in = (low and touches_low) + (high and touches_high)
+
+    A partial query touches at most one extreme, so ``t_lo_in <= 1``.
     """
     _check_query(bucket, q)
     if bucket.bias is BucketBias.NONE:
         raise InfeasibleError("bucket carries no bias information; use cva_estimate")
     if q.b_in == bucket.b:
         return _exact_full_bucket(bucket, want_pmf)
-    touches_low, touches_high = q.touches_low, q.touches_high
-    if bucket.bias is BucketBias.HIGH:
-        touches_low, touches_high = touches_high, touches_low
-    if bucket.bias is BucketBias.BOTH:
-        t_lo_blk = 2
-        t_lo_in = 1 if (touches_low or touches_high) else 0
-    else:
-        t_lo_blk = 1
-        t_lo_in = 1 if touches_low else 0
+    low = bucket.bias in (BucketBias.LOW, BucketBias.BOTH)
+    high = bucket.bias in (BucketBias.HIGH, BucketBias.BOTH)
+    t_lo_blk = low + high
+    t_lo_in = (low and q.touches_low) + (high and q.touches_high)
     bt = BoundTuple(
         t_lo_in=t_lo_in,
         t_hi_in=q.b_in,

@@ -90,7 +90,7 @@ def estimate(
     case, query = spec.case, spec.range
     law = _LAWS[spec.kind.value, case]
     kernel = law.kernel
-    for _, blk in split.shell:
+    for blk in split.shell:
         t, s, r = blk.count, blk.sum, blk.range
         if case == 3:
             draw = _shifted_coordinates(bound_tuple(constraints, r, query.intersect(r)), t, s)

@@ -140,22 +140,14 @@ class _Split(NamedTuple):
 
     ``lo..hi`` is the box of block indices totally inside the query (an axis
     with ``hi == lo - 1`` leaves it empty); ``shell`` holds every other
-    overlapped block as ``(index, summary)``, in row-major order.
+    overlapped block, in row-major order.  Each row of the overlapped box
+    along the last axis is one slice of the row-major block tuple; a row whose
+    leading indices all lie inside the inner box leaves out its inner run.
     """
 
     lo: Coords
     hi: Coords
-    shell: tuple[tuple[Coords, BlockSummary], ...]
-
-
-def _shell(runs: Sequence[range], inner: Sequence[range]) -> Iterator[Coords]:
-    """Indices of ``product(*runs)`` outside ``product(*inner)``, row-major."""
-    if not runs:
-        return
-    for k in runs[0]:
-        tails = _shell(runs[1:], inner[1:]) if k in inner[0] else _iproduct(*runs[1:])
-        for tail in tails:
-            yield (k, *tail)
+    shell: tuple[BlockSummary, ...]
 
 
 @dataclass(frozen=True)
@@ -206,10 +198,18 @@ class CompressedDatacube:
             stop = last + (axis[last] == hi_q)
             runs.append(range(first, last + 1))
             inner.append(range(start, max(start, stop)))
-        shape, blocks = factor.shape, self.blocks
-        shell = tuple((index, blocks[_offset(index, shape)]) for index in _shell(runs, inner))
+        shape, blocks, shell = factor.shape, self.blocks, []
+        *heads, row = runs
+        cut_lo, cut_hi = inner[-1].start - row.start, inner[-1].stop - row.start
+        for lead in _iproduct(*heads):
+            base = _offset((*lead, row.start), shape)
+            end = base + len(row)
+            if all(k in axis for k, axis in zip(lead, inner)):
+                shell += blocks[base:base + cut_lo] + blocks[base + cut_hi:end]
+            else:
+                shell += blocks[base:end]
         return _Split(
-            tuple(k.start for k in inner), tuple(k.stop - 1 for k in inner), shell
+            tuple(k.start for k in inner), tuple(k.stop - 1 for k in inner), tuple(shell)
         )
 
     def total_count(self) -> int:
@@ -247,7 +247,7 @@ def decompose(summary: CompressedDatacube, query: Range) -> RangeDecomposition:
     """
     split = summary._split(query)
     total = _iproduct(*(range(l, h + 1) for l, h in zip(split.lo, split.hi)))
-    partial = tuple((index, query.intersect(blk.range)) for index, blk in split.shell)
+    partial = tuple((blk.index, query.intersect(blk.range)) for blk in split.shell)
     return RangeDecomposition(tuple(total), partial)
 
 
@@ -268,14 +268,21 @@ def summary_to_dict(summary: CompressedDatacube) -> dict:
 
 def summary_from_dict(payload: dict) -> CompressedDatacube:
     factor = CompressionFactor(payload["boundaries"])
-    by_index = {tuple(b["index"]): b for b in payload["blocks"]}
+    by_index: dict[Coords, dict] = {}
+    for raw in payload["blocks"]:
+        index = tuple(raw["index"])
+        if index in by_index:
+            raise FactorError(f"summary file repeats block {index}")
+        by_index[index] = raw
     blocks = []
     for index in factor.block_indices():
-        if index not in by_index:
+        raw = by_index.pop(index, None)
+        if raw is None:
             raise FactorError(f"summary file is missing block {index}")
-        raw = by_index[index]
         count, total = _naturals((raw["count"], raw["sum"]), f"block {index} count and sum")
         blocks.append(BlockSummary(index, factor.block_range(index), count, total))
+    if by_index:
+        raise FactorError(f"summary file has block {next(iter(by_index))} outside the {factor.shape} grid")
     return CompressedDatacube(factor, tuple(blocks))
 
 

@@ -378,6 +378,12 @@ def test_pmf_types_refuse_an_invalid_law(make, probs, keys, match):
         make(tuple(zip(keys, probs)))
 
 
+@pytest.mark.parametrize("key", [(1, 2, 3), 3], ids=["triple", "int"])
+def test_joint_pmf_keys_must_be_count_sum_pairs(key):
+    with pytest.raises(ValueError, match=r"keys must be \(count, sum\) pairs"):
+        JointPmf(((key, 1),))
+
+
 def test_pmf_types_accept_exact_probabilities_of_any_number_type():
     # binary floats that sum to 1 exactly, ints and Fractions are all exact
     pmf = Pmf(((0, 0.5), (1, 0.25), (2, F(1, 4))))

@@ -216,6 +216,25 @@ def test_summary_refuses_non_integral_aggregates(tmp_path, reference_summary, fi
 
 
 @pytest.mark.parametrize(
+    "extra, message",
+    [({"index": [9], "count": 5, "sum": 1}, r"block \(9,\) outside the \(2,\) grid"),
+     ({"index": [2], "count": 1, "sum": 5}, r"repeats block \(2,\)")],
+    ids=["extra", "repeated"],
+)
+def test_summary_file_lists_each_block_once(tmp_path, extra, message):
+    factor = CompressionFactor(((0, 2, 4),))
+    blocks = tuple(BlockSummary((k,), factor.block_range((k,)), 1, 5) for k in (1, 2))
+    payload = summary_to_dict(CompressedDatacube(factor, blocks))
+    payload["blocks"].append(extra)
+    with pytest.raises(FactorError, match=message):
+        summary_from_dict(payload)
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FactorError, match=message):
+        load_summary(str(path))
+
+
+@pytest.mark.parametrize(
     "count, total, message",
     [(3, 2, "count 3 exceeds sum 2"), (0, 4, "sum 4 positive with no non-null cells"), (13, 20, "count 13 outside")],
     ids=["count-over-sum", "sum-without-count", "count-over-size"],
