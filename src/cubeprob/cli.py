@@ -257,6 +257,8 @@ def _cmd_query(args) -> int:
         print("cubeprob: error: --detect-constraints needs --exact CUBE to scan", file=sys.stderr)
         return 1
     cube = load_cube(args.exact) if args.exact else None
+    if cube is not None and cube.dims != summary.dims:
+        raise CubeError(f"--exact cube dims are {cube.dims}, summary dims are {summary.dims}")
     if args.detect_constraints is not None:
         cs = detect_macroblocks(cube, args.detect_constraints)
     else:
@@ -318,8 +320,14 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+_POPULATION_KEYS = ("b", "fix_t", "fix_s", "forced_nonnull", "forced_null", "query_positions", "stat")
+
+
 def _population(payload) -> tuple[PopulationSpec, StatKind]:
     raw = dict(payload)
+    unknown = sorted(raw.keys() - set(_POPULATION_KEYS))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; a spec takes {', '.join(_POPULATION_KEYS)}")
     spec = PopulationSpec(
         b=raw["b"],
         fix_t=raw.get("fix_t"),

@@ -449,7 +449,7 @@ def constraints_to_dict(cs: ConstraintSet) -> dict:
 def constraints_from_dict(payload: dict) -> ConstraintSet:
     blocks = tuple(
         MacroBlock(Range(tuple(raw["lo"]), tuple(raw["hi"])), MacroKind(raw["kind"]))
-        for raw in payload.get("macro_blocks", [])
+        for raw in payload["macro_blocks"]
     )
     return ConstraintSet(blocks)
 

@@ -402,7 +402,9 @@ def _load_json(path: str, parse: Callable[..., _T], error: type[CubeError], what
         payload = json.load(handle)
     try:
         return parse(payload)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise error(f"malformed {what} file {path}: missing key {exc}")
+    except (TypeError, ValueError) as exc:
         raise error(f"malformed {what} file {path}: {exc}")
 
 

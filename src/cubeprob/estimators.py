@@ -19,8 +19,11 @@ Every law reads one hypergeometric draw (n, m, l, shift) in shifted
 coordinates: cases 1-2 draw (b, t, b_in, 0) and case 3 removes the located
 cells first.  The law table ``_LAWS`` is the one place where a (kind, case)
 picks its law, an integer moment kernel paired with an integer pmf-weights
-builder; the public estimators and the planner both answer through it, and
-an exact pmf keeps its stepped integer weights over their one total.
+builder, and ``_compose`` is the one place where an answer is built: an exact
+shift plus one independent draw of that law per block.  The public
+estimators (one draw), the planner (one per partial block) and the histogram
+(none for a full bucket) all answer through it, and an exact pmf keeps its
+stepped integer weights over their one total.
 
 All probabilities, means, variances and maximum-error bounds are exact
 rationals over arbitrary-precision integers; float views are provided at the
@@ -227,12 +230,10 @@ class JointPmf(_ExactLaw):
 class Estimate:
     """Mean, variance and a worst-case error bound; optionally the full pmf.
 
-    From a single-block estimator, ``max_error`` is exact (a rational): it
-    equals the largest possible |true answer - mean| over the compatible
-    population, and is attained by some member of it.  From the planner's
-    ``estimate`` it is the sum of the partial blocks' bounds: it dominates
-    every member, but is attained only when every block's worse side (above
-    or below its mean) is the same side.
+    ``max_error`` is the sum of the blocks' bounds on |true answer - mean|.
+    It dominates every member of the compatible population and, for one
+    block, is attained by one; over several it is attained only when every
+    block's worse side (above or below its mean) is the same side.
     """
 
     mean: Fraction
@@ -301,10 +302,10 @@ def _check_pmf_budget(b: int, s: int, budget: int | None) -> None:
 # A law pairs a moment kernel with a pmf-weights builder, both called with the
 # draw (n, m, l, shift) and the block's count t and sum s.  A kernel returns
 # the mean, variance and max error as unreduced integer ratios (mean_num,
-# mean_den, var_num, var_den, err_num, err_den): the public estimators wrap
-# them in an Estimate, and the planner adds their numerators over a query's
-# partial blocks and divides once per moment.  A builder returns integer
-# weights by value and their total, which the pmf keeps, divided by their gcd.
+# mean_den, var_num, var_den, err_num, err_den): _compose adds their
+# numerators over a query's blocks and divides once per moment.  A builder
+# returns integer weights by value and their total, which the pmf keeps,
+# divided by their gcd.
 _Draw = tuple[int, int, int, int]
 _Moments = tuple[int, int, int, int, int, int]
 _Weights = tuple[dict, int]
@@ -470,15 +471,39 @@ def _law_weights(law: _Law, draw: _Draw, t: int, s: int, b: int, pmf_budget: int
     return law.weights(*draw, t, s)
 
 
-def _answer(
-    law: _Law, draw: _Draw, t: int, s: int, want_pmf: bool, b: int, pmf_budget: int | None
+def _compose(
+    law: _Law, draws: list[tuple[_Draw, int, int, int]], shift: int, want_pmf: bool, pmf_budget: int | None
 ) -> Estimate:
-    """``law``'s Estimate for ``draw`` in a block of b cells; the exact pmf when ``want_pmf``."""
-    pmf = Pmf.from_weights(*_law_weights(law, draw, t, s, b, pmf_budget)) if want_pmf else None
-    mean_num, mean_den, var_num, var_den, err_num, err_den = law.kernel(*draw, t, s)
-    return Estimate(
-        Fraction(mean_num, mean_den), Fraction(var_num, var_den), Fraction(err_num, err_den), pmf
-    )
+    """The Estimate of ``shift`` plus one independent draw of ``law`` per (draw, t, s, b) in ``draws``.
+
+    Each block's kernel numerators add per denominator, and each moment becomes
+    one exact fraction.  When ``want_pmf``, the pmf is the point mass at
+    ``shift`` with no draw, the one draw's law (budgeted for its b cells) moved
+    by ``shift`` with one, and None with more.
+    """
+    # numerators of each moment, keyed by their denominator
+    mean: dict[int, int] = {1: shift}
+    variance: dict[int, int] = {}
+    max_error: dict[int, int] = {}
+    kernel = law.kernel
+    for draw, t, s, _ in draws:
+        mean_num, mean_den, var_num, var_den, err_num, err_den = kernel(*draw, t, s)
+        mean[mean_den] = mean.get(mean_den, 0) + mean_num
+        variance[var_den] = variance.get(var_den, 0) + var_num
+        max_error[err_den] = max_error.get(err_den, 0) + err_num
+    pmf = None
+    if want_pmf and not draws:
+        pmf = Pmf.point(shift)
+    elif want_pmf and len(draws) == 1:
+        pmf = Pmf.from_weights(*_law_weights(law, *draws[0], pmf_budget))
+        pmf = pmf.shifted(shift) if shift else pmf
+    return Estimate(_ratio(mean), _ratio(variance), _ratio(max_error), pmf)
+
+
+def _ratio(parts: dict[int, int]) -> Fraction:
+    """The sum of ``numerator/denominator`` over ``parts``, over their least common multiple."""
+    common = lcm(*parts)
+    return Fraction(sum(num * (common // den) for den, num in parts.items()), common)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +523,8 @@ def count_case1(
 
     with mean (b_in/b)*t and variance t*(b-t)*b_in*(b-b_in) / (b^2*(b-1)).
     """
-    draw = agg.b, agg.t, agg.b_in, 0
-    return _answer(_LAWS["count", 1], draw, agg.t, agg.s, want_pmf, agg.b, pmf_budget)
+    draws = [((agg.b, agg.t, agg.b_in, 0), agg.t, agg.s, agg.b)]
+    return _compose(_LAWS["count", 1], draws, 0, want_pmf, pmf_budget)
 
 
 def sum_case1(
@@ -516,8 +541,8 @@ def sum_case1(
     The answer can be anything from 0 to s, so the worst-case error is
     max(mean, s - mean).
     """
-    draw = agg.b, agg.t, agg.b_in, 0
-    return _answer(_LAWS["sum", 1], draw, agg.t, agg.s, want_pmf, agg.b, pmf_budget)
+    draws = [((agg.b, agg.t, agg.b_in, 0), agg.t, agg.s, agg.b)]
+    return _compose(_LAWS["sum", 1], draws, 0, want_pmf, pmf_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +638,9 @@ def count_case3(
     out of n = t_hi_blk - t_lo_blk free block slots hold h of the
     m = t - t_lo_blk free non-nulls, and the count is t_lo_in + h.
     """
-    draw = _shifted_coordinates(bt, t)
     # the count law reads no sum, so 0 stands in for the unknown s
-    return _answer(_LAWS["count", 3], draw, t, 0, want_pmf, bt.b_blk, pmf_budget)
+    draws = [(_shifted_coordinates(bt, t), t, 0, bt.b_blk)]
+    return _compose(_LAWS["count", 3], draws, 0, want_pmf, pmf_budget)
 
 
 def sum_case3(
@@ -637,5 +662,5 @@ def sum_case3(
 
         variance = s*(s-t)*c*(t*d-c)/(t^2*(t+1)*d^2) + Var K * s*(s+1)/(t*(t+1)).
     """
-    draw = _shifted_coordinates(bt, t, s)
-    return _answer(_LAWS["sum", 3], draw, t, s, want_pmf, bt.b_blk, pmf_budget)
+    draws = [(_shifted_coordinates(bt, t, s), t, s, bt.b_blk)]
+    return _compose(_LAWS["sum", 3], draws, 0, want_pmf, pmf_budget)

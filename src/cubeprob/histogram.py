@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .constraints import BoundTuple
 from .core import _check_realizable
 from .errors import InfeasibleError
-from .estimators import BlockAggregates, Estimate, Pmf, sum_case2, sum_case3
+from .estimators import _LAWS, BlockAggregates, Estimate, _compose, sum_case2, sum_case3
 
 
 class BucketBias(Enum):
@@ -68,11 +67,6 @@ def _check_query(bucket: Bucket, q: BucketQuery) -> None:
         )
 
 
-def _exact_full_bucket(bucket: Bucket, want_pmf: bool) -> Estimate:
-    pmf = Pmf.point(bucket.s) if want_pmf else None
-    return Estimate(Fraction(bucket.s), Fraction(0), Fraction(0), pmf)
-
-
 def cva_estimate(bucket: Bucket, q: BucketQuery, want_pmf: bool = False) -> Estimate:
     """Continuous-value-assumption estimate: linear interpolation with its variance.
 
@@ -81,7 +75,7 @@ def cva_estimate(bucket: Bucket, q: BucketQuery, want_pmf: bool = False) -> Esti
     """
     _check_query(bucket, q)
     if q.b_in == bucket.b:
-        return _exact_full_bucket(bucket, want_pmf)
+        return _compose(_LAWS["sum", 2], [], bucket.s, want_pmf, None)
     agg = BlockAggregates(bucket.b, bucket.t, bucket.s, q.b_in)
     return sum_case2(agg, want_pmf)
 
@@ -101,7 +95,7 @@ def biased_estimate(bucket: Bucket, q: BucketQuery, want_pmf: bool = False) -> E
     if bucket.bias is BucketBias.NONE:
         raise InfeasibleError("bucket carries no bias information; use cva_estimate")
     if q.b_in == bucket.b:
-        return _exact_full_bucket(bucket, want_pmf)
+        return _compose(_LAWS["sum", 2], [], bucket.s, want_pmf, None)
     low = bucket.bias in (BucketBias.LOW, BucketBias.BOTH)
     high = bucket.bias in (BucketBias.HIGH, BucketBias.BOTH)
     t_lo_blk = low + high

@@ -6,27 +6,24 @@ add a known constant, the exact shift, read in 2^r lookups from the
 summary's prefix sums over the block grid, so their number does not matter.
 Only the shell carries uncertainty: the query's law is picked once from the
 estimators' law table, the one place where the case chooses it, and the
-loop runs over the shell blocks alone, calling that law's integer moment
-kernel once each.  Numerators add per denominator, and each moment becomes
-one exact fraction per query.  Means add by linearity.  Variances add
-exactly: the aggregates and the macro-blocks both act block by block, so the
-compatible population is a product over blocks, in which the blocks are
-independent.  The worst-case error bound is the sum of the per-block bounds:
-it dominates every member, but is attained only when every block's worse side
-(above or below its mean) is the same side.
+loop takes one draw of that law per shell block.  The estimators'
+``_compose`` turns the shift and the draws into the Estimate; the public
+estimators, this planner and the histogram all compose through that one
+function.  Means add by linearity.  Variances add exactly: the aggregates
+and the macro-blocks both act block by block, so the compatible population
+is a product over blocks, in which the blocks are independent.  The
+worst-case error bound is the sum of the per-block bounds (see ``Estimate``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from math import lcm
 
 from .constraints import ConstraintSet, bound_tuple, validate
 from .core import Range
 from .errors import ConstraintError
-from .estimators import DEFAULT_PMF_BUDGET, _LAWS, Estimate, Pmf, _law_weights, _shifted_coordinates
+from .estimators import DEFAULT_PMF_BUDGET, _LAWS, Estimate, _compose, _shifted_coordinates
 from .summary import CompressedDatacube
 
 # Not called here, but kept bound: bench/tracing.py patches these names on
@@ -62,9 +59,9 @@ def estimate(
 ) -> Estimate:
     """Estimate a count/sum query against the summary.
 
-    The pmf is attached only when at most one block is partially covered, in
-    which case the totally-contained blocks contribute a constant shift of
-    its support.
+    The answer is the exact shift plus one draw per shell block, composed by
+    the estimators' ``_compose``, which also attaches the pmf when at most
+    one block is partially covered.
     """
     if spec.case == 3:
         if constraints is None:
@@ -76,40 +73,18 @@ def estimate(
     split = summary._split(spec.range)
     is_count = spec.kind is QueryKind.COUNT
     exact_shift = (summary._counts if is_count else summary._sums).total(split.lo, split.hi)
-
-    if not split.shell:
-        pmf = Pmf.point(exact_shift) if spec.want_pmf else None
-        return Estimate(Fraction(exact_shift), Fraction(0), Fraction(0), pmf)
-
-    # numerators of each moment, keyed by their denominator
-    mean: dict[int, int] = {1: exact_shift}
-    variance: dict[int, int] = {}
-    max_error: dict[int, int] = {}
-    pmf = None
-    want_block_pmf = spec.want_pmf and len(split.shell) == 1
     case, query = spec.case, spec.range
-    law = _LAWS[spec.kind.value, case]
-    kernel = law.kernel
+    draws = []
     for blk in split.shell:
         t, s, r = blk.count, blk.sum, blk.range
         if case == 3:
-            draw = _shifted_coordinates(bound_tuple(constraints, r, query.intersect(r)), t, s)
+            bt = bound_tuple(constraints, r, query.intersect(r))
+            draw, b = _shifted_coordinates(bt, t, s), bt.b_blk
         else:
             # Cases 1-2 take the draw under trivial bounds, (n, m, l, shift) =
-            # (size, t, b_in, 0), unchecked: a BlockSummary is realizable and a
-            # shell block holds 1 <= b_in < size cells of the query.
-            draw = blk.size, t, r.overlap_size(query), 0
-        mean_num, mean_den, var_num, var_den, err_num, err_den = kernel(*draw, t, s)
-        mean[mean_den] = mean.get(mean_den, 0) + mean_num
-        variance[var_den] = variance.get(var_den, 0) + var_num
-        max_error[err_den] = max_error.get(err_den, 0) + err_num
-        if want_block_pmf:
-            weights = _law_weights(law, draw, t, s, blk.size, DEFAULT_PMF_BUDGET)
-            pmf = Pmf.from_weights(*weights).shifted(exact_shift)
-    return Estimate(_ratio(mean), _ratio(variance), _ratio(max_error), pmf)
-
-
-def _ratio(parts: dict[int, int]) -> Fraction:
-    """The sum of ``numerator/denominator`` over ``parts``, over their least common multiple."""
-    common = lcm(*parts)
-    return Fraction(sum(num * (common // den) for den, num in parts.items()), common)
+            # (b, t, b_in, 0), unchecked: a BlockSummary is realizable and a
+            # shell block holds 1 <= b_in < b cells of the query.
+            b = blk.size
+            draw = b, t, r.overlap_size(query), 0
+        draws.append((draw, t, s, b))
+    return _compose(_LAWS[spec.kind.value, case], draws, exact_shift, spec.want_pmf, DEFAULT_PMF_BUDGET)

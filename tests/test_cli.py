@@ -427,12 +427,39 @@ def test_summarize_malformed_boundaries_exit_2(reference_files, tmp_path, capsys
     {"b": 3, "fix_t": 1, "query_positions": [1], "stat": "mean"},
     {"b": 3, "fix_t": -1, "query_positions": [1]},  # an empty population
     {"b": 3, "fix_s": -1},  # an empty population too
-], ids=["missing-b", "unknown-stat", "negative-fix-t", "negative-fix-s"])
+    {"b": 4, "fix_t": 2, "query_position": [1, 2]},  # a typo, not zero positions
+], ids=["missing-b", "unknown-stat", "negative-fix-t", "negative-fix-s", "unknown-key"])
 def test_oracle_malformed_spec_exits_2(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["oracle", "--spec", str(path)]) == 2
     assert _one_error_line(capsys.readouterr().err)
+
+
+_CUBE_3X3 = json.dumps({"dims": [3, 3], "cells": [1] * 9})
+
+
+@pytest.mark.parametrize("text, args", [
+    (_CUBE_3X3, ["--exact", "FILE"]),
+    (_CUBE_3X3, ["--case", "3", "--detect-constraints", "3", "--exact", "FILE"]),
+    ("[]", ["--case", "3", "--constraints", "FILE"]),
+    ('"x"', ["--case", "3", "--constraints", "FILE"]),
+    ("{}", ["--case", "3", "--constraints", "FILE"]),
+    (None, ["--case", "3", "--constraints", "FILE"]),  # the summary file itself
+], ids=["exact-3x3", "detect-on-3x3", "constraints-list", "constraints-string", "constraints-empty", "constraints-summary"])
+def test_query_refuses_an_input_file_that_does_not_fit(reference_files, tmp_path, capsys, text, args):
+    _, summary_path, _ = reference_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(summary_path.read_text() if text is None else text)
+    argv = [str(bad) if a == "FILE" else a for a in args]
+    capsys.readouterr()
+    assert main(["query", str(summary_path), "--range", "4:6,1:3", "--kind", "count", *argv]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    if "--exact" in args:
+        assert "(3, 3)" in err and "(10, 6)" in err
+    else:
+        assert "malformed constraints file" in err
 
 
 def test_query_refuses_non_integral_summary_count(reference_files, tmp_path, capsys):

@@ -31,6 +31,14 @@ def test_cva_full_bucket_is_exact():
     assert est.pmf.support == ((7, F(1)),)
 
 
+@pytest.mark.parametrize("bias", [BucketBias.LOW, BucketBias.BOTH], ids=["low", "both"])
+def test_biased_full_bucket_is_exact(bias):
+    query = BucketQuery(3, touches_low=True, touches_high=True)
+    est = biased_estimate(Bucket(3, 2, 7, bias), query, want_pmf=True)
+    assert est.mean == 7 and est.variance == 0 and est.max_error == 0
+    assert est.pmf.support == ((7, F(1)),)
+
+
 def test_cva_empty_bucket():
     est = cva_estimate(Bucket(4, 0, 0), BucketQuery(2, touches_low=True))
     assert est.mean == 0 and est.variance == 0
