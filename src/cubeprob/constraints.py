@@ -262,13 +262,22 @@ def _best_from(
     stride = prod(sub)
     best = None
     common = [True] * stride
+    searched = (0, None)  # the cell count of the last AND searched, and its box
     for hi in range(lo, n):
         slab = mask[hi * stride : (hi + 1) * stride]
         common = [a and b for a, b in zip(common, slab)]
-        if not any(common):
+        left = sum(common)
+        if not left:
             return best, hi
-        size, inner_lo, inner_hi = _largest_box(sub, common)
-        size *= hi - lo + 1
+        length = hi - lo + 1
+        # no box of the AND beats ``best`` unless all its cells could
+        if best is not None and left * length <= best[0]:
+            continue
+        # the AND only loses cells, so an unchanged count is an unchanged AND
+        if searched[0] != left:
+            searched = (left, _largest_box(sub, common))
+        size, inner_lo, inner_hi = searched[1]
+        size *= length
         if best is None or size > best[0]:
             best = (size, (lo + 1, *inner_lo), (hi + 1, *inner_hi))
     return best, n - 1

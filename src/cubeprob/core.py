@@ -18,11 +18,11 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from itertools import product as _iproduct
 from math import prod
-from operator import add, index
-from typing import IO, Callable, Iterable, Iterator, MutableSequence, Sequence, TypeVar
+from operator import add, index, itemgetter, mul, sub
+from typing import Callable, Iterable, Iterator, MutableSequence, Sequence, TypeVar
 
 from .errors import (
     CubeError,
@@ -229,6 +229,14 @@ class Datacube:
                 f"cell array has {len(self.cells)} entries, dims {self.dims} need {expected}"
             )
 
+    @classmethod
+    def _trusted(cls, dims: Coords, cells: tuple[int, ...]) -> "Datacube":
+        """A cube of checked fields: ``dims`` positive ints, ``cells`` prod(dims) naturals."""
+        cube = object.__new__(cls)
+        object.__setattr__(cube, "dims", dims)
+        object.__setattr__(cube, "cells", cells)
+        return cube
+
     @property
     def ndim(self) -> int:
         return len(self.dims)
@@ -278,9 +286,12 @@ class Datacube:
         _check_range(r, self.dims)
 
 
-def _densify(rows: Iterable[tuple[int, Sequence[int]]], dims: Sequence[int]) -> Datacube:
-    """Write ``(line, [c1, ..., cr, value])`` rows of ints into a cube, checking each once.
+def _densify(chunks: Iterable[tuple[int, int, list[int]]], dims: Sequence[int]) -> Datacube:
+    """Write ``(line, k, fields)`` chunks of int rows into a cube, checking each row once.
 
+    A chunk holds ``k`` rows from line ``line`` on: with ``k == 1`` its
+    ``fields`` are one row ``[c1, ..., cr, value]`` of any length, and with
+    ``k > 1`` they are ``k`` such rows of exactly r + 1 fields, back to back.
     ``line`` is the row's CSV line, or 0 for ``from_relation``.  A row needs
     coordinates inside the cube, a natural value, and coordinates no earlier row
     gave (dimensions are a key, even when a value is 0).
@@ -289,30 +300,54 @@ def _densify(rows: Iterable[tuple[int, Sequence[int]]], dims: Sequence[int]) -> 
     width = len(dims) + 1
     cells = [0] * prod(dims)
     first_line = array("q", [-1]) * len(cells)  # 8 B per cell; -1: not given yet
-    for line, fields in rows:
-        off = 0
-        for c, n in zip(fields, dims):
-            if not 0 < c <= n:
-                break
-            off = off * n + c - 1
-        else:
-            if len(fields) == width and fields[-1] >= 0 and first_line[off] < 0:
-                first_line[off] = line
-                cells[off] = fields[-1]
-                continue
-        # refused: check the row again, in order, to say why
-        where = f"line {line}: " if line else ""
-        if line and len(fields) != width:
-            raise RelationFormatError(
-                f"{where}expected {width - 1} coordinates plus a value, got {len(fields)} fields"
+    ones = 1  # Horner's rule over (1, ..., 1); less it, Horner's rule over a row is its offset
+    for n in dims[1:]:
+        ones = ones * n + 1
+    for line, k, fields in chunks:
+        if k > 1:
+            # the chunk at once, column by column: bounds, sign, then keys
+            cols = [fields[q::width] for q in range(width)]
+            if min(cols[-1]) >= 0 and all(0 < min(c) and max(c) <= n for c, n in zip(cols, dims)):
+                offs: Iterable[int] = cols[0]
+                for c, n in zip(cols[1:-1], dims[1:]):
+                    offs = map(add, map(mul, offs, repeat(n)), c)
+                offs = list(map(sub, offs, repeat(ones)))
+                if len(set(offs)) == k and max(itemgetter(*offs)(first_line)) < 0:
+                    # a plain loop stores faster than a map over __setitem__
+                    for off, value, at in zip(offs, cols[-1], count(line)):
+                        cells[off] = value
+                        first_line[off] = at
+                    continue
+            # a row is refused: the loop below finds it and says why
+            rows: Iterable[tuple[int, list[int]]] = zip(
+                count(line), (fields[i : i + width] for i in range(0, len(fields), width))
             )
-        coords = tuple(fields[:-1])
-        _check_coords(coords, dims, where)
-        if fields[-1] < 0:
-            raise RelationFormatError(f"{where}measure value must be a natural, got {fields[-1]}")
-        first = f", first given on line {first_line[off]}" if first_line[off] else ""
-        raise DuplicateKeyError(f"{where}duplicate coordinates {coords}{first}")
-    return Datacube(dims, tuple(cells))
+        else:
+            rows = ((line, fields),)
+        for line, row in rows:
+            off = 0
+            for c, n in zip(row, dims):
+                if not 0 < c <= n:
+                    break
+                off = off * n + c - 1
+            else:
+                if len(row) == width and row[-1] >= 0 and first_line[off] < 0:
+                    first_line[off] = line
+                    cells[off] = row[-1]
+                    continue
+            # refused: check the row again, in order, to say why
+            where = f"line {line}: " if line else ""
+            if line and len(row) != width:
+                raise RelationFormatError(
+                    f"{where}expected {width - 1} coordinates plus a value, got {len(row)} fields"
+                )
+            coords = tuple(row[:-1])
+            _check_coords(coords, dims, where)
+            if row[-1] < 0:
+                raise RelationFormatError(f"{where}measure value must be a natural, got {row[-1]}")
+            first = f", first given on line {first_line[off]}" if first_line[off] else ""
+            raise DuplicateKeyError(f"{where}duplicate coordinates {coords}{first}")
+    return Datacube._trusted(dims, tuple(cells))
 
 
 def from_relation(
@@ -320,13 +355,13 @@ def from_relation(
 ) -> Datacube:
     """Densify ``(coords, value)`` entries into a cube; value 0 and absence both mean null."""
 
-    def rows() -> Iterator[tuple[int, list[int]]]:
+    def rows() -> Iterator[tuple[int, int, list[int]]]:
         for coords, value in tuples:
             try:
                 fields = [*map(index, coords), index(value)]
             except TypeError as exc:
                 raise RelationFormatError(f"non-integer coordinate or value: {exc}") from None
-            yield 0, fields
+            yield 0, 1, fields
 
     return _densify(rows(), dims)
 
@@ -350,36 +385,79 @@ def sum_exact(cube: Datacube, r: Range) -> int:
 
 _NUMBER = re.compile(r"\s*[+-]?\.?\d")  # how every int() field, and 1.5 or .5, starts
 
-
-def _csv_rows(stream: IO[str]) -> Iterator[tuple[int, list[int]]]:
-    """The ``(line, fields)`` int rows of a CSV relation, read lazily."""
-    header_allowed = True
-    for lineno, row in enumerate(csv.reader(stream), start=1):
-        try:
-            fields = list(map(int, row))  # int() ignores surrounding spaces
-        except ValueError:
-            if not "".join(row).strip():
-                continue
-            if header_allowed and not any(map(_NUMBER.match, row)):
-                header_allowed = False
-                continue
-            raise RelationFormatError(f"line {lineno}: non-integer field in {row}") from None
-        if fields:
-            text = "".join(row)
-            if "_" in text or not text.isascii():  # int() also takes 1_0 and non-ASCII digits
-                raise RelationFormatError(f"line {lineno}: non-integer field in {row}")
-            header_allowed = False
-            yield lineno, fields
+_CHUNK = 4096  # raw lines read, parsed and checked at once past the header
 
 
-def read_relation_csv(stream: IO[str], dims: Sequence[int]) -> Datacube:
+def _plain_fields(lines: list[str], commas: int) -> list[int] | None:
+    """The int fields of raw lines that are each one record of plain fields, else None.
+
+    A line qualifies when ``csv.reader`` would cut it at its commas alone: it
+    holds no quote, exactly ``commas`` commas, and a line break only at its
+    end.  Its fields must also be plain ASCII integers, without ``_``.
+    """
+    bodies = list(map(str.rstrip, lines, repeat("\r\n")))
+    text = ",".join(bodies)
+    if '"' in text or "_" in text or "\r" in text or "\n" in text or not text.isascii():
+        return None
+    if list(map(str.count, bodies, repeat(","))).count(commas) != len(bodies):
+        return None
+    try:
+        return list(map(int, text.split(",")))
+    except ValueError:
+        return None
+
+
+def _csv_rows(stream: Iterable[str], commas: int) -> Iterator[tuple[int, int, list[int]]]:
+    """The ``(line, k, fields)`` chunks of int rows of a CSV relation, read lazily.
+
+    The header is settled one ``csv.reader`` record at a time.  Then up to
+    ``_CHUNK`` raw lines at a time are parsed at once when every one is a
+    record of ``commas + 1`` plain fields.  The first chunk that is not hands
+    itself and the rest of the stream back to the same record loop, so
+    quoted, blank and irregular rows keep their line numbers.
+    """
+    source = iter(stream)  # one position that every reader below shares, even over a list of lines
+    records = enumerate(csv.reader(source), start=1)
+    for chunked in (False, True):  # a header is allowed only before the chunks
+        for line, row in records:
+            try:
+                fields = list(map(int, row))  # int() ignores surrounding spaces
+            except ValueError:
+                if not "".join(row).strip():
+                    continue
+                if chunked or any(map(_NUMBER.match, row)):
+                    raise RelationFormatError(f"line {line}: non-integer field in {row}") from None
+                break  # the header
+            if fields:
+                text = "".join(row)
+                if "_" in text or not text.isascii():  # int() also takes 1_0 and non-ASCII digits
+                    raise RelationFormatError(f"line {line}: non-integer field in {row}")
+                yield line, 1, fields
+                if not chunked:
+                    break
+        else:
+            return  # the records ran out (once chunked, they always do)
+        while lines := list(islice(source, _CHUNK)):
+            flat = _plain_fields(lines, commas)
+            if flat is None:
+                break
+            yield line + 1, len(lines), flat
+            line += len(lines)
+        else:
+            return
+        records = enumerate(csv.reader(chain(lines, source)), start=line + 1)
+
+
+def read_relation_csv(stream: Iterable[str], dims: Sequence[int]) -> Datacube:
     """Parse rows of ``d1,...,dr,value`` into a cube.
 
     Blank rows are skipped, and so is a header: the first non-blank row, when
     none of its fields starts like a number (so ``1,x,5`` and ``1.5,2.5,3`` are
-    refused, not skipped).  Errors name the offending 1-based line.
+    refused, not skipped).  Errors name the offending 1-based line.  Past the
+    header, rows are read and checked a chunk of lines at a time, so memory is
+    one chunk plus the cube's own cells and 8 B per cell.
     """
-    return _densify(_csv_rows(stream), dims)
+    return _densify(_csv_rows(stream, len(dims)), dims)
 
 
 def load_relation_csv(path: str, dims: Sequence[int]) -> Datacube:

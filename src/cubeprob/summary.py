@@ -129,7 +129,8 @@ class BlockSummary:
         except InfeasibleError as exc:
             raise InfeasibleError(f"block {self.index}: {exc}") from None
 
-    @property
+    # Cached on the instance, not a field: equality, hashing and JSON ignore it.
+    @cached_property
     def size(self) -> int:
         """Total number of cells in the block."""
         return self.range.size

@@ -1,5 +1,6 @@
 from itertools import combinations_with_replacement, product
 from math import prod
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from cubeprob import (
     validate,
 )
 from cubeprob.constraints import (
+    _best_from,
     _largest_box,
     constraints_from_dict,
     constraints_to_dict,
@@ -258,6 +260,43 @@ def test_largest_box_matches_brute_force(data):
     size, lo, hi = best
     assert size == expected == Range(lo, hi).size
     assert all(mask[_offset(dims, [c - 1 for c in cell])] for cell in Range(lo, hi).cells())
+
+
+def _unpruned_best_from(dims, mask, lo):
+    """``_best_from`` without pruning: every interval searches its AND of slabs."""
+    n, sub = dims[0], dims[1:]
+    stride = prod(sub)
+    best = None
+    common = [True] * stride
+    for hi in range(lo, n):
+        common = [a and b for a, b in zip(common, mask[hi * stride : (hi + 1) * stride])]
+        if not any(common):
+            return best, hi
+        size, inner_lo, inner_hi = _unpruned_largest_box(sub, common)
+        size *= hi - lo + 1
+        if best is None or size > best[0]:
+            best = (size, (lo + 1, *inner_lo), (hi + 1, *inner_hi))
+    return best, n - 1
+
+
+def _unpruned_largest_box(dims, mask):
+    if len(dims) <= 2:
+        return _largest_box(dims, mask)
+    boxes = (_unpruned_best_from(dims, mask, lo)[0] for lo in range(dims[0]))
+    return max(filter(None, boxes), key=itemgetter(0), default=None)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_pruned_search_finds_the_same_box_as_the_full_one(data):
+    ndim = data.draw(st.integers(3, 4))
+    dims = tuple(data.draw(st.integers(1, 5 if ndim == 3 else 4)) for _ in range(ndim))
+    palette = data.draw(st.sampled_from([(True,), (True, False), (True, True, True, False)]))
+    mask = [data.draw(st.sampled_from(palette)) for _ in range(prod(dims))]
+    # box for box, not only size: ties must still go to the same box
+    assert _largest_box(dims, mask) == _unpruned_largest_box(dims, mask)
+    for lo in range(dims[0]):
+        assert _best_from(dims, mask, lo) == _unpruned_best_from(dims, mask, lo)
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,11 +1,13 @@
+import csv
 import io
 import json
 import re
 from itertools import product
 from math import prod
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubeprob import (
@@ -20,7 +22,9 @@ from cubeprob import (
     from_relation,
     sum_exact,
 )
+from cubeprob import core
 from cubeprob.core import load_cube, load_relation_csv, read_relation_csv, save_cube
+from cubeprob.errors import CubeError
 
 
 def test_from_relation_empty_is_all_null():
@@ -225,6 +229,8 @@ def test_csv_with_header_and_blank_lines():
     cube = read_relation_csv(io.StringIO(text), (2, 2))
     assert cube[(1, 1)] == 5
     assert cube[(2, 2)] == 3
+    # a list of lines is read once through, like a stream
+    assert read_relation_csv(text.splitlines(keepends=True), (2, 2)) == cube
 
 
 def test_csv_empty_gives_all_null():
@@ -403,6 +409,99 @@ def test_ingest_paths_match_a_per_row_reference(relation, data):
     assert message.startswith(f"line {line_of[bad]}: ")
     if first is not None:
         assert re.search(rf"\bline {line_of[first]}\b", message.removeprefix(f"line {line_of[bad]}: "))
+
+
+def _per_record_rows(stream):
+    """Rows as ``csv.reader`` yields them, one record at a time, with the header rule."""
+    header_allowed = True
+    for line, row in enumerate(csv.reader(stream), start=1):
+        try:
+            fields = list(map(int, row))
+        except ValueError:
+            if not "".join(row).strip():
+                continue
+            if header_allowed and not any(map(core._NUMBER.match, row)):
+                header_allowed = False
+                continue
+            raise RelationFormatError(f"line {line}: non-integer field in {row}") from None
+        if fields:
+            text = "".join(row)
+            if "_" in text or not text.isascii():
+                raise RelationFormatError(f"line {line}: non-integer field in {row}")
+            header_allowed = False
+            yield line, 1, fields
+
+
+def _outcome(read):
+    """The cube ``read()`` returns, or the type and message of what it raises."""
+    try:
+        return read()
+    except (CubeError, csv.Error) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def csv_relations(draw):
+    """CSV text of a 1-D to 3-D relation with mostly plain rows and some faults."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    coords = st.tuples(*(st.integers(1, n) for n in dims))
+    keys = draw(st.lists(coords, unique=True, min_size=min(prod(dims), 6), max_size=16))
+    rows = [[*map(str, key), str(draw(st.integers(0, 9)))] for key in keys]
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from([
+            "below", "above", "sign", "duplicate", "fewer", "more",
+            "1.5", "1_0", "٣", "\r", "header",
+        ]))
+        row = [*map(str, draw(coords)), str(draw(st.integers(0, 9)))]
+        field = draw(st.integers(0, len(row) - 1))
+        if fault == "below":
+            row[field % len(dims)] = str(draw(st.integers(-2, 0)))
+        elif fault == "above":
+            row[field % len(dims)] = str(dims[field % len(dims)] + draw(st.integers(1, 3)))
+        elif fault == "sign":
+            row[-1] = str(draw(st.integers(-5, -1)))
+        elif fault == "duplicate" and rows:
+            row[:-1] = draw(st.sampled_from(rows))[:-1]
+        elif fault == "fewer":
+            del row[field]
+        elif fault == "more":
+            row.insert(field, "1")
+        elif fault == "header":  # refused past the first non-blank row
+            row = [f"d{q}" for q in range(1, len(row))] + ["value"]
+        elif fault == "\r":  # a line break inside the row
+            row[field] = fault + row[field]
+        elif fault in ("1.5", "1_0", "٣"):
+            row[field] = fault
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    plain = st.sampled_from(["{}", "{}", " {} "])
+    quoted = st.sampled_from(["{}", '"{}"', " {} ", '" {}"'])
+    header = ",".join(f"d{q}" for q in range(1, len(dims) + 1)) + ",value"
+    lines = [header] if draw(st.booleans()) else []
+    for row in rows:
+        if draw(st.integers(0, 11)) == 0:
+            lines.append(draw(st.sampled_from(["", ",,", "  "])))
+        formats = plain if draw(st.integers(0, 9)) else quoted
+        lines.append(",".join(draw(formats).format(field) for field in row))
+    ends = draw(st.sampled_from([("\n",), ("\r\n",), ("\r",), ("\n", "\r\n", "\r")]))
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line break
+    return dims, text
+
+
+@settings(deadline=None, max_examples=400)
+@given(csv_relations(), st.sampled_from([2, 3]), st.sampled_from(["", "", "", None, "\n"]))
+# too few and too many commas in one chunk, two commas each in all
+@example(((2, 2), "1,1,5\n1,2\n2,1,2,3\n2,2,7\n"), 3, "")
+# a break that only csv.reader takes inside a line: an error, not the value 1
+@example(((2, 2), "1,1,5\n\r1,2,3\n2,2,4\n"), 2, "\n")
+def test_chunked_ingest_matches_a_per_record_reader(relation, chunk, newline):
+    dims, text = relation
+    records = _per_record_rows(io.StringIO(text, newline=newline))
+    expected = _outcome(lambda: core._densify(records, dims))
+    with mock.patch.object(core, "_CHUNK", chunk):
+        got = _outcome(lambda: read_relation_csv(io.StringIO(text, newline=newline), dims))
+    assert got == expected
 
 
 @settings(deadline=None, max_examples=40)

@@ -175,7 +175,13 @@ def test_answered_summary_still_equals_hashes_and_saves_like_a_fresh_copy(refere
     answered = summary_from_dict(summary_to_dict(reference_summary))
     for kind in QueryKind:
         estimate(answered, None, QuerySpec(Range((2, 2), (9, 5)), kind, 2))
+    # every block's cached size, not only the shell's the query read
+    assert [blk.size for blk in answered.blocks] == [blk.range.size for blk in answered.blocks]
+    assert all("size" in vars(blk) for blk in answered.blocks)
     fresh = summary_from_dict(summary_to_dict(reference_summary))
+    assert not any("size" in vars(blk) for blk in fresh.blocks)
+    assert answered.blocks == fresh.blocks
+    assert list(map(hash, answered.blocks)) == list(map(hash, fresh.blocks))
     assert answered == fresh and hash(answered) == hash(fresh)
     assert summary_to_dict(answered) == summary_to_dict(fresh)
 
