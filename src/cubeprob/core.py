@@ -385,7 +385,7 @@ def sum_exact(cube: Datacube, r: Range) -> int:
 
 _NUMBER = re.compile(r"\s*[+-]?\.?\d")  # how every int() field, and 1.5 or .5, starts
 
-_CHUNK = 4096  # raw lines read, parsed and checked at once past the header
+_CHUNK = 4096  # raw lines read, parsed and checked at once after the first row or header
 
 
 def _plain_fields(lines: list[str], commas: int) -> list[int] | None:
@@ -410,42 +410,45 @@ def _plain_fields(lines: list[str], commas: int) -> list[int] | None:
 def _csv_rows(stream: Iterable[str], commas: int) -> Iterator[tuple[int, int, list[int]]]:
     """The ``(line, k, fields)`` chunks of int rows of a CSV relation, read lazily.
 
-    The header is settled one ``csv.reader`` record at a time.  Then up to
-    ``_CHUNK`` raw lines at a time are parsed at once when every one is a
-    record of ``commas + 1`` plain fields.  The first chunk that is not hands
-    itself and the rest of the stream back to the same record loop, so
-    quoted, blank and irregular rows keep their line numbers.
+    Up to ``_CHUNK`` raw lines at a time are parsed at once when every one is
+    a record of ``commas + 1`` plain fields.  Any other chunk is read by
+    ``csv.reader`` one record at a time, up to the record that holds its last
+    line, and the next chunk is tried whole again.  Until the first row a
+    chunk is one line, so a header is read alone.  ``line`` counts records,
+    as ``csv.reader`` would from the start of the stream.
     """
     source = iter(stream)  # one position that every reader below shares, even over a list of lines
-    records = enumerate(csv.reader(source), start=1)
-    for chunked in (False, True):  # a header is allowed only before the chunks
-        for line, row in records:
+    header = True  # a header may still come: no row and no header read yet
+    line = 0
+    while lines := list(islice(source, 1 if header else _CHUNK)):
+        flat = _plain_fields(lines, commas)
+        if flat is not None:
+            yield line + 1, len(lines), flat
+            line += len(lines)
+            header = False
+            continue
+        reader = csv.reader(chain(lines, source))
+        while reader.line_num < len(lines):  # the next record starts inside the chunk
+            line += 1
+            try:
+                row = next(reader)
+            except csv.Error as exc:
+                raise RelationFormatError(f"line {line}: unreadable CSV record: {exc}") from None
             try:
                 fields = list(map(int, row))  # int() ignores surrounding spaces
             except ValueError:
                 if not "".join(row).strip():
                     continue
-                if chunked or any(map(_NUMBER.match, row)):
+                if not header or any(map(_NUMBER.match, row)):
                     raise RelationFormatError(f"line {line}: non-integer field in {row}") from None
-                break  # the header
+                header = False
+                continue
             if fields:
                 text = "".join(row)
                 if "_" in text or not text.isascii():  # int() also takes 1_0 and non-ASCII digits
                     raise RelationFormatError(f"line {line}: non-integer field in {row}")
                 yield line, 1, fields
-                if not chunked:
-                    break
-        else:
-            return  # the records ran out (once chunked, they always do)
-        while lines := list(islice(source, _CHUNK)):
-            flat = _plain_fields(lines, commas)
-            if flat is None:
-                break
-            yield line + 1, len(lines), flat
-            line += len(lines)
-        else:
-            return
-        records = enumerate(csv.reader(chain(lines, source)), start=line + 1)
+                header = False
 
 
 def read_relation_csv(stream: Iterable[str], dims: Sequence[int]) -> Datacube:
@@ -453,9 +456,10 @@ def read_relation_csv(stream: Iterable[str], dims: Sequence[int]) -> Datacube:
 
     Blank rows are skipped, and so is a header: the first non-blank row, when
     none of its fields starts like a number (so ``1,x,5`` and ``1.5,2.5,3`` are
-    refused, not skipped).  Errors name the offending 1-based line.  Past the
-    header, rows are read and checked a chunk of lines at a time, so memory is
-    one chunk plus the cube's own cells and 8 B per cell.
+    refused, not skipped).  Errors name the offending 1-based line, also for a
+    record ``csv.reader`` cannot read.  Rows are read and checked a chunk of
+    lines at a time, so memory is one chunk plus the cube's own cells and 8 B
+    per cell.
     """
     return _densify(_csv_rows(stream, len(dims)), dims)
 

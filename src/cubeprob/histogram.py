@@ -20,7 +20,7 @@ from enum import Enum
 from .constraints import BoundTuple
 from .core import _check_realizable
 from .errors import InfeasibleError
-from .estimators import _LAWS, BlockAggregates, Estimate, _compose, sum_case2, sum_case3
+from .estimators import _LAWS, Estimate, _compose, sum_case3
 
 
 class BucketBias(Enum):
@@ -67,6 +67,34 @@ def _check_query(bucket: Bucket, q: BucketQuery) -> None:
         )
 
 
+def _bucket_estimate(bucket: Bucket, q: BucketQuery, bias: BucketBias, want_pmf: bool) -> Estimate:
+    """The sum estimate of ``q`` knowing the extremes that ``bias`` names.
+
+    A query covering the bucket is answered exactly.  Otherwise, with ``low``
+    and ``high`` saying which extremes are known, the bucket maps onto the
+    constrained estimator via ``t_hi_blk = b``, ``t_hi_in = b_in`` and
+
+        t_lo_blk = low + high
+        t_lo_in = (low and touches_low) + (high and touches_high)
+
+    A partial query touches at most one extreme, so ``t_lo_in <= 1``; with
+    no known extreme these are the trivial bounds, whose law is case 2.
+    """
+    if q.b_in == bucket.b:
+        return _compose(_LAWS["sum", 2], [], bucket.s, want_pmf, None)
+    low = bias in (BucketBias.LOW, BucketBias.BOTH)
+    high = bias in (BucketBias.HIGH, BucketBias.BOTH)
+    bt = BoundTuple(
+        t_lo_in=(low and q.touches_low) + (high and q.touches_high),
+        t_hi_in=q.b_in,
+        t_lo_blk=low + high,
+        t_hi_blk=bucket.b,
+        b_in=q.b_in,
+        b_blk=bucket.b,
+    )
+    return sum_case3(bt, bucket.t, bucket.s, want_pmf)
+
+
 def cva_estimate(bucket: Bucket, q: BucketQuery, want_pmf: bool = False) -> Estimate:
     """Continuous-value-assumption estimate: linear interpolation with its variance.
 
@@ -74,38 +102,16 @@ def cva_estimate(bucket: Bucket, q: BucketQuery, want_pmf: bool = False) -> Esti
     bucket is answered exactly.
     """
     _check_query(bucket, q)
-    if q.b_in == bucket.b:
-        return _compose(_LAWS["sum", 2], [], bucket.s, want_pmf, None)
-    agg = BlockAggregates(bucket.b, bucket.t, bucket.s, q.b_in)
-    return sum_case2(agg, want_pmf)
+    return _bucket_estimate(bucket, q, BucketBias.NONE, want_pmf)
 
 
 def biased_estimate(bucket: Bucket, q: BucketQuery, want_pmf: bool = False) -> Estimate:
     """Sum estimate exploiting the bucket's known non-null extremes.
 
-    With ``low`` and ``high`` saying which extremes are known, the bucket maps
-    onto the constrained estimator via ``t_hi_blk = b``, ``t_hi_in = b_in`` and
-
-        t_lo_blk = low + high
-        t_lo_in = (low and touches_low) + (high and touches_high)
-
-    A partial query touches at most one extreme, so ``t_lo_in <= 1``.
+    The located extremes raise the non-null lower bounds of the bucket and,
+    when the query covers one, of the query (see ``_bucket_estimate``).
     """
     _check_query(bucket, q)
     if bucket.bias is BucketBias.NONE:
         raise InfeasibleError("bucket carries no bias information; use cva_estimate")
-    if q.b_in == bucket.b:
-        return _compose(_LAWS["sum", 2], [], bucket.s, want_pmf, None)
-    low = bucket.bias in (BucketBias.LOW, BucketBias.BOTH)
-    high = bucket.bias in (BucketBias.HIGH, BucketBias.BOTH)
-    t_lo_blk = low + high
-    t_lo_in = (low and q.touches_low) + (high and q.touches_high)
-    bt = BoundTuple(
-        t_lo_in=t_lo_in,
-        t_hi_in=q.b_in,
-        t_lo_blk=t_lo_blk,
-        t_hi_blk=bucket.b,
-        b_in=q.b_in,
-        b_blk=bucket.b,
-    )
-    return sum_case3(bt, bucket.t, bucket.s, want_pmf)
+    return _bucket_estimate(bucket, q, bucket.bias, want_pmf)

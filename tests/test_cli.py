@@ -87,6 +87,17 @@ def test_ingest_non_positive_dims_exits_2(tmp_path, capsys, text, dims):
     assert not (tmp_path / "c.json").exists()
 
 
+def test_ingest_of_an_unreadable_record_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text("1,1,5\n1,2," + "7" * 140_000 + "\n")
+    rc = main(["ingest", str(csv_path), "--dims", "2,2", "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cubeprob: error: line 2: ") and err.count("\n") == 1
+    assert "777" not in err
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_ingest_dash_value_is_data_not_option(tmp_path, capsys):
     csv_path = tmp_path / "r.csv"
     csv_path.write_text("1,1,3\n")

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import re
-from itertools import product
+from itertools import count, product
 from math import prod
 from unittest import mock
 
@@ -411,10 +411,23 @@ def test_ingest_paths_match_a_per_row_reference(relation, data):
         assert re.search(rf"\bline {line_of[first]}\b", message.removeprefix(f"line {line_of[bad]}: "))
 
 
+def _csv_records(stream):
+    """``csv.reader``'s records; one it cannot read is a data error naming its line."""
+    reader = csv.reader(stream)
+    for line in count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise RelationFormatError(f"line {line}: unreadable CSV record: {exc}") from None
+        yield row
+
+
 def _per_record_rows(stream):
     """Rows as ``csv.reader`` yields them, one record at a time, with the header rule."""
     header_allowed = True
-    for line, row in enumerate(csv.reader(stream), start=1):
+    for line, row in enumerate(_csv_records(stream), start=1):
         try:
             fields = list(map(int, row))
         except ValueError:
@@ -495,6 +508,13 @@ def csv_relations(draw):
 @example(((2, 2), "1,1,5\n1,2\n2,1,2,3\n2,2,7\n"), 3, "")
 # a break that only csv.reader takes inside a line: an error, not the value 1
 @example(((2, 2), "1,1,5\n\r1,2,3\n2,2,4\n"), 2, "\n")
+# a blank line before the header, and a header alone
+@example(((2, 2), "\nd1,d2,value\n1,1,5\n2,2,4\n"), 2, "")
+@example(((2, 2), "d1,d2,value\n"), 3, "")
+# a header is refused after a first row that only csv.reader reads
+@example(((2, 2), '"1",1,5\nd1,d2,value\n'), 2, "")
+# a quoted record that runs past its chunk, then a repeated key
+@example(((2, 2), '1,1,5\n2,1,1\n1,2,"3\n"\n2,2,4\n1,1,6\n'), 2, "")
 def test_chunked_ingest_matches_a_per_record_reader(relation, chunk, newline):
     dims, text = relation
     records = _per_record_rows(io.StringIO(text, newline=newline))
@@ -502,6 +522,44 @@ def test_chunked_ingest_matches_a_per_record_reader(relation, chunk, newline):
     with mock.patch.object(core, "_CHUNK", chunk):
         got = _outcome(lambda: read_relation_csv(io.StringIO(text, newline=newline), dims))
     assert got == expected
+
+
+def test_a_fallback_stays_inside_its_chunk():
+    rows = [f"{i // 4 + 1},{i % 4 + 1},{i}" for i in range(13)]
+    text = "\n".join(["d1,d2,value", rows[0], "", *rows[1:]]) + "\n"  # line 3 is blank
+    records = []
+    csv_reader = csv.reader
+
+    class CountingReader:
+        """``csv.reader`` that keeps every record it yields."""
+
+        def __init__(self, lines):
+            self.reader = csv_reader(lines)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            records.append(next(self.reader))
+            return records[-1]
+
+        @property
+        def line_num(self):
+            return self.reader.line_num
+
+    with mock.patch.object(core, "_CHUNK", 3), mock.patch.object(core.csv, "reader", CountingReader):
+        cube = read_relation_csv(io.StringIO(text), (4, 4))
+    assert cube == read_relation_csv(io.StringIO(text.replace("\n\n", "\n")), (4, 4))
+    # the header alone, then the chunk of lines 2-4; no record runs past its end
+    assert records == [["d1", "d2", "value"], ["1", "1", "0"], [], ["1", "2", "1"]]
+
+
+@pytest.mark.parametrize("field", ["7" * 140_000, '"' + "7" * 140_000 + '"'], ids=["plain", "quoted"])
+def test_an_unreadable_csv_record_is_a_data_error_naming_its_line(field):
+    text = f"d1,d2,value\n1,1,5\n2,2,{field}\n"
+    with pytest.raises(RelationFormatError) as raised:
+        read_relation_csv(io.StringIO(text), (2, 2))
+    assert str(raised.value) == "line 3: unreadable CSV record: field larger than field limit (131072)"
 
 
 @settings(deadline=None, max_examples=40)
