@@ -99,10 +99,9 @@ class _PrefixSums:
     8 B each, and past 2^64 - 1 the table is a list of unbounded ints.
     """
 
-    __slots__ = ("dims", "table")
+    __slots__ = ("table", "strides", "signs")
 
     def __init__(self, values: Sequence[int], dims: Coords) -> None:
-        self.dims = dims
         grand_total = sum(values)
         table: MutableSequence[int]
         for code in "BHIQ":
@@ -112,21 +111,25 @@ class _PrefixSums:
         else:
             table = []
         self.table = _prefix_sums(values, dims, table)
+        # a corner's offset is the sum of its coordinates times these strides;
+        # corners come in ``product`` order, high end first on every axis, and
+        # a corner's sign is negative when it takes an odd number of low ends
+        self.strides = tuple(accumulate(reversed([n + 1 for n in dims[1:]]), mul, initial=1))[::-1]
+        self.signs = tuple(-1 if bin(i).count("1") % 2 else 1 for i in range(1 << len(dims)))
 
     def total(self, lo: Sequence[int], hi: Sequence[int]) -> int:
-        """Sum of the values in the box ``lo..hi`` (1-based, inclusive, inside ``dims``).
+        """Sum of the values in the box ``lo..hi`` (1-based, inclusive, inside the table's dims).
 
         An axis with ``hi == lo - 1`` makes the box empty and the total 0.
         """
-        terms = [(0, 1)]
-        for l, h, n in zip(lo, hi, self.dims):
-            terms = [
-                (off * (n + 1) + corner, sign * side)
-                for off, sign in terms
-                for corner, side in ((h, 1), (l - 1, -1))
-            ]
         table = self.table
-        return sum(sign * table[off] for off, sign in terms)
+        if len(self.strides) == 2:  # the block grids of 2-D cubes: straight-line
+            (l0, l1), (h0, h1) = lo, hi
+            stride = self.strides[0]
+            top, bottom = h0 * stride, (l0 - 1) * stride
+            return table[top + h1] - table[top + l1 - 1] - table[bottom + h1] + table[bottom + l1 - 1]
+        ends = [(h * stride, (l - 1) * stride) for l, h, stride in zip(lo, hi, self.strides)]
+        return sum(map(mul, self.signs, map(table.__getitem__, map(sum, _iproduct(*ends)))))
 
 
 def _prefix_sums(
@@ -414,8 +417,10 @@ def _csv_rows(stream: Iterable[str], commas: int) -> Iterator[tuple[int, int, li
     a record of ``commas + 1`` plain fields.  Any other chunk is read by
     ``csv.reader`` one record at a time, up to the record that holds its last
     line, and the next chunk is tried whole again.  Until the first row a
-    chunk is one line, so a header is read alone.  ``line`` counts records,
-    as ``csv.reader`` would from the start of the stream.
+    chunk is one line, so a header is read alone, and a reader that meets
+    blank records there reads on up to the first record that is not blank.
+    ``line`` counts records, as ``csv.reader`` would from the start of the
+    stream.
     """
     source = iter(stream)  # one position that every reader below shares, even over a list of lines
     header = True  # a header may still come: no row and no header read yet
@@ -428,27 +433,32 @@ def _csv_rows(stream: Iterable[str], commas: int) -> Iterator[tuple[int, int, li
             header = False
             continue
         reader = csv.reader(chain(lines, source))
-        while reader.line_num < len(lines):  # the next record starts inside the chunk
+        end = len(lines)  # the reader stops at the first record that starts past this line
+        while reader.line_num < end:
             line += 1
             try:
-                row = next(reader)
+                row = next(reader, None)
             except csv.Error as exc:
                 raise RelationFormatError(f"line {line}: unreadable CSV record: {exc}") from None
+            if row is None:  # the stream ended among leading blank records
+                return
             try:
                 fields = list(map(int, row))  # int() ignores surrounding spaces
             except ValueError:
-                if not "".join(row).strip():
+                if "".join(row).strip():
+                    if not header or any(map(_NUMBER.match, row)):
+                        raise RelationFormatError(f"line {line}: non-integer field in {row}") from None
+                    header = False
                     continue
-                if not header or any(map(_NUMBER.match, row)):
-                    raise RelationFormatError(f"line {line}: non-integer field in {row}") from None
-                header = False
-                continue
+                fields = []  # a blank record
             if fields:
                 text = "".join(row)
                 if "_" in text or not text.isascii():  # int() also takes 1_0 and non-ASCII digits
                     raise RelationFormatError(f"line {line}: non-integer field in {row}")
                 yield line, 1, fields
                 header = False
+            elif header:  # a blank record before the first row or header: read on
+                end = reader.line_num + 1
 
 
 def read_relation_csv(stream: Iterable[str], dims: Sequence[int]) -> Datacube:

@@ -21,7 +21,8 @@ cells first.  The law table ``_LAWS`` is the one place where a (kind, case)
 picks its law, an integer moment kernel paired with an integer pmf-weights
 builder, and ``_compose`` is the one place where an answer is built: an exact
 shift plus one independent draw of that law per block.  The public
-estimators (one draw), the planner (one per partial block) and the histogram
+estimators (one draw), the planner (one per partial block, which cases 1-2
+sum a shell region at a time with ``_region_moments``) and the histogram
 (none for a full bucket) all answer through it, and an exact pmf keeps its
 stepped integer weights over their one total.
 
@@ -38,10 +39,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb, gcd, lcm, sqrt
 from operator import add, index, lt, mul, sub
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .constraints import BoundTuple
 from .core import _check_realizable
@@ -299,13 +300,13 @@ def _check_pmf_budget(b: int, s: int, budget: int | None) -> None:
 # The laws: each reads one hypergeometric draw in shifted coordinates.
 # ---------------------------------------------------------------------------
 
-# A law pairs a moment kernel with a pmf-weights builder, both called with the
-# draw (n, m, l, shift) and the block's count t and sum s.  A kernel returns
-# the mean, variance and max error as unreduced integer ratios (mean_num,
-# mean_den, var_num, var_den, err_num, err_den): _compose adds their
-# numerators over a query's blocks and divides once per moment.  A builder
-# returns integer weights by value and their total, which the pmf keeps,
-# divided by their gcd.
+# A law pairs a moment kernel with a pmf-weights builder and the ends of its
+# answer, all called with the draw (n, m, l, shift) and the block's count t and
+# sum s.  A kernel returns the mean, variance and max error as unreduced
+# integer ratios (mean_num, mean_den, var_num, var_den, err_num, err_den):
+# _compose adds their numerators over a query's blocks and divides once per
+# moment.  A builder returns integer weights by value and their total, which
+# the pmf keeps, divided by their gcd.
 _Draw = tuple[int, int, int, int]
 _Moments = tuple[int, int, int, int, int, int]
 _Weights = tuple[dict, int]
@@ -340,16 +341,26 @@ def _moments(n: int, m: int, l: int, shift: int) -> tuple[int, int, int, int]:
     return d, shift * d + l * m, n - 1 if n > 1 else 1, l * m * (n - l) * (n - m)
 
 
+def _error(mean_num: int, mean_den: int, lo: int, hi: int) -> int:
+    """The larger distance from the mean ``mean_num/mean_den`` to ``lo`` or ``hi``, over ``mean_den``."""
+    below, above = mean_num - lo * mean_den, hi * mean_den - mean_num
+    return below if below > above else above
+
+
+def _count_ends(n: int, m: int, l: int, shift: int, t: int, s: int) -> tuple[int, int]:
+    """The least and greatest count K of :func:`_moments`: shift plus the :func:`_ends` of h,
+    inlined, as it runs once per shell block."""
+    lo = m - (n - l)
+    return shift + (lo if lo > 0 else 0), shift + (l if l < m else m)
+
+
 def _count_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
     """Moments of the count K of :func:`_moments`; the count law reads neither t nor s.
 
-    The max error is the larger distance from E[K] to an end of the
-    support, where d*(K - E[K]) = h*d - l*m.
+    The max error is the larger distance from E[K] to an end of the support.
     """
     d, c, e, vk = _moments(n, m, l, shift)
-    lo, hi = _ends(n, m, l)
-    below, above = l * m - lo * d, hi * d - l * m
-    return c, d, vk, d * d * e, below if below > above else above, d
+    return c, d, vk, d * d * e, _error(c, d, *_count_ends(n, m, l, shift, t, s)), d
 
 
 def _count_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights:
@@ -357,13 +368,16 @@ def _count_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weigh
     return {shift + h: w for h, w in _placements(n, m, l)}, binom(n, m)
 
 
+def _sum_case1_ends(n: int, m: int, l: int, shift: int, t: int, s: int) -> tuple[int, int]:
+    """The case-1 sum inside the query can be anything from 0 to s."""
+    return 0, s
+
+
 def _sum_case1_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
     """The case-1 sum of :func:`sum_case1`: s spread over n = b cells, l = b_in of them inside."""
-    inside, outside = l * s, (n - l) * s
-    return (
-        inside, n, inside * (n - l) * (n + s), n * n * (n + 1),
-        inside if inside > outside else outside, n,
-    )
+    inside = l * s
+    err = _error(inside, n, *_sum_case1_ends(n, m, l, shift, t, s))
+    return inside, n, inside * (n - l) * (n + s), n * n * (n + 1), err, n
 
 
 def _stepped_compositions(cells: int, top: int) -> list[int]:
@@ -378,26 +392,29 @@ def _sum_case1_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _W
     return dict(enumerate(map(mul, inside, reversed(outside)))), compositions_count(n, s)
 
 
+def _sum_ends(n: int, m: int, l: int, shift: int, t: int, s: int) -> tuple[int, int]:
+    """The least and greatest case-2/3 sum inside the query; both 0 when t = 0.
+
+    Generally the minimum sum puts the fewest possible non-nulls inside (each
+    worth 1) and the maximum leaves the fewest outside; but when the count
+    inside is pinned to t (every non-null inside) the sum is constantly s, and
+    when pinned to 0 it is constantly 0 -- without these corners the bound
+    would not be attained.
+    """
+    count_lo, count_hi = _count_ends(n, m, l, shift, t, s)
+    return s if count_lo == t else count_lo, 0 if count_hi == 0 else s - (t - count_hi)
+
+
 def _sum_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
     """The case-2/3 sum of :func:`sum_case3` for the draw (n, m, l, shift); 0 when t = 0."""
     if t == 0:
         return 0, 1, 0, 1, 0, 1
     d, c, e, vk = _moments(n, m, l, shift)
     mean_num, mean_den = s * c, t * d
-    # Extremes of the achievable sum.  Generally the minimum sum puts the
-    # fewest possible non-nulls inside (each worth 1) and the maximum leaves
-    # the fewest outside; but when the count inside is pinned to t (every
-    # non-null inside) the sum is constantly s, and when pinned to 0 it is
-    # constantly 0 -- without these corners the bound would not be attained.
-    h_lo, h_hi = _ends(n, m, l)
-    count_lo, count_hi = shift + h_lo, shift + h_hi
-    lo = s if count_lo == t else count_lo
-    hi = 0 if count_hi == 0 else s - (t - count_hi)
-    below, above = mean_num - lo * mean_den, hi * mean_den - mean_num
     return (
         mean_num, mean_den,
         s * ((s - t) * c * (t * d - c) * e + t * (s + 1) * vk), t * t * (t + 1) * d * d * e,
-        below if below > above else above, mean_den,
+        _error(mean_num, mean_den, *_sum_ends(n, m, l, shift, t, s)), mean_den,
     )
 
 
@@ -437,19 +454,47 @@ def _sum_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights
     return {v: w for v, w in enumerate(weights) if w}, binom(n, m) * compositions_count(t, s - t)
 
 
+def _count_spread(b: int, t: int, s: int) -> tuple[int, int]:
+    """g = t*(b-t)/(b-1) of the count law, 0 for one cell."""
+    return t * (b - t), b - 1 if b > 1 else 1
+
+
+def _sum_case1_spread(b: int, t: int, s: int) -> tuple[int, int]:
+    """g = s*(b+s)/(b+1) of the case-1 sum law."""
+    return s * (b + s), b + 1
+
+
+def _sum_spread(b: int, t: int, s: int) -> tuple[int, int]:
+    """g = s*((s-t)*(b-1) + (s+1)*(b-t)) / ((t+1)*(b-1)) of the case-2/3 sum law, 0 when
+    t = 0 or for one cell: :func:`_sum_kernel` at (b, t, l, 0), divided by p*(1-p)."""
+    if t == 0 or b == 1:
+        return 0, 1
+    return s * ((s - t) * (b - 1) + (s + 1) * (b - t)), (t + 1) * (b - 1)
+
+
 class _Law(NamedTuple):
-    """A moment kernel, a pmf-weights builder, and ``sizes(b, s)``: the block
-    size and sum that the exact pmf of a block of b cells is budgeted by."""
+    """A moment kernel, a pmf-weights builder, ``sizes(b, s)``: the block size and
+    sum that the exact pmf of a block of b cells is budgeted by, ``ends``: the least
+    and greatest answer of a draw, and the law's shape under trivial bounds.
+
+    A block of b cells with count t and sum s drawn as (b, t, l, 0), as cases 1-2
+    draw it, has mean p*x and variance p*(1-p)*g for its share p = l/b inside the
+    query, where x is s when ``of_sum`` and t otherwise, and ``spread(b, t, s)`` is g
+    as (numerator, denominator).
+    """
 
     kernel: Callable[[int, int, int, int, int, int], _Moments]
     weights: Callable[[int, int, int, int, int, int], _Weights]
     sizes: Callable[[int, int], tuple[int, int]]
+    ends: Callable[[int, int, int, int, int, int], tuple[int, int]]
+    spread: Callable[[int, int, int], tuple[int, int]]
+    of_sum: bool
 
 
-_COUNT = _Law(_count_kernel, _count_weights, lambda b, s: (b, 0))
-_SUM = _Law(_sum_kernel, _sum_weights, lambda b, s: (b, s))
+_COUNT = _Law(_count_kernel, _count_weights, lambda b, s: (b, 0), _count_ends, _count_spread, False)
+_SUM = _Law(_sum_kernel, _sum_weights, lambda b, s: (b, s), _sum_ends, _sum_spread, True)
 # The case-2/3 law with (count, sum) weights.
-_JOINT = _Law(_sum_kernel, _joint_weights, lambda b, s: (b, s))
+_JOINT = _SUM._replace(weights=_joint_weights)
 
 # The law of each (kind, case), and the one place where the case picks it:
 # case 2 is case 3 under BoundTuple.trivial, and count case 2 is count case 1.
@@ -457,7 +502,9 @@ _LAWS: dict[tuple[str, int], _Law] = {
     ("count", 1): _COUNT,
     ("count", 2): _COUNT,
     ("count", 3): _COUNT,
-    ("sum", 1): _Law(_sum_case1_kernel, _sum_case1_weights, lambda b, s: (b, s)),
+    ("sum", 1): _Law(
+        _sum_case1_kernel, _sum_case1_weights, lambda b, s: (b, s), _sum_case1_ends, _sum_case1_spread, True
+    ),
     ("sum", 2): _SUM,
     ("sum", 3): _SUM,
 }
@@ -471,23 +518,55 @@ def _law_weights(law: _Law, draw: _Draw, t: int, s: int, b: int, pmf_budget: int
     return law.weights(*draw, t, s)
 
 
-def _compose(
-    law: _Law, draws: list[tuple[_Draw, int, int, int]], shift: int, want_pmf: bool, pmf_budget: int | None
-) -> Estimate:
-    """The Estimate of ``shift`` plus one independent draw of ``law`` per (draw, t, s, b) in ``draws``.
+def _region_moments(
+    law: _Law, clip: int, width: int, values: int, spread: int, spread_den: int, lines: Iterable[Iterable]
+) -> _Moments:
+    """The summed moments of the cases-1-2 draws of the blocks in ``lines``, which all
+    hold the share p = clip/width of their cells inside the query.
 
-    Each block's kernel numerators add per denominator, and each moment becomes
-    one exact fraction.  When ``want_pmf``, the pmf is the point mass at
-    ``shift`` with no draw, the one draw's law (budgeted for its b cells) moved
-    by ``shift`` with one, and None with more.
+    Each block (``size``, ``count``, ``sum``) = (b, t, s) is drawn as
+    (b, t, b*p, 0), so the mean and the variance of the box are p and p*(1-p)
+    times its sums of x and of g (see ``_Law``): ``values`` and
+    ``spread/spread_den``.  The max error is not linear in p, so it adds up
+    block by block, each over ``width``.
+    """
+    ends, of_sum = law.ends, law.of_sum
+    err = 0
+    for line in lines:
+        for blk in line:
+            b, t, s = blk.size, blk.count, blk.sum
+            lo, hi = ends(b, t, b // width * clip, 0, t, s)
+            # _error, inlined: this runs once per shell block
+            mean = clip * (s if of_sum else t)
+            below, above = mean - lo * width, hi * width - mean
+            err += below if below > above else above
+    return clip * values, width, clip * (width - clip) * spread, width * width * spread_den, err, width
+
+
+def _compose(
+    law: _Law,
+    draws: list[tuple[_Draw, int, int, int]],
+    shift: int,
+    want_pmf: bool,
+    pmf_budget: int | None,
+    parts: Iterable[_Moments] = (),
+) -> Estimate:
+    """The Estimate of ``shift`` plus one independent draw of ``law`` per (draw, t, s, b) in
+    ``draws``, plus ``parts``: the moments of more draws, summed by ``_region_moments``.
+
+    Each block's kernel numerators add per denominator, and so do the parts'; each
+    moment becomes one exact fraction.  When ``want_pmf``, the pmf is the point mass
+    at ``shift`` with no draw, the one draw's law (budgeted for its b cells) moved by
+    ``shift`` with one, and None with more; a pmf is only asked for without ``parts``.
     """
     # numerators of each moment, keyed by their denominator
     mean: dict[int, int] = {1: shift}
     variance: dict[int, int] = {}
     max_error: dict[int, int] = {}
     kernel = law.kernel
-    for draw, t, s, _ in draws:
-        mean_num, mean_den, var_num, var_den, err_num, err_den = kernel(*draw, t, s)
+    for mean_num, mean_den, var_num, var_den, err_num, err_den in chain(
+        (kernel(*draw, t, s) for draw, t, s, _ in draws), parts
+    ):
         mean[mean_den] = mean.get(mean_den, 0) + mean_num
         variance[var_den] = variance.get(var_den, 0) + var_num
         max_error[err_den] = max_error.get(err_den, 0) + err_num

@@ -6,13 +6,19 @@ add a known constant, the exact shift, read in 2^r lookups from the
 summary's prefix sums over the block grid, so their number does not matter.
 Only the shell carries uncertainty: the query's law is picked once from the
 estimators' law table, the one place where the case chooses it, and the
-loop takes one draw of that law per shell block.  The estimators'
-``_compose`` turns the shift and the draws into the Estimate; the public
-estimators, this planner and the histogram all compose through that one
-function.  Means add by linearity.  Variances add exactly: the aggregates
-and the macro-blocks both act block by block, so the compatible population
-is a product over blocks, in which the blocks are independent.  The
-worst-case error bound is the sum of the per-block bounds (see ``Estimate``).
+shell is one draw of that law per block.  Cases 1-2 without a pmf read the
+shell by regions: every block of a region holds the same share p of its
+cells inside the query, so the region's mean and variance are p and
+p(1-p) times one prefix-table lookup each (see ``_Region`` and the law's
+``spread``), and only its max error adds up block by block.  Case 3 and pmf
+queries read the shell block by block, one kernel call per draw.  The
+estimators' ``_compose`` turns the shift and the shell into the Estimate;
+the public estimators, this planner and the histogram all compose through
+that one function.  Means add by linearity.  Variances add exactly: the
+aggregates and the macro-blocks both act block by block, so the compatible
+population is a product over blocks, in which the blocks are independent.
+The worst-case error bound is the sum of the per-block bounds (see
+``Estimate``).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from enum import Enum
 from .constraints import ConstraintSet, bound_tuple, validate
 from .core import Range
 from .errors import ConstraintError
-from .estimators import DEFAULT_PMF_BUDGET, _LAWS, Estimate, _compose, _shifted_coordinates
+from .estimators import DEFAULT_PMF_BUDGET, _LAWS, Estimate, _compose, _region_moments, _shifted_coordinates
 from .summary import CompressedDatacube
 
 # Not called here, but kept bound: bench/tracing.py patches these names on
@@ -61,8 +67,22 @@ def estimate(
 
     The answer is the exact shift plus one draw per shell block, composed by
     the estimators' ``_compose``, which also attaches the pmf when at most
-    one block is partially covered.
+    one block is partially covered.  Cases 1-2 without a pmf sum the draws
+    of each shell region at once; case 3 and pmfs take them block by block.
     """
+    law = _LAWS[spec.kind.value, spec.case]
+    values = summary._sums if law.of_sum else summary._counts
+    if spec.case < 3 and not spec.want_pmf:
+        lo, hi, regions = summary._regions(spec.range)
+        spread, spread_den = summary._prefix_ratios(law.spread)
+        parts = [
+            _region_moments(
+                law, clip, width, values.total(r_lo, r_hi), spread.total(r_lo, r_hi), spread_den, lines
+            )
+            for r_lo, r_hi, clip, width, lines in regions
+        ]
+        return _compose(law, [], values.total(lo, hi), False, DEFAULT_PMF_BUDGET, parts)
+
     if spec.case == 3:
         if constraints is None:
             raise ConstraintError("case 3 needs a constraint set (use case 2 without one)")
@@ -71,8 +91,6 @@ def estimate(
             raise ConstraintError(f"constraints contradict the summary: {report.message}")
 
     split = summary._split(spec.range)
-    is_count = spec.kind is QueryKind.COUNT
-    exact_shift = (summary._counts if is_count else summary._sums).total(split.lo, split.hi)
     case, query = spec.case, spec.range
     draws = []
     for blk in split.shell:
@@ -87,4 +105,4 @@ def estimate(
             b = blk.size
             draw = b, t, r.overlap_size(query), 0
         draws.append((draw, t, s, b))
-    return _compose(_LAWS[spec.kind.value, case], draws, exact_shift, spec.want_pmf, DEFAULT_PMF_BUDGET)
+    return _compose(law, draws, values.total(split.lo, split.hi), spec.want_pmf, DEFAULT_PMF_BUDGET)

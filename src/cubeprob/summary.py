@@ -15,8 +15,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _iproduct
-from math import prod
-from typing import Iterator, NamedTuple, Sequence
+from math import lcm, prod
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import Coords, Datacube, Range, _check_coords, _check_range, _check_realizable, _integers
 from .core import _PrefixSums, _load_json, _offset
@@ -52,12 +52,13 @@ class CompressionFactor:
     def ndim(self) -> int:
         return len(self.boundaries)
 
-    @property
+    # Cached on the instance, not fields: every query reads them.
+    @cached_property
     def dims(self) -> Coords:
         """Cube dimensions the factor partitions (last boundary per axis)."""
         return tuple(axis[-1] for axis in self.boundaries)
 
-    @property
+    @cached_property
     def shape(self) -> Coords:
         """Number of blocks per dimension."""
         return tuple(len(axis) - 1 for axis in self.boundaries)
@@ -137,18 +138,38 @@ class BlockSummary:
 
 
 class _Split(NamedTuple):
-    """A query over the block grid.
+    """A query over the block grid, block by block: case 3 and pmfs read it so.
 
     ``lo..hi`` is the box of block indices totally inside the query (an axis
     with ``hi == lo - 1`` leaves it empty); ``shell`` holds every other
     overlapped block, in row-major order.  Each row of the overlapped box
     along the last axis is one slice of the row-major block tuple; a row whose
     leading indices all lie inside the inner box leaves out its inner run.
+    Cases 1-2 read the same shell by regions instead (see ``_Region``).
     """
 
     lo: Coords
     hi: Coords
     shell: tuple[BlockSummary, ...]
+
+
+class _Region(NamedTuple):
+    """A box ``lo..hi`` of shell blocks that the query clips to one share.
+
+    Each axis of the query's overlapped blocks splits into its low end block,
+    its run of blocks inside the query and its high end block, where an end
+    block is one the query only clips.  A region takes one of these on every
+    axis and an end block on at least one, so a query has at most 3^r - 1.
+    Each of its blocks holds ``clip/width`` of its cells inside the query:
+    ``clip`` and ``width`` multiply the clipped and the whole extents of its
+    end blocks.
+    """
+
+    lo: Coords
+    hi: Coords
+    clip: int
+    width: int
+    lines: list[tuple[BlockSummary, ...]]
 
 
 @dataclass(frozen=True)
@@ -185,21 +206,45 @@ class CompressedDatacube:
     def _sums(self) -> _PrefixSums:
         return _PrefixSums([b.sum for b in self.blocks], self.factor.shape)
 
-    def _split(self, query: Range) -> _Split:
-        """The inner box and the partial shell of ``query`` (see ``_Split``)."""
-        factor = self.factor
-        _check_range(query, factor.dims)
-        runs, inner = [], []
-        for lo_q, hi_q, axis in zip(query.lo, query.hi, factor.boundaries):
+    @cached_property
+    def _ratio_tables(self) -> dict:
+        return {}
+
+    def _prefix_ratios(self, ratio: Callable[[int, int, int], tuple[int, int]]) -> tuple[_PrefixSums, int]:
+        """Prefix sums of ``ratio(size, count, sum)`` over the block grid, and their denominator.
+
+        Each block's ratio is kept as an integer numerator over the least
+        common denominator of them all.  Built on first use for each
+        ``ratio`` and cached on the instance, as ``_counts`` and ``_sums`` are.
+        """
+        found = self._ratio_tables.get(ratio)
+        if found is None:
+            parts = [ratio(b.size, b.count, b.sum) for b in self.blocks]
+            common = lcm(*(den for _, den in parts))
+            table = _PrefixSums([num * (common // den) for num, den in parts], self.factor.shape)
+            found = self._ratio_tables[ratio] = table, common
+        return found
+
+    def _cuts(self, query: Range) -> list[tuple[int, int, int, int]]:
+        """Per axis of ``query``: its first and last overlapped block, and the
+        start and stop of the blocks inside it (stop <= start: none)."""
+        _check_range(query, self.factor.dims)
+        cuts = []
+        for lo_q, hi_q, axis in zip(query.lo, query.hi, self.factor.boundaries):
             # block k spans axis[k-1]+1..axis[k]: the first overlapped one ends
             # at or after lo_q, the last one starts at or before hi_q, and
             # each end block is inside the query when it starts (ends) on it
             first, last = bisect_left(axis, lo_q), bisect_left(axis, hi_q)
-            start = first + (axis[first - 1] + 1 != lo_q)
-            stop = last + (axis[last] == hi_q)
+            cuts.append((first, last, first + (axis[first - 1] + 1 != lo_q), last + (axis[last] == hi_q)))
+        return cuts
+
+    def _split(self, query: Range) -> _Split:
+        """The inner box and the partial shell of ``query`` (see ``_Split``)."""
+        runs, inner = [], []
+        for first, last, start, stop in self._cuts(query):
             runs.append(range(first, last + 1))
             inner.append(range(start, max(start, stop)))
-        shape, blocks, shell = factor.shape, self.blocks, []
+        shape, blocks, shell = self.factor.shape, self.blocks, []
         *heads, row = runs
         cut_lo, cut_hi = inner[-1].start - row.start, inner[-1].stop - row.start
         for lead in _iproduct(*heads):
@@ -212,6 +257,45 @@ class CompressedDatacube:
         return _Split(
             tuple(k.start for k in inner), tuple(k.stop - 1 for k in inner), tuple(shell)
         )
+
+    def _regions(self, query: Range) -> tuple[Coords, Coords, list[_Region]]:
+        """The inner box ``lo..hi`` of ``query``, as in ``_Split``, and its shell regions."""
+        shape, blocks = self.factor.shape, self.blocks
+        segments, lo, hi = [], [], []
+        stride = len(blocks)
+        for (first, last, start, stop), lo_q, hi_q, axis, n in zip(
+            self._cuts(query), query.lo, query.hi, self.factor.boundaries, shape
+        ):
+            stride //= n  # of this axis in the row-major block tuple
+            stop = max(start, stop)
+            lo.append(start)
+            hi.append(stop - 1)
+            # (first block, last block, clipped extent, whole extent, and the
+            # offset along this axis, number and stride of the blocks)
+            axis_segments = [(start, stop - 1, 1, 1, (start - 1) * stride, stop - start, stride)] if stop > start else []
+            for k in (first, last) if first < last else (first,):
+                if not start <= k < stop:
+                    low, high = axis[k - 1] + 1, axis[k]
+                    clip = (hi_q if hi_q < high else high) - (lo_q if lo_q > low else low) + 1
+                    axis_segments.append((k, k, clip, high - low + 1, (k - 1) * stride, 1, stride))
+            segments.append(axis_segments)
+        regions = []
+        for parts in _iproduct(*segments):
+            r_lo, r_hi, clips, widths, offsets, counts, strides = zip(*parts)
+            width = prod(widths)
+            if width == 1:  # the run inside the query on every axis: the inner box
+                continue
+            # the box as lines along its longest axis, each a strided slice of the block tuple
+            q = counts.index(max(counts))
+            starts = [sum(offsets)]
+            for j, (count, stride) in enumerate(zip(counts, strides)):
+                if count > 1 and j != q:
+                    starts = [start + i * stride for start in starts for i in range(count)]
+            step = strides[q]
+            span = (counts[q] - 1) * step + 1
+            lines = [blocks[start:start + span:step] for start in starts]
+            regions.append(_Region(r_lo, r_hi, prod(clips), width, lines))
+        return tuple(lo), tuple(hi), regions
 
     def total_count(self) -> int:
         return sum(b.count for b in self.blocks)

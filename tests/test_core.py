@@ -554,6 +554,27 @@ def test_a_fallback_stays_inside_its_chunk():
     assert records == [["d1", "d2", "value"], ["1", "1", "0"], [], ["1", "2", "1"]]
 
 
+@pytest.mark.parametrize("first", ["d1,d2,value", "1,1,5", ",,", ""], ids=["header", "row", "commas", "blank"])
+def test_leading_blank_lines_are_read_by_one_reader(first):
+    blanks = 50
+    text = "\n" * blanks + f"{first}\n2,2,3\n"
+    readers = []
+    csv_reader = csv.reader
+
+    def counting_reader(lines):
+        readers.append(lines)
+        return csv_reader(lines)
+
+    with mock.patch.object(core, "_CHUNK", 3), mock.patch.object(core.csv, "reader", counting_reader):
+        cube = read_relation_csv(io.StringIO(text), (2, 2))
+        with pytest.raises(DuplicateKeyError) as raised:
+            read_relation_csv(io.StringIO(text + "2,2,4\n"), (2, 2))
+    assert cube == read_relation_csv(io.StringIO(text.lstrip("\n")), (2, 2))
+    assert len(readers) == 2  # one per read
+    # line numbers still count every blank line
+    assert str(raised.value) == f"line {blanks + 3}: duplicate coordinates (2, 2), first given on line {blanks + 2}"
+
+
 @pytest.mark.parametrize("field", ["7" * 140_000, '"' + "7" * 140_000 + '"'], ids=["plain", "quoted"])
 def test_an_unreadable_csv_record_is_a_data_error_naming_its_line(field):
     text = f"d1,d2,value\n1,1,5\n2,2,{field}\n"
@@ -564,8 +585,8 @@ def test_an_unreadable_csv_record_is_a_data_error_naming_its_line(field):
 
 @settings(deadline=None, max_examples=40)
 @given(
-    st.sampled_from([1, 4]).flatmap(
-        lambda r: st.lists(st.integers(1, 12 if r == 1 else 3), min_size=r, max_size=r)
+    st.sampled_from([1, 2, 3, 4]).flatmap(
+        lambda r: st.lists(st.integers(1, {1: 12, 2: 6, 3: 4, 4: 3}[r]), min_size=r, max_size=r)
     ),
     st.data(),
 )
@@ -578,6 +599,18 @@ def test_prefix_tables_answer_every_range_like_the_per_cell_walk(dims, data):
     for corners in product(*axes):
         r = Range(tuple(lo for lo, _ in corners), tuple(hi for _, hi in corners))
         assert (count_exact(cube, r), sum_exact(cube, r)) == _slow_count_sum(cube, r)
+
+
+@pytest.mark.parametrize("least", [0, 2**64], ids=["array", "list"])
+@pytest.mark.parametrize("dims", [(5,), (4, 3), (3, 2, 4)])
+def test_a_box_empty_on_one_axis_totals_zero(dims, least):
+    table = core._PrefixSums([least + i for i in range(prod(dims))], dims)
+    assert isinstance(table.table, list) == (least > 0)
+    for q, n in enumerate(dims):
+        for lo_q in range(1, n + 2):  # hi == lo - 1 from the first to the last cell
+            lo = tuple(lo_q if j == q else 1 for j in range(len(dims)))
+            hi = tuple(lo_q - 1 if j == q else m for j, m in enumerate(dims))
+            assert table.total(lo, hi) == 0
 
 
 def test_sums_past_64_bits_fall_back_to_unbounded_integers():

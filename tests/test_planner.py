@@ -1,5 +1,6 @@
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import prod
 
 import pytest
@@ -238,6 +239,58 @@ def test_shell_composition_matches_the_per_block_reference(case, data):
     if spec.case == 3:
         constraints = detect_macroblocks(cube, data.draw(st.integers(1, 6), label="min_cells"))
     assert estimate(summary, constraints, spec) == _reference_estimate(summary, constraints, spec)
+
+
+@st.composite
+def region_queries(draw):
+    """A 1-3-D cube of up to 12 cells per axis under uneven cuts, and a query.
+
+    Each block is empty (t = 0), full (t = n) or mixed.  On each axis the
+    query lies inside one block, or each of its ends is free or on a grid line.
+    """
+    dims = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3), label="dims"))
+    axes = tuple(
+        (0, *sorted(draw(st.sets(st.integers(1, n - 1)), label="cuts") if n > 1 else ()), n) for n in dims
+    )
+    factor = CompressionFactor(axes)
+    fills = {
+        index: draw(st.sampled_from(["empty", "full", "mixed"]), label="fill")
+        for index in factor.block_indices()
+    }
+    cells = []
+    for cell in product(*(range(1, n + 1) for n in dims)):
+        index = tuple(bisect_left(axis, c) for c, axis in zip(cell, axes))
+        low = {"empty": 0, "full": 1, "mixed": 0}[fills[index]]
+        high = {"empty": 0, "full": 4, "mixed": 4}[fills[index]]
+        cells.append(draw(st.integers(low, high), label="cell"))
+    cube = Datacube(dims, tuple(cells))
+    lo, hi = [], []
+    for n, axis in zip(dims, axes):
+        if draw(st.booleans(), label="inside one block"):
+            k = draw(st.integers(1, len(axis) - 1), label="block")
+            lo.append(draw(st.integers(axis[k - 1] + 1, axis[k]), label="lo"))
+            hi.append(draw(st.integers(lo[-1], axis[k]), label="hi"))
+            continue
+        on_grid = st.sampled_from(axis[:-1]).map(lambda c: c + 1)
+        lo.append(draw(on_grid if draw(st.booleans()) else st.integers(1, n), label="lo"))
+        ends = [c for c in axis if c >= lo[-1]]
+        hi.append(draw(st.sampled_from(ends) if draw(st.booleans()) else st.integers(lo[-1], n), label="hi"))
+    return build_summary(cube, factor), Range(tuple(lo), tuple(hi))
+
+
+@settings(deadline=None, max_examples=200)
+@given(region_queries(), st.sampled_from(QueryKind), st.sampled_from([1, 2]))
+def test_shell_regions_match_the_per_block_reference(case, kind, estimation_case):
+    summary, query = case
+    spec = QuerySpec(query, kind, estimation_case)
+    assert estimate(summary, None, spec) == _reference_estimate(summary, None, spec)
+    # the regions tile the shell, and each holds its one share of every block
+    lo, hi, regions = summary._regions(query)
+    split = summary._split(query)
+    assert (lo, hi) == (split.lo, split.hi)
+    covered = [(blk, r.clip, r.width) for r in regions for line in r.lines for blk in line]
+    assert sorted(blk.index for blk, _, _ in covered) == sorted(blk.index for blk in split.shell)
+    assert all(query.intersect(blk.range).size * width == blk.size * clip for blk, clip, width in covered)
 
 
 @pytest.fixture(scope="module")
