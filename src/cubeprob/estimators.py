@@ -19,12 +19,15 @@ Every law reads one hypergeometric draw (n, m, l, shift) in shifted
 coordinates: cases 1-2 draw (b, t, b_in, 0) and case 3 removes the located
 cells first.  The law table ``_LAWS`` is the one place where a (kind, case)
 picks its law, an integer moment kernel paired with an integer pmf-weights
-builder, and ``_compose`` is the one place where an answer is built: an exact
-shift plus one independent draw of that law per block.  The public
-estimators (one draw), the planner (one per partial block, which cases 1-2
-sum a shell region at a time with ``_region_moments``) and the histogram
-(none for a full bucket) all answer through it, and an exact pmf keeps its
-stepped integer weights over their one total.
+builder and one max-error rule over a region's blocks, and ``_compose`` is
+the one place where an answer is built: an exact shift plus one independent
+draw of that law per block.  The public estimators (one draw), the planner
+(one per partial block, which cases 1-2 sum a shell region at a time with
+``_region_moments``, reading the block sizes, counts and sums as flat
+columns) and the histogram (none for a full bucket) all answer through it,
+and an exact pmf keeps its stepped integer weights over their one total.
+A case-2/3 sum pmf comes from one convolution of packed big ints (Kronecker
+substitution); the (count, sum) rows of ``_joint_rows`` serve joint pmfs only.
 
 All probabilities, means, variances and maximum-error bounds are exact
 rationals over arbitrary-precision integers; float views are provided at the
@@ -41,8 +44,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
 from math import comb, gcd, lcm, sqrt
-from operator import add, index, lt, mul, sub
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from operator import floordiv, index, lt, mul, sub
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .constraints import BoundTuple
 from .core import _check_realizable
@@ -243,9 +246,13 @@ class Estimate:
     pmf: Pmf | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", Fraction(self.mean))
-        object.__setattr__(self, "variance", Fraction(self.variance))
-        object.__setattr__(self, "max_error", Fraction(self.max_error))
+        # _compose hands over Fractions already; only other numbers are converted
+        if type(self.mean) is not Fraction:
+            object.__setattr__(self, "mean", Fraction(self.mean))
+        if type(self.variance) is not Fraction:
+            object.__setattr__(self, "variance", Fraction(self.variance))
+        if type(self.max_error) is not Fraction:
+            object.__setattr__(self, "max_error", Fraction(self.max_error))
         if self.variance < 0:
             raise ValueError(f"negative variance {self.variance}")
         if self.max_error < 0:
@@ -300,16 +307,17 @@ def _check_pmf_budget(b: int, s: int, budget: int | None) -> None:
 # The laws: each reads one hypergeometric draw in shifted coordinates.
 # ---------------------------------------------------------------------------
 
-# A law pairs a moment kernel with a pmf-weights builder and the ends of its
-# answer, all called with the draw (n, m, l, shift) and the block's count t and
-# sum s.  A kernel returns the mean, variance and max error as unreduced
-# integer ratios (mean_num, mean_den, var_num, var_den, err_num, err_den):
-# _compose adds their numerators over a query's blocks and divides once per
-# moment.  A builder returns integer weights by value and their total, which
+# A law pairs a moment kernel with a pmf-weights builder, both called with the
+# draw (n, m, l, shift) and the block's count t and sum s.  A kernel returns
+# the mean, variance and max error as unreduced integer ratios
+# (mean_num, mean_den, var_num, var_den, err_num, err_den): _compose adds
+# their numerators over a query's blocks and divides once per moment.  A builder returns integer weights by value and their total, which
 # the pmf keeps, divided by their gcd.
 _Draw = tuple[int, int, int, int]
 _Moments = tuple[int, int, int, int, int, int]
 _Weights = tuple[dict, int]
+# The sizes, counts and sums of a summary's blocks, in row-major order.
+_Columns = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
 
 def _ends(n: int, m: int, l: int) -> tuple[int, int]:
@@ -354,13 +362,37 @@ def _count_ends(n: int, m: int, l: int, shift: int, t: int, s: int) -> tuple[int
     return shift + (lo if lo > 0 else 0), shift + (l if l < m else m)
 
 
+def _count_error(clip: int, width: int, sizes: Sequence[int], counts: Sequence[int]) -> int:
+    """The count law's max error over ``width``, summed over blocks of b = ``sizes`` cells
+    and t = ``counts`` non-nulls that each hold the share p = clip/width of their
+    cells inside the query (a draw (b, t, b*p, any shift)).
+
+    With Q = max(clip, width - clip) and mu = min(t, b - t), a block's error is
+    min(Q*mu, (width - Q)*(b - mu)) / width.  Swapping nulls for non-nulls, or the
+    outside for the inside, mirrors the count about its mean, so take t = mu <= b/2
+    non-nulls and the larger share Q/width: the count then runs from
+    max(0, mu - b*(width - Q)/width) up to mu, and the mean Q*mu/width is nearer
+    the top.  One integer loop, with no call per block.
+    """
+    q = clip if clip + clip > width else width - clip
+    rest = width - q
+    err = 0
+    for b, t in zip(sizes, counts):
+        if t + t > b:
+            t = b - t
+        top, bottom = q * t, rest * (b - t)
+        err += top if top < bottom else bottom
+    return err
+
+
 def _count_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
     """Moments of the count K of :func:`_moments`; the count law reads neither t nor s.
 
-    The max error is the larger distance from E[K] to an end of the support.
+    The max error is :func:`_count_error` of one block of n cells, m non-nulls
+    and the share l/n inside: the shift moves the mean and the ends alike.
     """
     d, c, e, vk = _moments(n, m, l, shift)
-    return c, d, vk, d * d * e, _error(c, d, *_count_ends(n, m, l, shift, t, s)), d
+    return c, d, vk, d * d * e, _count_error(l, n, (n,), (m,)), d
 
 
 def _count_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights:
@@ -368,16 +400,22 @@ def _count_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weigh
     return {shift + h: w for h, w in _placements(n, m, l)}, binom(n, m)
 
 
-def _sum_case1_ends(n: int, m: int, l: int, shift: int, t: int, s: int) -> tuple[int, int]:
-    """The case-1 sum inside the query can be anything from 0 to s."""
-    return 0, s
+def _sum_case1_error(
+    clip: int, width: int, values: int, columns: _Columns | None = None, slices: Iterable[slice] = ()
+) -> int:
+    """The case-1 sum law's max error over ``width`` for blocks that each hold the share
+    p = clip/width of their cells inside the query and whose sums add up to ``values``.
+
+    A block's sum inside can be anything from 0 to s, and its mean is p*s, so its
+    error is max(p, 1 - p)*s: the region's error is that share of ``values``.
+    """
+    return (clip if clip + clip > width else width - clip) * values
 
 
 def _sum_case1_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
     """The case-1 sum of :func:`sum_case1`: s spread over n = b cells, l = b_in of them inside."""
     inside = l * s
-    err = _error(inside, n, *_sum_case1_ends(n, m, l, shift, t, s))
-    return inside, n, inside * (n - l) * (n + s), n * n * (n + 1), err, n
+    return inside, n, inside * (n - l) * (n + s), n * n * (n + 1), _sum_case1_error(l, n, s), n
 
 
 def _stepped_compositions(cells: int, top: int) -> list[int]:
@@ -403,6 +441,29 @@ def _sum_ends(n: int, m: int, l: int, shift: int, t: int, s: int) -> tuple[int, 
     """
     count_lo, count_hi = _count_ends(n, m, l, shift, t, s)
     return s if count_lo == t else count_lo, 0 if count_hi == 0 else s - (t - count_hi)
+
+
+def _sum_error(clip: int, width: int, values: int, columns: _Columns, slices: Iterable[slice]) -> int:
+    """The case-2/3 sum law's max error over ``width``, summed over the blocks at ``slices``
+    of the ``columns``, each drawn as (b, t, l, 0) with l = b*clip/width < b.
+
+    These are :func:`_sum_ends` with no located cells: at least t - (b - l) of the
+    non-nulls sit inside and at least t - l outside, each worth 1, so the sum
+    inside runs from max(0, t - (b - l)) to s - max(0, t - l).  Times ``width``,
+    where l*width = b*clip, the distances from the mean s*clip are
+    clip*s - max(0, width*t - b*(width - clip)) and
+    (width - clip)*s - max(0, width*t - b*clip).  One integer loop, with no call per block.
+    """
+    sizes, counts, sums = columns
+    rest = width - clip
+    err = 0
+    for line in slices:
+        for b, t, s in zip(sizes[line], counts[line], sums[line]):
+            wt = width * t
+            below = clip * s - (wt - b * rest if wt > b * rest else 0)
+            above = rest * s - (wt - b * clip if wt > b * clip else 0)
+            err += below if below > above else above
+    return err
 
 
 def _sum_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
@@ -445,13 +506,80 @@ def _joint_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weigh
     return weights, binom(n, m) * compositions_count(t, s - t)
 
 
+def _binomials(r: int) -> list[int]:
+    """C(r, j) for j = 0..r, each the last times (r - j)/(j + 1), exact at every step."""
+    return list(accumulate(range(r), lambda c, j: c * (r - j) // (j + 1), initial=1))
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """c[i] = the sum of a[j] * b[i - j] over two non-empty lists of naturals, by
+    multipoint Kronecker substitution (Harvey, "Faster polynomial multiplication
+    via multipoint Kronecker substitution", 2009: KS2).
+
+    Read as polynomials, the lists are packed into big ints at x = 2^N and at
+    x = -2^N, each in slots of N = 8*``half`` bits, and multiplied there: two
+    products of half the size that x = 2^(2N) would take.  Half their sum holds
+    the even-indexed c[i], and half their difference the odd-indexed ones, in
+    slots of 2N bits, where 2N exceeds the bits of any c[i] (at most
+    min(len(a), len(b)) * max(a) * max(b)), so no slot carries into the next.
+    """
+    bits = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
+    half = bits // 16 + 1  # bytes
+
+    def pack(xs: list[int]) -> int:
+        return int.from_bytes(b"".join(x.to_bytes(2 * half, "little") for x in xs), "little")
+
+    def unpack(x: int, count: int) -> list[int]:
+        raw = x.to_bytes(2 * half * count, "little")
+        return [int.from_bytes(raw[i:i + 2 * half], "little") for i in range(0, len(raw), 2 * half)]
+
+    a_even, a_odd = pack(a[0::2]), pack(a[1::2]) << 8 * half
+    b_even, b_odd = pack(b[0::2]), pack(b[1::2]) << 8 * half
+    plus, minus = (a_even + a_odd) * (b_even + b_odd), (a_even - a_odd) * (b_even - b_odd)
+    c = [0] * (len(a) + len(b) - 1)
+    c[0::2] = unpack((plus + minus) >> 1, (len(c) + 1) // 2)
+    c[1::2] = unpack((plus - minus) >> (8 * half + 1), len(c) // 2)
+    return c
+
+
 def _sum_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights:
-    """Weights of the case-2/3 sum: the rows of :func:`_joint_rows` added along the count."""
+    """Weights of the case-2/3 sum: the rows of :func:`_joint_rows` added along the
+    count, by one convolution.
+
+    The draw puts k = shift + h of the t non-nulls inside the query in P(k) =
+    C(l, h) * C(n - l, m - h) ways (:func:`_placements`).  With none inside the
+    sum inside is 0, and with all t inside it is s; either way the t non-nulls
+    split s in C(s - 1, t - 1) ways.  For 1 <= k <= t - 1, the sum v inside and
+    s - v outside split in C(v - 1, k - 1) * C(s - v - 1, t - k - 1) ways, which
+    hypergeometric symmetry turns into
+    C(s - 2, t - 2) * C(t - 2, k - 1) * C(s - t, v - k) / C(s - 2, v - 1).
+    So each v in 1..s-1 weighs C(s - 2, t - 2) times the convolution of
+    A[k] = P(k) * C(t - 2, k - 1) with the row C(s - t, .) at v, divided exactly
+    by C(s - 2, v - 1).
+    """
+    splits = compositions_count(t, s - t)
+    total = binom(n, m) * splits
+    if t == 0:  # an empty block: the sum inside is 0
+        return {0: total}, total
+    lo = shift + _ends(n, m, l)[0]
+    placements = [p for _, p in _placements(n, m, l)]
+    hi = lo + len(placements) - 1
     weights = [0] * (s + 1)
-    for k, row in _joint_rows(n, m, l, shift, t, s):
-        end = k + len(row)
-        weights[k:end] = map(add, weights[k:end], row)
-    return {v: w for v, w in enumerate(weights) if w}, binom(n, m) * compositions_count(t, s - t)
+    if lo == 0:
+        weights[0] = placements[0] * splits
+    if hi == t:
+        weights[s] = placements[-1] * splits
+    first, last = max(lo, 1), min(hi, t - 1)
+    if first <= last:
+        ways = _binomials(t - 2)
+        sums = _convolve(
+            [placements[k - lo] * ways[k - 1] for k in range(first, last + 1)], _binomials(s - t)
+        )
+        scale, divisors = binom(s - 2, t - 2), _binomials(s - 2)
+        weights[first:first + len(sums)] = map(
+            floordiv, map(scale.__mul__, sums), divisors[first - 1:first - 1 + len(sums)]
+        )
+    return {v: w for v, w in enumerate(weights) if w}, total
 
 
 def _count_spread(b: int, t: int, s: int) -> tuple[int, int]:
@@ -472,27 +600,37 @@ def _sum_spread(b: int, t: int, s: int) -> tuple[int, int]:
     return s * ((s - t) * (b - 1) + (s + 1) * (b - t)), (t + 1) * (b - 1)
 
 
+def _count_region_error(clip: int, width: int, values: int, columns: _Columns, slices: Iterable[slice]) -> int:
+    """:func:`_count_error` of the blocks at ``slices`` of the ``columns``."""
+    sizes, counts, _ = columns
+    return sum(_count_error(clip, width, sizes[line], counts[line]) for line in slices)
+
+
 class _Law(NamedTuple):
     """A moment kernel, a pmf-weights builder, ``sizes(b, s)``: the block size and
-    sum that the exact pmf of a block of b cells is budgeted by, ``ends``: the least
-    and greatest answer of a draw, and the law's shape under trivial bounds.
+    sum that the exact pmf of a block of b cells is budgeted by, and the law's
+    shape under trivial bounds.
 
     A block of b cells with count t and sum s drawn as (b, t, l, 0), as cases 1-2
     draw it, has mean p*x and variance p*(1-p)*g for its share p = l/b inside the
     query, where x is s when ``of_sum`` and t otherwise, and ``spread(b, t, s)`` is g
-    as (numerator, denominator).
+    as (numerator, denominator).  Its max error is not linear in p, and
+    ``error(clip, width, values, columns, slices)`` is the law's one rule for it:
+    the sum over ``width`` of the errors of the blocks at ``slices`` of the
+    ``columns`` (sizes, counts, sums), which all hold p = clip/width and whose x
+    add up to ``values``.
     """
 
     kernel: Callable[[int, int, int, int, int, int], _Moments]
     weights: Callable[[int, int, int, int, int, int], _Weights]
     sizes: Callable[[int, int], tuple[int, int]]
-    ends: Callable[[int, int, int, int, int, int], tuple[int, int]]
+    error: Callable[[int, int, int, _Columns, Iterable[slice]], int]
     spread: Callable[[int, int, int], tuple[int, int]]
     of_sum: bool
 
 
-_COUNT = _Law(_count_kernel, _count_weights, lambda b, s: (b, 0), _count_ends, _count_spread, False)
-_SUM = _Law(_sum_kernel, _sum_weights, lambda b, s: (b, s), _sum_ends, _sum_spread, True)
+_COUNT = _Law(_count_kernel, _count_weights, lambda b, s: (b, 0), _count_region_error, _count_spread, False)
+_SUM = _Law(_sum_kernel, _sum_weights, lambda b, s: (b, s), _sum_error, _sum_spread, True)
 # The case-2/3 law with (count, sum) weights.
 _JOINT = _SUM._replace(weights=_joint_weights)
 
@@ -503,7 +641,7 @@ _LAWS: dict[tuple[str, int], _Law] = {
     ("count", 2): _COUNT,
     ("count", 3): _COUNT,
     ("sum", 1): _Law(
-        _sum_case1_kernel, _sum_case1_weights, lambda b, s: (b, s), _sum_case1_ends, _sum_case1_spread, True
+        _sum_case1_kernel, _sum_case1_weights, lambda b, s: (b, s), _sum_case1_error, _sum_case1_spread, True
     ),
     ("sum", 2): _SUM,
     ("sum", 3): _SUM,
@@ -519,27 +657,18 @@ def _law_weights(law: _Law, draw: _Draw, t: int, s: int, b: int, pmf_budget: int
 
 
 def _region_moments(
-    law: _Law, clip: int, width: int, values: int, spread: int, spread_den: int, lines: Iterable[Iterable]
+    law: _Law, clip: int, width: int, values: int, spread: int, spread_den: int,
+    columns: _Columns, slices: Iterable[slice],
 ) -> _Moments:
-    """The summed moments of the cases-1-2 draws of the blocks in ``lines``, which all
-    hold the share p = clip/width of their cells inside the query.
+    """The summed moments of the cases-1-2 draws of the blocks at ``slices`` of the
+    ``columns``, which all hold the share p = clip/width of their cells inside the query.
 
-    Each block (``size``, ``count``, ``sum``) = (b, t, s) is drawn as
-    (b, t, b*p, 0), so the mean and the variance of the box are p and p*(1-p)
-    times its sums of x and of g (see ``_Law``): ``values`` and
-    ``spread/spread_den``.  The max error is not linear in p, so it adds up
-    block by block, each over ``width``.
+    Each block (b, t, s) is drawn as (b, t, b*p, 0), so the mean and the variance
+    of the box are p and p*(1-p) times its sums of x and of g (see ``_Law``):
+    ``values`` and ``spread/spread_den``.  The max error is the law's ``error``
+    rule over the same blocks.
     """
-    ends, of_sum = law.ends, law.of_sum
-    err = 0
-    for line in lines:
-        for blk in line:
-            b, t, s = blk.size, blk.count, blk.sum
-            lo, hi = ends(b, t, b // width * clip, 0, t, s)
-            # _error, inlined: this runs once per shell block
-            mean = clip * (s if of_sum else t)
-            below, above = mean - lo * width, hi * width - mean
-            err += below if below > above else above
+    err = law.error(clip, width, values, columns, slices)
     return clip * values, width, clip * (width - clip) * spread, width * width * spread_den, err, width
 
 

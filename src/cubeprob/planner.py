@@ -10,7 +10,9 @@ shell is one draw of that law per block.  Cases 1-2 without a pmf read the
 shell by regions: every block of a region holds the same share p of its
 cells inside the query, so the region's mean and variance are p and
 p(1-p) times one prefix-table lookup each (see ``_Region`` and the law's
-``spread``), and only its max error adds up block by block.  Case 3 and pmf
+``spread``), and its max error is the law's one ``error`` rule over the
+region's slices of the summary's flat block columns: a lookup for case-1
+sums, one integer loop for the others.  Case 3 and pmf
 queries read the shell block by block, one kernel call per draw.  The
 estimators' ``_compose`` turns the shift and the shell into the Estimate;
 the public estimators, this planner and the histogram all compose through
@@ -75,11 +77,12 @@ def estimate(
     if spec.case < 3 and not spec.want_pmf:
         lo, hi, regions = summary._regions(spec.range)
         spread, spread_den = summary._prefix_ratios(law.spread)
+        columns = summary._columns
         parts = [
             _region_moments(
-                law, clip, width, values.total(r_lo, r_hi), spread.total(r_lo, r_hi), spread_den, lines
+                law, clip, width, values.total(r_lo, r_hi), spread.total(r_lo, r_hi), spread_den, columns, slices
             )
-            for r_lo, r_hi, clip, width, lines in regions
+            for r_lo, r_hi, clip, width, slices, _ in regions
         ]
         return _compose(law, [], values.total(lo, hi), False, DEFAULT_PMF_BUDGET, parts)
 

@@ -162,14 +162,22 @@ class _Region(NamedTuple):
     axis and an end block on at least one, so a query has at most 3^r - 1.
     Each of its blocks holds ``clip/width`` of its cells inside the query:
     ``clip`` and ``width`` multiply the clipped and the whole extents of its
-    end blocks.
+    end blocks.  ``slices`` cut the box, line by line along its longest axis,
+    out of the row-major block order: of ``blocks``, or of the summary's
+    ``_columns``.
     """
 
     lo: Coords
     hi: Coords
     clip: int
     width: int
-    lines: list[tuple[BlockSummary, ...]]
+    slices: list[slice]
+    blocks: tuple[BlockSummary, ...]
+
+    @property
+    def lines(self) -> list[tuple[BlockSummary, ...]]:
+        """The region's blocks, one tuple per slice."""
+        return [self.blocks[line] for line in self.slices]
 
 
 @dataclass(frozen=True)
@@ -205,6 +213,11 @@ class CompressedDatacube:
     @cached_property
     def _sums(self) -> _PrefixSums:
         return _PrefixSums([b.sum for b in self.blocks], self.factor.shape)
+
+    @cached_property
+    def _columns(self) -> tuple[list[int], list[int], list[int]]:
+        """The sizes, counts and sums of the blocks, in row-major order."""
+        return [b.size for b in self.blocks], [b.count for b in self.blocks], [b.sum for b in self.blocks]
 
     @cached_property
     def _ratio_tables(self) -> dict:
@@ -285,16 +298,19 @@ class CompressedDatacube:
             width = prod(widths)
             if width == 1:  # the run inside the query on every axis: the inner box
                 continue
-            # the box as lines along its longest axis, each a strided slice of the block tuple
-            q = counts.index(max(counts))
-            starts = [sum(offsets)]
-            for j, (count, stride) in enumerate(zip(counts, strides)):
-                if count > 1 and j != q:
-                    starts = [start + i * stride for start in starts for i in range(count)]
+            # the box as lines along its longest axis q, each a strided slice of the
+            # row-major blocks; only a box of several blocks on two or more axes has more than one
+            longest = max(counts)
+            q = counts.index(longest)
             step = strides[q]
-            span = (counts[q] - 1) * step + 1
-            lines = [blocks[start:start + span:step] for start in starts]
-            regions.append(_Region(r_lo, r_hi, prod(clips), width, lines))
+            span = (longest - 1) * step + 1
+            starts = [sum(offsets)]
+            if counts.count(1) < len(counts) - 1:
+                for j, (count, stride) in enumerate(zip(counts, strides)):
+                    if count > 1 and j != q:
+                        starts = [start + i * stride for start in starts for i in range(count)]
+            slices = [slice(start, start + span, step) for start in starts]
+            regions.append(_Region(r_lo, r_hi, prod(clips), width, slices, blocks))
         return tuple(lo), tuple(hi), regions
 
     def total_count(self) -> int:

@@ -16,6 +16,7 @@ from cubeprob import (
     Range,
     build_summary,
 )
+from cubeprob.estimators import _count_ends, _error, _sum_ends
 
 # A 10x6 cube partitioned by boundaries [0,3,7,10] x [0,4,6].  Designed so the
 # top-left block holds 8 non-nulls summing 26, the top-right block 5 summing
@@ -109,3 +110,16 @@ def summarized_ranges(draw, max_ndim: int = 3, max_len: int = 4, max_value: int 
         lo.append(a)
         hi.append(draw(st.integers(a, n), label="hi"))
     return cube, build_summary(cube, CompressionFactor(tuple(axes))), Range(tuple(lo), tuple(hi))
+
+
+def region_error_reference(kind: str, case: int, clip: int, width: int, blocks) -> int:
+    """The per-block sum of ``_error(clip*x, width, *ends)`` over (b, t, s) ``blocks``, each
+    drawn as (b, t, b*clip/width, 0): the scalar ends that each law's region rule replaces.
+
+    x is t for counts and s for sums; a case-1 sum runs from 0 to s.
+    """
+    ends = {"count": _count_ends, "sum": _sum_ends if case > 1 else lambda n, m, l, shift, t, s: (0, s)}[kind]
+    return sum(
+        _error(clip * (t if kind == "count" else s), width, *ends(b, t, b // width * clip, 0, t, s))
+        for b, t, s in blocks
+    )

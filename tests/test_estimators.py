@@ -29,15 +29,25 @@ from cubeprob import (
     sum_case3,
 )
 from cubeprob.estimators import (
+    _LAWS,
+    Estimate,
+    _binomials,
+    _convolve,
+    _count_ends,
     _count_kernel,
     _count_weights,
+    _error,
+    _joint_rows,
     _joint_weights,
+    _placements,
     _shifted_coordinates,
     _sum_case1_kernel,
     _sum_case1_weights,
     _sum_kernel,
     _sum_weights,
 )
+
+from conftest import region_error_reference
 
 F = Fraction
 
@@ -317,6 +327,19 @@ def test_block_aggregates_validation():
 # ---------------------------------------------------------------------------
 # Pmf container and budgets.
 # ---------------------------------------------------------------------------
+
+
+def test_an_estimate_of_other_numbers_holds_fractions():
+    est = Estimate(3, 2, 1)
+    assert (est.mean, est.variance, est.max_error) == (3, 2, 1)
+    assert all(type(x) is Fraction for x in (est.mean, est.variance, est.max_error))
+    assert type(Estimate(F(1, 2), 0.25, F(1)).variance) is Fraction
+    with pytest.raises(ValueError, match="negative variance"):
+        Estimate(F(1), F(-1, 3), F(0))
+    with pytest.raises(ValueError, match="negative variance"):
+        Estimate(1, -1, 0)
+    with pytest.raises(ValueError, match="negative max error"):
+        Estimate(1, 0, -1)
 
 
 def test_pmf_must_normalize():
@@ -631,6 +654,81 @@ def test_sum_weights_are_the_count_marginal_of_the_bound_tuple_loop(raw):
     assert _sum_weights(*_shifted_coordinates(bt, t, s), t, s) == (marginal, total)
 
 
+def summed_rows(n, m, l, shift, t, s):
+    """The case-2/3 sum weights as the rows of ``_joint_rows`` added along the count."""
+    weights = [0] * (s + 1)
+    for k, row in _joint_rows(n, m, l, shift, t, s):
+        for j, w in enumerate(row):
+            weights[k + j] += w
+    return {v: w for v, w in enumerate(weights) if w}, binom(n, m) * compositions_count(t, s - t)
+
+
+def test_sum_weights_are_the_summed_joint_rows_for_every_small_draw():
+    # every (m, l, shift) of n <= 10 free cells, with up to one located
+    # non-null outside, and every s up to t + 12
+    for n in range(11):
+        for m, l, shift, outside in product(range(n + 1), range(n + 1), range(3), range(2)):
+            t = m + shift + outside
+            for s in range(t, t + 13) if t else (0,):
+                assert _sum_weights(n, m, l, shift, t, s) == summed_rows(n, m, l, shift, t, s)
+
+
+@st.composite
+def sum_draws(draw):
+    """A case-2/3 draw (n, m, l, shift, t, s) of up to 40 free cells, often at an edge:
+    t in {0, 1, 2}, t = s, l in {1, n - 1}, m = n, or located non-nulls inside and out."""
+    n = draw(st.integers(0, 40))
+    l = draw(st.sampled_from([x for x in (1, n - 1) if 0 <= x <= n] or [0]) | st.integers(0, n))
+    if draw(st.booleans()):
+        t = draw(st.integers(0, 2))
+        m = draw(st.integers(0, min(n, t)))
+        shift = draw(st.integers(0, t - m))
+    else:
+        m = draw(st.just(n) | st.integers(0, n))
+        shift = draw(st.integers(0, 4))
+        t = m + shift + draw(st.integers(0, 4))
+    s = draw(st.just(t) | st.integers(t, t + 80)) if t else 0
+    return n, m, l, shift, t, s
+
+
+@settings(deadline=None, max_examples=300)
+@given(sum_draws())
+@example((0, 0, 0, 0, 0, 0))  # an empty block
+@example((0, 0, 0, 1, 1, 5))  # one located non-null inside: the sum inside is s
+@example((5, 5, 4, 0, 5, 5))  # m = n and t = s: each non-null holds 1
+@example((6, 2, 1, 0, 2, 30))  # t = 2: one count in the middle
+@example((6, 3, 5, 2, 7, 9))  # located non-nulls inside and out
+def test_sum_weights_are_the_summed_joint_rows(raw):
+    assert _sum_weights(*raw) == summed_rows(*raw)
+
+
+@settings(deadline=None, max_examples=200)
+@given(sum_draws())
+def test_every_sum_weight_divides_exactly(raw):
+    # C(s-2, t-2) times the convolution at v is a multiple of C(s-2, v-1)
+    n, m, l, shift, t, s = raw
+    assume(t >= 2)
+    ways = _binomials(t - 2)
+    middle = [(shift + h, w * ways[shift + h - 1]) for h, w in _placements(n, m, l) if 1 <= shift + h <= t - 1]
+    assume(middle)
+    sums = _convolve([w for _, w in middle], _binomials(s - t))
+    scale, divisors = binom(s - 2, t - 2), _binomials(s - 2)
+    first = middle[0][0]
+    assert len(sums) == len(middle) + s - t
+    assert all(scale * x % divisors[v - 1] == 0 for v, x in enumerate(sums, start=first))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.integers(0, 1 << 200) | st.integers(0, 3), min_size=1, max_size=30),
+    st.lists(st.integers(0, 1 << 90) | st.just(0), min_size=1, max_size=30),
+)
+def test_packed_convolution_equals_the_schoolbook_one(a, b):
+    expected = [sum(a[j] * b[i - j] for j in range(len(a)) if 0 <= i - j < len(b)) for i in range(len(a) + len(b) - 1)]
+    assert _convolve(a, b) == expected
+    assert _binomials(7) == [comb(7, j) for j in range(8)] and _binomials(0) == [1]
+
+
 def compositions_by_comb(cells, total):
     return comb(cells + total - 1, total) if cells else int(total == 0)
 
@@ -720,6 +818,39 @@ def as_fractions(moments):
 
 def fields(est):
     return est.mean, est.variance, est.max_error
+
+
+def test_region_error_rules_equal_the_scalar_ends_for_every_small_block():
+    # every block of b <= 12 cells, t in 0..b and s up to t + 3, at every share
+    # clip/width with width | b; one block at a time and as strided columns
+    for b in range(2, 13):
+        blocks = [(b, t, s) for t in range(b + 1) for s in (range(t, t + 4) if t else (0,))]
+        columns = tuple(list(col) for col in zip(*blocks))
+        for width in (w for w in range(2, b + 1) if b % w == 0):
+            for clip, (kind, case) in product(range(1, width), [("count", 1), ("sum", 1), ("sum", 2)]):
+                rule = _LAWS[kind, case].error
+                for i, (_, t, s) in enumerate(blocks):
+                    x = t if kind == "count" else s
+                    got = rule(clip, width, x, columns, [slice(i, i + 1)])
+                    assert got == region_error_reference(kind, case, clip, width, [blocks[i]])
+                middle = len(blocks) // 2  # t near b/2: an error of every law
+                for cut in (slice(None), slice(1, None, 2), slice(0, 0)):
+                    lines = [cut, slice(middle, middle + 1)]
+                    chosen = [blk for line in lines for blk in blocks[line]]
+                    values = sum(t if kind == "count" else s for _, t, s in chosen)
+                    got = rule(clip, width, values, columns, lines)
+                    assert got == region_error_reference(kind, case, clip, width, chosen)
+
+
+def test_the_count_kernel_error_is_the_region_rule():
+    # the count error is one rule: at (width, clip) = (n, l) it is the kernel's,
+    # located non-nulls inside (shift) and outside included
+    for n in range(13):
+        for m, l, shift, outside in product(range(n + 1), range(n + 1), range(3), range(2)):
+            t = m + shift + outside
+            mean_num, mean_den, _, _, err, err_den = _count_kernel(n, m, l, shift, t, 0)
+            assert err_den == mean_den
+            assert err == _error(mean_num, mean_den, *_count_ends(n, m, l, shift, t, 0))
 
 
 @settings(deadline=None, max_examples=300)

@@ -39,7 +39,8 @@ from cubeprob import (
     two_block_population_stats,
 )
 from cubeprob import bound_tuple as make_bound_tuple
-from conftest import summarized_ranges
+from cubeprob.estimators import _LAWS
+from conftest import region_error_reference, summarized_ranges
 
 F = Fraction
 
@@ -291,6 +292,21 @@ def test_shell_regions_match_the_per_block_reference(case, kind, estimation_case
     covered = [(blk, r.clip, r.width) for r in regions for line in r.lines for blk in line]
     assert sorted(blk.index for blk, _, _ in covered) == sorted(blk.index for blk in split.shell)
     assert all(query.intersect(blk.range).size * width == blk.size * clip for blk, clip, width in covered)
+
+
+@settings(deadline=None, max_examples=200)
+@given(region_queries())
+def test_region_error_rules_equal_the_per_block_ends(case):
+    # each law's one error rule, read from the flat block columns by the
+    # region's slices, against the scalar ends of every block in it
+    summary, query = case
+    _, _, regions = summary._regions(query)
+    for (kind, estimation_case), region in product([("count", 1), ("sum", 1), ("sum", 2)], regions):
+        law = _LAWS[kind, estimation_case]
+        blocks = [(blk.size, blk.count, blk.sum) for line in region.lines for blk in line]
+        values = sum(s if law.of_sum else t for _, t, s in blocks)
+        got = law.error(region.clip, region.width, values, summary._columns, region.slices)
+        assert got == region_error_reference(kind, estimation_case, region.clip, region.width, blocks)
 
 
 @pytest.fixture(scope="module")
