@@ -22,9 +22,11 @@ picks its law, an integer moment kernel paired with an integer pmf-weights
 builder and one max-error rule over a region's blocks, and ``_compose`` is
 the one place where an answer is built: an exact shift plus one independent
 draw of that law per block.  The public estimators (one draw), the planner
-(one per partial block, which cases 1-2 sum a shell region at a time with
-``_region_moments``, reading the block sizes, counts and sums as flat
-columns) and the histogram (none for a full bucket) all answer through it,
+(one per partial block; in cases 1-2 its one walk over the query box hands
+over the numerators of the whole shell, a region at a time, with each
+region's max error from the law's rule over the flat block columns of
+sizes, counts and sums) and the histogram (none for a full bucket) all
+answer through it,
 and an exact pmf keeps its stepped integer weights over their one total.
 A case-2/3 sum pmf comes from one convolution of packed big ints (Kronecker
 substitution); the (count, sum) rows of ``_joint_rows`` serve joint pmfs only.
@@ -42,7 +44,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import comb, gcd, lcm, sqrt
 from operator import floordiv, index, lt, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -253,9 +255,10 @@ class Estimate:
             object.__setattr__(self, "variance", Fraction(self.variance))
         if type(self.max_error) is not Fraction:
             object.__setattr__(self, "max_error", Fraction(self.max_error))
-        if self.variance < 0:
+        # a Fraction's sign is its numerator's: no Fraction comparison needed
+        if self.variance.numerator < 0:
             raise ValueError(f"negative variance {self.variance}")
-        if self.max_error < 0:
+        if self.max_error.numerator < 0:
             raise ValueError(f"negative max error {self.max_error}")
         if self.pmf is not None and not (
             self.pmf.min_value() <= self.mean <= self.pmf.max_value()
@@ -362,10 +365,10 @@ def _count_ends(n: int, m: int, l: int, shift: int, t: int, s: int) -> tuple[int
     return shift + (lo if lo > 0 else 0), shift + (l if l < m else m)
 
 
-def _count_error(clip: int, width: int, sizes: Sequence[int], counts: Sequence[int]) -> int:
-    """The count law's max error over ``width``, summed over blocks of b = ``sizes`` cells
-    and t = ``counts`` non-nulls that each hold the share p = clip/width of their
-    cells inside the query (a draw (b, t, b*p, any shift)).
+def _count_error(clip: int, width: int, values: int, columns: _Columns, slices: Iterable[slice]) -> int:
+    """The count law's max error over ``width``, summed over the blocks at ``slices`` of
+    the ``columns``: blocks of b cells and t non-nulls that each hold the share
+    p = clip/width of their cells inside the query (a draw (b, t, b*p, any shift)).
 
     With Q = max(clip, width - clip) and mu = min(t, b - t), a block's error is
     min(Q*mu, (width - Q)*(b - mu)) / width.  Swapping nulls for non-nulls, or the
@@ -374,14 +377,16 @@ def _count_error(clip: int, width: int, sizes: Sequence[int], counts: Sequence[i
     max(0, mu - b*(width - Q)/width) up to mu, and the mean Q*mu/width is nearer
     the top.  One integer loop, with no call per block.
     """
+    sizes, counts, _ = columns
     q = clip if clip + clip > width else width - clip
     rest = width - q
     err = 0
-    for b, t in zip(sizes, counts):
-        if t + t > b:
-            t = b - t
-        top, bottom = q * t, rest * (b - t)
-        err += top if top < bottom else bottom
+    for line in slices:
+        for b, t in zip(sizes[line], counts[line]):
+            if t + t > b:
+                t = b - t
+            top, bottom = q * t, rest * (b - t)
+            err += top if top < bottom else bottom
     return err
 
 
@@ -392,7 +397,7 @@ def _count_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moment
     and the share l/n inside: the shift moves the mean and the ends alike.
     """
     d, c, e, vk = _moments(n, m, l, shift)
-    return c, d, vk, d * d * e, _count_error(l, n, (n,), (m,)), d
+    return c, d, vk, d * d * e, _count_error(l, n, m, ((n,), (m,), ()), (slice(None),)), d
 
 
 def _count_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights:
@@ -600,12 +605,6 @@ def _sum_spread(b: int, t: int, s: int) -> tuple[int, int]:
     return s * ((s - t) * (b - 1) + (s + 1) * (b - t)), (t + 1) * (b - 1)
 
 
-def _count_region_error(clip: int, width: int, values: int, columns: _Columns, slices: Iterable[slice]) -> int:
-    """:func:`_count_error` of the blocks at ``slices`` of the ``columns``."""
-    sizes, counts, _ = columns
-    return sum(_count_error(clip, width, sizes[line], counts[line]) for line in slices)
-
-
 class _Law(NamedTuple):
     """A moment kernel, a pmf-weights builder, ``sizes(b, s)``: the block size and
     sum that the exact pmf of a block of b cells is budgeted by, and the law's
@@ -629,7 +628,7 @@ class _Law(NamedTuple):
     of_sum: bool
 
 
-_COUNT = _Law(_count_kernel, _count_weights, lambda b, s: (b, 0), _count_region_error, _count_spread, False)
+_COUNT = _Law(_count_kernel, _count_weights, lambda b, s: (b, 0), _count_error, _count_spread, False)
 _SUM = _Law(_sum_kernel, _sum_weights, lambda b, s: (b, s), _sum_error, _sum_spread, True)
 # The case-2/3 law with (count, sum) weights.
 _JOINT = _SUM._replace(weights=_joint_weights)
@@ -656,46 +655,29 @@ def _law_weights(law: _Law, draw: _Draw, t: int, s: int, b: int, pmf_budget: int
     return law.weights(*draw, t, s)
 
 
-def _region_moments(
-    law: _Law, clip: int, width: int, values: int, spread: int, spread_den: int,
-    columns: _Columns, slices: Iterable[slice],
-) -> _Moments:
-    """The summed moments of the cases-1-2 draws of the blocks at ``slices`` of the
-    ``columns``, which all hold the share p = clip/width of their cells inside the query.
-
-    Each block (b, t, s) is drawn as (b, t, b*p, 0), so the mean and the variance
-    of the box are p and p*(1-p) times its sums of x and of g (see ``_Law``):
-    ``values`` and ``spread/spread_den``.  The max error is the law's ``error``
-    rule over the same blocks.
-    """
-    err = law.error(clip, width, values, columns, slices)
-    return clip * values, width, clip * (width - clip) * spread, width * width * spread_den, err, width
-
-
 def _compose(
     law: _Law,
     draws: list[tuple[_Draw, int, int, int]],
     shift: int,
     want_pmf: bool,
     pmf_budget: int | None,
-    parts: Iterable[_Moments] = (),
+    moments: tuple[dict[int, int], dict[int, int], dict[int, int]] | None = None,
 ) -> Estimate:
     """The Estimate of ``shift`` plus one independent draw of ``law`` per (draw, t, s, b) in
-    ``draws``, plus ``parts``: the moments of more draws, summed by ``_region_moments``.
+    ``draws``; or, given ``moments``, of those numerators of the mean, variance and max
+    error, each keyed by its denominator (the planner's walk over a query box, which
+    holds the shift already) plus the draws.
 
-    Each block's kernel numerators add per denominator, and so do the parts'; each
-    moment becomes one exact fraction.  When ``want_pmf``, the pmf is the point mass
-    at ``shift`` with no draw, the one draw's law (budgeted for its b cells) moved by
-    ``shift`` with one, and None with more; a pmf is only asked for without ``parts``.
+    Each block's kernel numerators add per denominator, and each moment becomes one
+    exact fraction.  When ``want_pmf``, the pmf is the point mass at ``shift`` with no
+    draw, the one draw's law (budgeted for its b cells) moved by ``shift`` with one,
+    and None with more; a pmf is only asked for without ``moments``.
     """
     # numerators of each moment, keyed by their denominator
-    mean: dict[int, int] = {1: shift}
-    variance: dict[int, int] = {}
-    max_error: dict[int, int] = {}
+    mean, variance, max_error = moments or ({1: shift}, {}, {})
     kernel = law.kernel
-    for mean_num, mean_den, var_num, var_den, err_num, err_den in chain(
-        (kernel(*draw, t, s) for draw, t, s, _ in draws), parts
-    ):
+    for draw, t, s, _ in draws:
+        mean_num, mean_den, var_num, var_den, err_num, err_den = kernel(*draw, t, s)
         mean[mean_den] = mean.get(mean_den, 0) + mean_num
         variance[var_den] = variance.get(var_den, 0) + var_num
         max_error[err_den] = max_error.get(err_den, 0) + err_num
@@ -711,7 +693,10 @@ def _compose(
 def _ratio(parts: dict[int, int]) -> Fraction:
     """The sum of ``numerator/denominator`` over ``parts``, over their least common multiple."""
     common = lcm(*parts)
-    return Fraction(sum(num * (common // den) for den, num in parts.items()), common)
+    total = 0
+    for den, num in parts.items():  # a plain loop: a generator costs more on a few parts
+        total += num * (common // den)
+    return Fraction(total, common)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ summary's prefix sums over the block grid, so their number does not matter.
 Only the shell carries uncertainty: the query's law is picked once from the
 estimators' law table, the one place where the case chooses it, and the
 shell is one draw of that law per block.  Cases 1-2 without a pmf read the
-shell by regions: every block of a region holds the same share p of its
-cells inside the query, so the region's mean and variance are p and
-p(1-p) times one prefix-table lookup each (see ``_Region`` and the law's
-``spread``), and its max error is the law's one ``error`` rule over the
-region's slices of the summary's flat block columns: a lookup for case-1
-sums, one integer loop for the others.  Case 3 and pmf
+whole query box in one walk (``_box_moments``): each axis splits once into
+at most three segments, and each choice of one segment per axis is a region
+whose blocks all hold the same share p of their cells inside the query.  The
+region of the inner runs is the inner box, and so gives the exact shift;
+every other region's mean and variance are p and p(1-p) times one box total
+each, read straight-line from the prefix tables of the law's x and of its
+``spread``, and its max error is the law's one ``error`` rule over the
+region's slices of the summary's flat block columns: a box total for
+case-1 sums, one integer loop for the others.  Case 3 and pmf
 queries read the shell block by block, one kernel call per draw.  The
 estimators' ``_compose`` turns the shift and the shell into the Estimate;
 the public estimators, this planner and the histogram all compose through
@@ -27,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
 from .constraints import ConstraintSet, bound_tuple, validate
 from .core import Range
 from .errors import ConstraintError
-from .estimators import DEFAULT_PMF_BUDGET, _LAWS, Estimate, _compose, _region_moments, _shifted_coordinates
+from .estimators import DEFAULT_PMF_BUDGET, _LAWS, Estimate, _Law, _compose, _shifted_coordinates
 from .summary import CompressedDatacube
 
 # Not called here, but kept bound: bench/tracing.py patches these names on
@@ -69,22 +73,14 @@ def estimate(
 
     The answer is the exact shift plus one draw per shell block, composed by
     the estimators' ``_compose``, which also attaches the pmf when at most
-    one block is partially covered.  Cases 1-2 without a pmf sum the draws
-    of each shell region at once; case 3 and pmfs take them block by block.
+    one block is partially covered.  Cases 1-2 without a pmf take the shift
+    and the draws of each shell region at once, in one walk over the query
+    box; case 3 and pmfs take them block by block.
     """
     law = _LAWS[spec.kind.value, spec.case]
-    values = summary._sums if law.of_sum else summary._counts
     if spec.case < 3 and not spec.want_pmf:
-        lo, hi, regions = summary._regions(spec.range)
-        spread, spread_den = summary._prefix_ratios(law.spread)
-        columns = summary._columns
-        parts = [
-            _region_moments(
-                law, clip, width, values.total(r_lo, r_hi), spread.total(r_lo, r_hi), spread_den, columns, slices
-            )
-            for r_lo, r_hi, clip, width, slices, _ in regions
-        ]
-        return _compose(law, [], values.total(lo, hi), False, DEFAULT_PMF_BUDGET, parts)
+        return _compose(law, [], 0, False, DEFAULT_PMF_BUDGET, _box_moments(summary, law, spec.range))
+    values = summary._sums if law.of_sum else summary._counts
 
     if spec.case == 3:
         if constraints is None:
@@ -109,3 +105,85 @@ def estimate(
             draw = b, t, r.overlap_size(query), 0
         draws.append((draw, t, s, b))
     return _compose(law, draws, values.total(split.lo, split.hi), spec.want_pmf, DEFAULT_PMF_BUDGET)
+
+
+def _box_moments(summary: CompressedDatacube, law: _Law, query: Range) -> tuple[dict, dict, dict]:
+    """The numerators of the query's mean, variance and max error under ``law`` in cases
+    1-2, each keyed by its denominator, from one walk over the blocks it overlaps.
+
+    Each axis splits into at most three segments: its low end block, its run of
+    blocks inside the query and its high end block, where an end block is one the
+    query only clips.  A segment holds its two offsets into the prefix tables (as
+    ``_PrefixSums.total`` forms them), its share of the axis' common width W_q (the
+    product of its end blocks' widths: W_q for the run, clip*W_q/width for an end),
+    and its offset, number and stride of blocks in the row-major block order.  A region
+    takes one segment on every axis, and each of its blocks holds the share
+    p = c/W of its cells inside the query, where c is the product of its segments'
+    shares and W that of the W_q.  The run on every axis is the inner box, with
+    p = 1: its mean is its exact total, with no variance and no error.  Every other
+    region is one box of the shell, whose mean and variance are p and p*(1 - p)
+    times its totals of the law's x and g (see ``_Law``): straight-line reads of the
+    value table and of the law's ``spread`` table over the last two axes, summed
+    over the signed corners of any leading axes.  A 1-D query walks a unit axis
+    before its one, whose low end is the zero row after the summary's 1-D tables.
+    A region's max error is the law's ``error`` rule at share c/W over its blocks,
+    as strided slices of the flat block columns.  So every moment has one
+    denominator: W, W^2 times the ``spread`` tables' one, and W.
+    """
+    table = summary._sums if law.of_sum else summary._counts
+    spread, spread_den = summary._prefix_ratios(law.spread)
+    values, spread = table.table, spread.table
+    columns, error, factor, stride, whole = summary._columns, law.error, summary.factor, len(summary.blocks), 1
+    axes = []
+    for (first, last, start, stop), lo_q, hi_q, bounds, n, step in zip(
+        summary._cuts(query), query.lo, query.hi, factor.boundaries, factor.shape, table.strides
+    ):
+        stride //= n  # of this axis in the row-major block order
+        ends, common = [], 1
+        for k in (first, last) if first < last else (first,):
+            if not start <= k < stop:
+                low, high = bounds[k - 1] + 1, bounds[k]
+                ends.append((k, (hi_q if hi_q < high else high) - (lo_q if lo_q > low else low) + 1, high - low + 1))
+                common *= high - low + 1
+        segments = []
+        if stop > start:
+            segments.append(((stop - 1) * step, (start - 1) * step, common, (start - 1) * stride, stop - start, stride))
+        for k, clip, width in ends:
+            segments.append((k * step, (k - 1) * step, clip * (common // width), (k - 1) * stride, 1, stride))
+        axes.append(segments)
+        whole *= common
+    if len(axes) == 1:
+        axes.insert(0, [(0, len(values) // 2, 1, 0, 1, len(summary.blocks))])
+    *leads, rows, cols = axes
+    mean = variance = max_error = 0
+    for lead in product(*leads):  # one empty lead in 1-2 D
+        # the lead's signed corner offsets, share and first blocks
+        corners, lead_share, starts = [(0, 1)], 1, [0]
+        for high, low, share, offset, count, stride in lead:
+            corners = [(x + high, sign) for x, sign in corners] + [(x + low, -sign) for x, sign in corners]
+            lead_share *= share
+            starts = [x + offset + i * stride for x in starts for i in range(count)]
+        for h0, l0, share0, o0, n0, row_stride in rows:
+            # the lead corners' row offsets; a negative corner swaps high and low
+            pairs = []
+            for x, sign in corners:
+                pairs.append((x + h0, x + l0)[::sign])
+            row_share = lead_share * share0
+            for h1, l1, share1, o1, n1, _ in cols:
+                share = row_share * share1
+                v = g = 0
+                for a, b in pairs:
+                    v += values[a + h1] - values[a + l1] - values[b + h1] + values[b + l1]
+                    g += spread[a + h1] - spread[a + l1] - spread[b + h1] + spread[b + l1]
+                mean += share * v
+                if share == whole:  # the inner box
+                    continue
+                # per lead block, n0 lines along the last axis, or one down the rows
+                lines, length, step = (n0, n1, 1) if n1 > 1 or n0 == 1 else (1, (n0 - 1) * row_stride + 1, row_stride)
+                slices = []
+                for x in starts:
+                    for y in range(x + o0 + o1, x + o0 + o1 + lines * row_stride, row_stride):
+                        slices.append(slice(y, y + length, step))
+                variance += share * (whole - share) * g
+                max_error += error(share, whole, v, columns, slices)
+    return {whole: mean}, {whole * whole * spread_den: variance}, {whole: max_error}

@@ -15,6 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _iproduct
+from itertools import repeat
 from math import lcm, prod
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -145,39 +146,12 @@ class _Split(NamedTuple):
     overlapped block, in row-major order.  Each row of the overlapped box
     along the last axis is one slice of the row-major block tuple; a row whose
     leading indices all lie inside the inner box leaves out its inner run.
-    Cases 1-2 read the same shell by regions instead (see ``_Region``).
+    Cases 1-2 read the same shell in one walk instead (see the planner).
     """
 
     lo: Coords
     hi: Coords
     shell: tuple[BlockSummary, ...]
-
-
-class _Region(NamedTuple):
-    """A box ``lo..hi`` of shell blocks that the query clips to one share.
-
-    Each axis of the query's overlapped blocks splits into its low end block,
-    its run of blocks inside the query and its high end block, where an end
-    block is one the query only clips.  A region takes one of these on every
-    axis and an end block on at least one, so a query has at most 3^r - 1.
-    Each of its blocks holds ``clip/width`` of its cells inside the query:
-    ``clip`` and ``width`` multiply the clipped and the whole extents of its
-    end blocks.  ``slices`` cut the box, line by line along its longest axis,
-    out of the row-major block order: of ``blocks``, or of the summary's
-    ``_columns``.
-    """
-
-    lo: Coords
-    hi: Coords
-    clip: int
-    width: int
-    slices: list[slice]
-    blocks: tuple[BlockSummary, ...]
-
-    @property
-    def lines(self) -> list[tuple[BlockSummary, ...]]:
-        """The region's blocks, one tuple per slice."""
-        return [self.blocks[line] for line in self.slices]
 
 
 @dataclass(frozen=True)
@@ -208,11 +182,22 @@ class CompressedDatacube:
     # instance; they are not fields, so equality, hashing and JSON ignore them.
     @cached_property
     def _counts(self) -> _PrefixSums:
-        return _PrefixSums([b.count for b in self.blocks], self.factor.shape)
+        return self._grid_sums([b.count for b in self.blocks])
 
     @cached_property
     def _sums(self) -> _PrefixSums:
-        return _PrefixSums([b.sum for b in self.blocks], self.factor.shape)
+        return self._grid_sums([b.sum for b in self.blocks])
+
+    def _grid_sums(self, values: list[int]) -> _PrefixSums:
+        """Prefix sums of ``values`` over the block grid.
+
+        A 1-D table is followed by as many zeros as it has entries, which the
+        planner's shell walk reads as the low end of a unit axis before it.
+        """
+        sums = _PrefixSums(values, self.factor.shape)
+        if self.factor.ndim == 1:
+            sums.table.extend(repeat(0, len(sums.table)))
+        return sums
 
     @cached_property
     def _columns(self) -> tuple[list[int], list[int], list[int]]:
@@ -234,7 +219,7 @@ class CompressedDatacube:
         if found is None:
             parts = [ratio(b.size, b.count, b.sum) for b in self.blocks]
             common = lcm(*(den for _, den in parts))
-            table = _PrefixSums([num * (common // den) for num, den in parts], self.factor.shape)
+            table = self._grid_sums([num * (common // den) for num, den in parts])
             found = self._ratio_tables[ratio] = table, common
         return found
 
@@ -270,48 +255,6 @@ class CompressedDatacube:
         return _Split(
             tuple(k.start for k in inner), tuple(k.stop - 1 for k in inner), tuple(shell)
         )
-
-    def _regions(self, query: Range) -> tuple[Coords, Coords, list[_Region]]:
-        """The inner box ``lo..hi`` of ``query``, as in ``_Split``, and its shell regions."""
-        shape, blocks = self.factor.shape, self.blocks
-        segments, lo, hi = [], [], []
-        stride = len(blocks)
-        for (first, last, start, stop), lo_q, hi_q, axis, n in zip(
-            self._cuts(query), query.lo, query.hi, self.factor.boundaries, shape
-        ):
-            stride //= n  # of this axis in the row-major block tuple
-            stop = max(start, stop)
-            lo.append(start)
-            hi.append(stop - 1)
-            # (first block, last block, clipped extent, whole extent, and the
-            # offset along this axis, number and stride of the blocks)
-            axis_segments = [(start, stop - 1, 1, 1, (start - 1) * stride, stop - start, stride)] if stop > start else []
-            for k in (first, last) if first < last else (first,):
-                if not start <= k < stop:
-                    low, high = axis[k - 1] + 1, axis[k]
-                    clip = (hi_q if hi_q < high else high) - (lo_q if lo_q > low else low) + 1
-                    axis_segments.append((k, k, clip, high - low + 1, (k - 1) * stride, 1, stride))
-            segments.append(axis_segments)
-        regions = []
-        for parts in _iproduct(*segments):
-            r_lo, r_hi, clips, widths, offsets, counts, strides = zip(*parts)
-            width = prod(widths)
-            if width == 1:  # the run inside the query on every axis: the inner box
-                continue
-            # the box as lines along its longest axis q, each a strided slice of the
-            # row-major blocks; only a box of several blocks on two or more axes has more than one
-            longest = max(counts)
-            q = counts.index(longest)
-            step = strides[q]
-            span = (longest - 1) * step + 1
-            starts = [sum(offsets)]
-            if counts.count(1) < len(counts) - 1:
-                for j, (count, stride) in enumerate(zip(counts, strides)):
-                    if count > 1 and j != q:
-                        starts = [start + i * stride for start in starts for i in range(count)]
-            slices = [slice(start, start + span, step) for start in starts]
-            regions.append(_Region(r_lo, r_hi, prod(clips), width, slices, blocks))
-        return tuple(lo), tuple(hi), regions
 
     def total_count(self) -> int:
         return sum(b.count for b in self.blocks)

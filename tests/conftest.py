@@ -120,6 +120,6 @@ def region_error_reference(kind: str, case: int, clip: int, width: int, blocks) 
     """
     ends = {"count": _count_ends, "sum": _sum_ends if case > 1 else lambda n, m, l, shift, t, s: (0, s)}[kind]
     return sum(
-        _error(clip * (t if kind == "count" else s), width, *ends(b, t, b // width * clip, 0, t, s))
+        _error(clip * (t if kind == "count" else s), width, *ends(b, t, b * clip // width, 0, t, s))
         for b, t, s in blocks
     )

@@ -1,6 +1,6 @@
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from math import prod
 
 import pytest
@@ -40,6 +40,7 @@ from cubeprob import (
 )
 from cubeprob import bound_tuple as make_bound_tuple
 from cubeprob.estimators import _LAWS
+from cubeprob.planner import _box_moments
 from conftest import region_error_reference, summarized_ranges
 
 F = Fraction
@@ -244,16 +245,30 @@ def test_shell_composition_matches_the_per_block_reference(case, data):
 
 @st.composite
 def region_queries(draw):
-    """A 1-3-D cube of up to 12 cells per axis under uneven cuts, and a query.
+    """A 1-4-D cube under uneven cuts, and a query: up to 16 cells per axis in 1-D, 12
+    in 2-D, 6 in 3-D and 4 in 4-D, where the walk has two lead axes.
 
     Each block is empty (t = 0), full (t = n) or mixed.  On each axis the
-    query lies inside one block, or each of its ends is free or on a grid line.
+    query runs from a cell of one block to a cell of the same block or a later
+    one, each cell uniform in its block: on its grid line or some cells inside.
     """
-    dims = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3), label="dims"))
+    ndim = draw(st.integers(1, 4), label="ndim")
+    # the cuts and the query by a seeded uniform generator: hypothesis's own draws
+    # favour equal values, which put both ends of an axis in one block or on grid lines
+    rng = draw(st.randoms(use_true_random=True), label="layout")
+    width, count = ((4, 4), (4, 3), (3, 2), (2, 2))[ndim - 1]  # most cells, blocks per axis
     axes = tuple(
-        (0, *sorted(draw(st.sets(st.integers(1, n - 1)), label="cuts") if n > 1 else ()), n) for n in dims
+        tuple(accumulate((rng.randint(1, width) for _ in range(rng.randint(1, count))), initial=0))
+        for _ in range(ndim)
     )
+    dims = tuple(axis[-1] for axis in axes)
     factor = CompressionFactor(axes)
+    lo, hi = [], []
+    for axis in axes:
+        # two blocks, and in each an end on its grid line or some cells inside
+        first, last = sorted(rng.randint(1, len(axis) - 1) for _ in range(2))
+        lo.append(rng.randint(axis[first - 1] + 1, axis[first]))
+        hi.append(rng.randint(max(lo[-1], axis[last - 1] + 1), axis[last]))
     fills = {
         index: draw(st.sampled_from(["empty", "full", "mixed"]), label="fill")
         for index in factor.block_indices()
@@ -265,18 +280,21 @@ def region_queries(draw):
         high = {"empty": 0, "full": 4, "mixed": 4}[fills[index]]
         cells.append(draw(st.integers(low, high), label="cell"))
     cube = Datacube(dims, tuple(cells))
-    lo, hi = [], []
-    for n, axis in zip(dims, axes):
-        if draw(st.booleans(), label="inside one block"):
-            k = draw(st.integers(1, len(axis) - 1), label="block")
-            lo.append(draw(st.integers(axis[k - 1] + 1, axis[k]), label="lo"))
-            hi.append(draw(st.integers(lo[-1], axis[k]), label="hi"))
-            continue
-        on_grid = st.sampled_from(axis[:-1]).map(lambda c: c + 1)
-        lo.append(draw(on_grid if draw(st.booleans()) else st.integers(1, n), label="lo"))
-        ends = [c for c in axis if c >= lo[-1]]
-        hi.append(draw(st.sampled_from(ends) if draw(st.booleans()) else st.integers(lo[-1], n), label="hi"))
     return build_summary(cube, factor), Range(tuple(lo), tuple(hi))
+
+
+def walked_regions(summary, query, kind="count", estimation_case=1):
+    """The shell regions of the planner's walk under a law: (clip, width, values, slices)
+    for each call of the law's ``error`` rule, whose answers are the real rule's."""
+    law = _LAWS[kind, estimation_case]
+    calls = []
+
+    def spy(clip, width, values, columns, slices):
+        calls.append((clip, width, values, list(slices)))
+        return law.error(clip, width, values, columns, calls[-1][3])
+
+    _box_moments(summary, law._replace(error=spy), query)
+    return calls
 
 
 @settings(deadline=None, max_examples=200)
@@ -285,28 +303,34 @@ def test_shell_regions_match_the_per_block_reference(case, kind, estimation_case
     summary, query = case
     spec = QuerySpec(query, kind, estimation_case)
     assert estimate(summary, None, spec) == _reference_estimate(summary, None, spec)
-    # the regions tile the shell, and each holds its one share of every block
-    lo, hi, regions = summary._regions(query)
+    # the walk's regions tile the shell, each holds its one share of every block,
+    # and each reads the total of its blocks' counts (sums) from the value table
+    regions = walked_regions(summary, query, kind.value, estimation_case)
     split = summary._split(query)
-    assert (lo, hi) == (split.lo, split.hi)
-    covered = [(blk, r.clip, r.width) for r in regions for line in r.lines for blk in line]
+    covered = [
+        (blk, clip, width) for clip, width, _, slices in regions for line in slices for blk in summary.blocks[line]
+    ]
     assert sorted(blk.index for blk, _, _ in covered) == sorted(blk.index for blk in split.shell)
     assert all(query.intersect(blk.range).size * width == blk.size * clip for blk, clip, width in covered)
+    for _, _, values, slices in regions:
+        blocks = [blk for line in slices for blk in summary.blocks[line]]
+        assert values == sum(blk.count if kind is QueryKind.COUNT else blk.sum for blk in blocks)
 
 
 @settings(deadline=None, max_examples=200)
 @given(region_queries())
 def test_region_error_rules_equal_the_per_block_ends(case):
     # each law's one error rule, read from the flat block columns by the
-    # region's slices, against the scalar ends of every block in it
+    # walk's slices at the walk's share, against the scalar ends of every block in it
     summary, query = case
-    _, _, regions = summary._regions(query)
-    for (kind, estimation_case), region in product([("count", 1), ("sum", 1), ("sum", 2)], regions):
+    for (kind, estimation_case), (clip, width, _, slices) in product(
+        [("count", 1), ("sum", 1), ("sum", 2)], walked_regions(summary, query)
+    ):
         law = _LAWS[kind, estimation_case]
-        blocks = [(blk.size, blk.count, blk.sum) for line in region.lines for blk in line]
+        blocks = [(blk.size, blk.count, blk.sum) for line in slices for blk in summary.blocks[line]]
         values = sum(s if law.of_sum else t for _, t, s in blocks)
-        got = law.error(region.clip, region.width, values, summary._columns, region.slices)
-        assert got == region_error_reference(kind, estimation_case, region.clip, region.width, blocks)
+        got = law.error(clip, width, values, summary._columns, slices)
+        assert got == region_error_reference(kind, estimation_case, clip, width, blocks)
 
 
 @pytest.fixture(scope="module")
