@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import prod
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -64,24 +65,57 @@ class ConstraintSet:
     def __len__(self) -> int:
         return len(self.blocks)
 
+    # Built on first use and cached on the instance; not a field, so equality,
+    # hashing and JSON ignore it.
+    @cached_property
+    def _boxes(self) -> list[tuple[Coords, Coords, int]]:
+        """Each macro-block as (lo, hi, kind): kind 0 for null, 1 for non-null."""
+        return [(m.range.lo, m.range.hi, int(m.kind is MacroKind.ALL_NONNULL)) for m in self.blocks]
 
-def _located(cs: ConstraintSet, r: Range) -> tuple[int, int]:
-    """(null, non-null) cells of ``r`` that the macro-blocks locate.
 
-    A range of another arity than the macro-blocks raises
-    ``ConstraintError``: ``Range.overlap_size`` would zip the corners and
-    count a meaningless overlap.
+def _located(cs: ConstraintSet, r: Range, within: Range | None = None) -> tuple[int, int, int, int]:
+    """(null, non-null) cells of ``r`` that the macro-blocks locate, then the same two
+    counts for the cells of ``r`` inside ``within`` (0 and 0 without it).
+
+    One pass over the macro-blocks as flat boxes (``ConstraintSet._boxes``): a
+    box's overlap with ``r`` is the product of its clipped extents, given up at
+    the first disjoint axis, and only a box that meets ``r`` is clipped to
+    ``r``'s intersection with ``within`` too.  A range of another arity than the
+    macro-blocks raises ``ConstraintError`` before the pass: zipping the corners
+    would count a meaningless overlap.
     """
-    if cs.blocks and cs.blocks[0].range.ndim != r.ndim:
+    boxes = cs._boxes
+    if boxes and len(boxes[0][0]) != r.ndim:
         m = cs.blocks[0].range
         raise ConstraintError(f"macro-block {m} has arity {m.ndim}, the range {r} has arity {r.ndim}")
-    null = nonnull = 0
-    for m in cs.blocks:
-        if m.kind is MacroKind.ALL_NULL:
-            null += m.range.overlap_size(r)
+    r_lo, r_hi = r.lo, r.hi
+    clip = None
+    if within is not None:
+        # an empty intersection has some lo > hi, where every box's extent is <= 0
+        clip = (
+            [a if a > b else b for a, b in zip(r_lo, within.lo)],
+            [a if a < b else b for a, b in zip(r_hi, within.hi)],
+        )
+    located = [0, 0, 0, 0]  # null and non-null in r, then inside within
+    for lo, hi, kind in boxes:
+        size = 1
+        for a, b, c, d in zip(lo, hi, r_lo, r_hi):
+            extent = (b if b < d else d) - (a if a > c else c) + 1
+            if extent <= 0:
+                break
+            size *= extent
         else:
-            nonnull += m.range.overlap_size(r)
-    return null, nonnull
+            located[kind] += size
+            if clip is not None:
+                size = 1
+                for a, b, c, d in zip(lo, hi, *clip):
+                    extent = (b if b < d else d) - (a if a > c else c) + 1
+                    if extent <= 0:
+                        break
+                    size *= extent
+                else:
+                    located[kind + 2] += size
+    return tuple(located)
 
 
 def lb_eq0(cs: ConstraintSet, r: Range) -> int:
@@ -142,9 +176,9 @@ class BoundTuple:
 def bound_tuple(cs: ConstraintSet, block: Range, query: Range) -> BoundTuple:
     """Bound tuple for ``query`` inside ``block`` under the constraint set.
 
-    The block-level bounds add the complement region's bounds to the in-range
-    ones, where the complement (block minus query) overlap of each macro-block
-    is its overlap with the block minus its overlap with the query.
+    One pass of :func:`_located` counts the located cells of the block and of
+    the query: at least the located non-nulls and at most the cells not
+    located null are non-null, in the query and in the whole block alike.
     """
     if block.ndim != query.ndim:
         raise ConstraintError(
@@ -154,8 +188,7 @@ def bound_tuple(cs: ConstraintSet, block: Range, query: Range) -> BoundTuple:
         raise ConstraintError(f"query {query} not inside block {block}")
     b_in = query.size
     b_blk = block.size
-    null_in, nn_in = _located(cs, query)
-    null_blk, nn_blk = _located(cs, block)
+    null_blk, nn_blk, null_in, nn_in = _located(cs, block, query)
     return BoundTuple(
         t_lo_in=nn_in,
         t_hi_in=b_in - null_in,
@@ -192,12 +225,14 @@ class ValidationReport:
 def validate(cs: ConstraintSet, summary: CompressedDatacube) -> ValidationReport:
     """Check every block's stored count against the constraint bounds.
 
-    Returns a report naming the first violating block instead of raising.
-    A macro-block whose arity differs from the summary's raises
+    Each block takes one pass of :func:`_located` over the macro-blocks: its
+    count must lie between its located non-nulls and its cells not located
+    null.  Returns a report naming the first violating block instead of
+    raising.  A macro-block whose arity differs from the summary's raises
     ``ConstraintError``: its overlaps with the blocks would be meaningless.
     """
     for blk in summary.blocks:
-        null, lo = _located(cs, blk.range)
+        null, lo, _, _ = _located(cs, blk.range)
         hi = blk.size - null
         if not lo <= blk.count <= hi:
             return ValidationReport(False, blk.index, blk.count, lo, hi)

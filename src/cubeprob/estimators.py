@@ -25,11 +25,11 @@ draw of that law per block.  The public estimators (one draw), the planner
 (one per partial block; in cases 1-2 its one walk over the query box hands
 over the numerators of the whole shell, a region at a time, with each
 region's max error from the law's rule over the flat block columns of
-sizes, counts and sums) and the histogram (none for a full bucket) all
-answer through it,
-and an exact pmf keeps its stepped integer weights over their one total.
-A case-2/3 sum pmf comes from one convolution of packed big ints (Kronecker
-substitution); the (count, sum) rows of ``_joint_rows`` serve joint pmfs only.
+sizes, counts, sums and mirrored counts) and the histogram (none for a full
+bucket) all answer through it, and an exact pmf keeps its stepped integer
+weights over their one total.  A case-2/3 sum pmf comes from one convolution
+of packed big ints (Kronecker substitution); the (count, sum) rows of
+``_joint_rows`` serve joint pmfs only.
 
 All probabilities, means, variances and maximum-error bounds are exact
 rationals over arbitrary-precision integers; float views are provided at the
@@ -319,8 +319,9 @@ def _check_pmf_budget(b: int, s: int, budget: int | None) -> None:
 _Draw = tuple[int, int, int, int]
 _Moments = tuple[int, int, int, int, int, int]
 _Weights = tuple[dict, int]
-# The sizes, counts and sums of a summary's blocks, in row-major order.
-_Columns = tuple[Sequence[int], Sequence[int], Sequence[int]]
+# The sizes, counts and sums of a summary's blocks, in row-major order, then each
+# block's mu = min(t, b - t) and b - mu.
+_Columns = tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
 
 
 def _ends(n: int, m: int, l: int) -> tuple[int, int]:
@@ -375,17 +376,15 @@ def _count_error(clip: int, width: int, values: int, columns: _Columns, slices: 
     outside for the inside, mirrors the count about its mean, so take t = mu <= b/2
     non-nulls and the larger share Q/width: the count then runs from
     max(0, mu - b*(width - Q)/width) up to mu, and the mean Q*mu/width is nearer
-    the top.  One integer loop, with no call per block.
+    the top.  One integer loop over the columns of mu and b - mu, with no call per block.
     """
-    sizes, counts, _ = columns
+    low, high = columns[3:]
     q = clip if clip + clip > width else width - clip
     rest = width - q
     err = 0
     for line in slices:
-        for b, t in zip(sizes[line], counts[line]):
-            if t + t > b:
-                t = b - t
-            top, bottom = q * t, rest * (b - t)
+        for mu, nu in zip(low[line], high[line]):
+            top, bottom = q * mu, rest * nu
             err += top if top < bottom else bottom
     return err
 
@@ -397,7 +396,8 @@ def _count_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moment
     and the share l/n inside: the shift moves the mean and the ends alike.
     """
     d, c, e, vk = _moments(n, m, l, shift)
-    return c, d, vk, d * d * e, _count_error(l, n, m, ((n,), (m,), ()), (slice(None),)), d
+    mu = m if m + m <= n else n - m
+    return c, d, vk, d * d * e, _count_error(l, n, m, ((n,), (m,), (), (mu,), (n - mu,)), (slice(None),)), d
 
 
 def _count_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights:
@@ -459,7 +459,7 @@ def _sum_error(clip: int, width: int, values: int, columns: _Columns, slices: It
     clip*s - max(0, width*t - b*(width - clip)) and
     (width - clip)*s - max(0, width*t - b*clip).  One integer loop, with no call per block.
     """
-    sizes, counts, sums = columns
+    sizes, counts, sums = columns[:3]
     rest = width - clip
     err = 0
     for line in slices:
@@ -616,8 +616,8 @@ class _Law(NamedTuple):
     as (numerator, denominator).  Its max error is not linear in p, and
     ``error(clip, width, values, columns, slices)`` is the law's one rule for it:
     the sum over ``width`` of the errors of the blocks at ``slices`` of the
-    ``columns`` (sizes, counts, sums), which all hold p = clip/width and whose x
-    add up to ``values``.
+    ``columns`` (sizes, counts, sums, mu = min(t, b - t), b - mu), which all hold
+    p = clip/width and whose x add up to ``values``.
     """
 
     kernel: Callable[[int, int, int, int, int, int], _Moments]

@@ -16,7 +16,13 @@ each, read straight-line from the prefix tables of the law's x and of its
 ``spread``, and its max error is the law's one ``error`` rule over the
 region's slices of the summary's flat block columns: a box total for
 case-1 sums, one integer loop for the others.  Case 3 and pmf
-queries read the shell block by block, one kernel call per draw.  The
+queries read the shell block by block, one kernel call per draw.  A case-3
+query checks the whole summary against the constraints first (``validate``);
+then each shell block's draw comes straight from its located totals, one
+pass over the macro-blocks (``_located``) counting the located null and
+non-null cells of the block and of its part inside the query, with no bound
+tuple built: after ``validate`` every block's count lies within its bounds,
+and these are the draws that ``bound_tuple`` would give.  The
 estimators' ``_compose`` turns the shift and the shell into the Estimate;
 the public estimators, this planner and the histogram all compose through
 that one function.  Means add by linearity.  Variances add exactly: the
@@ -32,14 +38,15 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-from .constraints import ConstraintSet, bound_tuple, validate
+from .constraints import ConstraintSet, _located, validate
 from .core import Range
 from .errors import ConstraintError
-from .estimators import DEFAULT_PMF_BUDGET, _LAWS, Estimate, _Law, _compose, _shifted_coordinates
+from .estimators import DEFAULT_PMF_BUDGET, _LAWS, Estimate, _Law, _compose
 from .summary import CompressedDatacube
 
 # Not called here, but kept bound: bench/tracing.py patches these names on
 # this module, and a traced layer whose work moved off the path reads as 0.
+from .constraints import bound_tuple  # noqa: F401
 from .estimators import count_case1, count_case2, count_case3, sum_case1, sum_case2, sum_case3  # noqa: F401
 from .summary import decompose  # noqa: F401
 
@@ -75,7 +82,8 @@ def estimate(
     the estimators' ``_compose``, which also attaches the pmf when at most
     one block is partially covered.  Cases 1-2 without a pmf take the shift
     and the draws of each shell region at once, in one walk over the query
-    box; case 3 and pmfs take them block by block.
+    box; case 3 and pmfs take them block by block, and case 3 validates the
+    constraints against the whole summary first.
     """
     law = _LAWS[spec.kind.value, spec.case]
     if spec.case < 3 and not spec.want_pmf:
@@ -93,16 +101,19 @@ def estimate(
     case, query = spec.case, spec.range
     draws = []
     for blk in split.shell:
-        t, s, r = blk.count, blk.sum, blk.range
+        t, s, r, b = blk.count, blk.sum, blk.range, blk.size
+        b_in = r.overlap_size(query)
         if case == 3:
-            bt = bound_tuple(constraints, r, query.intersect(r))
-            draw, b = _shifted_coordinates(bt, t, s), bt.b_blk
+            # The draw from the block's and the query's located cells, (n, m, l, shift) =
+            # (b - null_blk - nn_blk, t - nn_blk, b_in - null_in - nn_in, nn_in),
+            # unchecked: validate has put nn_blk <= t <= b - null_blk on every block.
+            null_blk, nn_blk, null_in, nn_in = _located(constraints, r, query)
+            draw = b - null_blk - nn_blk, t - nn_blk, b_in - null_in - nn_in, nn_in
         else:
             # Cases 1-2 take the draw under trivial bounds, (n, m, l, shift) =
             # (b, t, b_in, 0), unchecked: a BlockSummary is realizable and a
             # shell block holds 1 <= b_in < b cells of the query.
-            b = blk.size
-            draw = b, t, r.overlap_size(query), 0
+            draw = b, t, b_in, 0
         draws.append((draw, t, s, b))
     return _compose(law, draws, values.total(split.lo, split.hi), spec.want_pmf, DEFAULT_PMF_BUDGET)
 

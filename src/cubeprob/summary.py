@@ -200,9 +200,12 @@ class CompressedDatacube:
         return sums
 
     @cached_property
-    def _columns(self) -> tuple[list[int], list[int], list[int]]:
-        """The sizes, counts and sums of the blocks, in row-major order."""
-        return [b.size for b in self.blocks], [b.count for b in self.blocks], [b.sum for b in self.blocks]
+    def _columns(self) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+        """The sizes, counts and sums of the blocks, in row-major order, then each block's
+        count mirrored to mu = min(t, b - t) and its b - mu (the count law's error rule)."""
+        sizes, counts = [b.size for b in self.blocks], [b.count for b in self.blocks]
+        low = [t if t + t <= b else b - t for b, t in zip(sizes, counts)]
+        return sizes, counts, [b.sum for b in self.blocks], low, [b - mu for b, mu in zip(sizes, low)]
 
     @cached_property
     def _ratio_tables(self) -> dict:

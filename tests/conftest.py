@@ -96,19 +96,38 @@ def sparse_cube() -> Datacube:
 
 @st.composite
 def summarized_ranges(draw, max_ndim: int = 3, max_len: int = 4, max_value: int = 3):
-    """A random cube of 1..max_ndim axes, its summary under a random factor, and a range."""
-    dims = tuple(draw(st.lists(st.integers(1, max_len), min_size=1, max_size=max_ndim), label="dims"))
+    """A random cube of 1..max_ndim axes, its summary under a random factor, and a range.
+
+    Each axis has 1..max_len cells.  Half of the axes of four or more cells
+    are laid out so that the range starts inside one block and ends inside a
+    later one: its ends are two cells off the axis' ends, some cut lies
+    between them, and no cut lies just before the first or just after the
+    last.  On every other axis each cut is taken with probability 1/2, and
+    the range runs from a cell of one block to a cell of the same block or a
+    later one, each cell uniform in its block.
+    """
+    # the layout by a seeded uniform generator: hypothesis's own draws favour
+    # small and equal values, which put both ends of an axis in one block or on
+    # grid lines (2 of 500 examples clipped two end blocks of some axis)
+    rng = draw(st.randoms(use_true_random=True), label="layout")
+    dims = tuple(rng.randint(1, max_len) for _ in range(rng.randint(1, max_ndim)))
     cells = draw(st.lists(st.integers(0, max_value), min_size=prod(dims), max_size=prod(dims)), label="cells")
     cube = Datacube(dims, tuple(cells))
-    axes = []
+    axes, lo, hi = [], [], []
     for n in dims:
-        cuts = draw(st.sets(st.integers(1, n - 1)), label="cuts") if n > 1 else set()
-        axes.append((0, *sorted(cuts), n))
-    lo, hi = [], []
-    for n in dims:
-        a = draw(st.integers(1, n), label="lo")
+        if n >= 4 and rng.random() < 0.5:
+            a = rng.randint(2, n - 2)
+            b = rng.randint(a + 1, n - 1)
+            cuts = {k for k in range(1, n) if k not in (a - 1, b) and rng.random() < 0.5}
+            axis = (0, *sorted(cuts | {rng.randint(a, b - 1)}), n)
+        else:
+            axis = (0, *(k for k in range(1, n) if rng.random() < 0.5), n)
+            first, last = sorted(rng.randint(1, len(axis) - 1) for _ in range(2))
+            a = rng.randint(axis[first - 1] + 1, axis[first])
+            b = rng.randint(max(a, axis[last - 1] + 1), axis[last])
+        axes.append(axis)
         lo.append(a)
-        hi.append(draw(st.integers(a, n), label="hi"))
+        hi.append(b)
     return cube, build_summary(cube, CompressionFactor(tuple(axes))), Range(tuple(lo), tuple(hi))
 
 

@@ -25,6 +25,7 @@ from cubeprob import (
 from cubeprob.constraints import (
     _best_from,
     _largest_box,
+    _located,
     constraints_from_dict,
     constraints_to_dict,
     load_constraints,
@@ -142,6 +143,48 @@ def test_bound_tuple_splits_macro_across_query_and_complement():
     bt = bound_tuple(cs, Range((1, 1), (4, 4)), Range((1, 1), (2, 2)))
     assert bt.t_hi_in == 4 - 4  # 4 of the 8 null cells fall inside the query
     assert bt.t_hi_blk == 16 - 8
+
+
+def _scanned_located(cs, r, within=None):
+    """The reference for ``_located``: each macro-block's ``Range.overlap_size`` with
+    ``r`` and with ``r``'s intersection with ``within``, added up per kind."""
+    clip = r.intersect(within) if within is not None else None
+    located = [0, 0, 0, 0]
+    for m in cs.blocks:
+        kind = int(m.kind is MacroKind.ALL_NONNULL)
+        located[kind] += m.range.overlap_size(r)
+        if clip is not None:
+            located[2 + kind] += m.range.overlap_size(clip)
+    return tuple(located)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_located_equals_the_per_macro_block_scan(data):
+    # detected macro-blocks of a random 1-3-D cube, against ranges of every
+    # shape: anywhere, on a face of the cube, one cell, or a macro-block itself
+    rng = data.draw(st.randoms(use_true_random=True), label="layout")
+    ndim = rng.randint(1, 3)
+    dims = tuple(rng.randint(1, 7 if ndim < 3 else 4) for _ in range(ndim))
+    cells = tuple(data.draw(st.sampled_from([0, 0, 1, 2]), label="cell") for _ in range(prod(dims)))
+    cs = detect_macroblocks(Datacube(dims, cells), data.draw(st.integers(1, 6), label="min_cells"))
+
+    def some_range():
+        shape = rng.choice(["any", "face", "cell", "macro-block"])
+        if shape == "macro-block" and cs.blocks:
+            return rng.choice(cs.blocks).range
+        ends = [sorted(rng.randint(1, n) for _ in range(2)) for n in dims]
+        if shape == "face":
+            q = rng.randrange(len(dims))
+            ends[q] = [rng.choice([1, dims[q]])] * 2
+        elif shape == "cell":
+            ends = [[a, a] for a, _ in ends]
+        return Range(tuple(a for a, _ in ends), tuple(b for _, b in ends))
+
+    for _ in range(10):
+        r, within = some_range(), some_range()
+        assert _located(cs, r) == _scanned_located(cs, r)
+        assert _located(cs, r, within) == _scanned_located(cs, r, within)
 
 
 def test_validate_empty_constraints(reference_summary):

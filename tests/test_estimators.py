@@ -825,7 +825,9 @@ def test_region_error_rules_equal_the_scalar_ends_for_every_small_block():
     # clip/width with width | b; one block at a time and as strided columns
     for b in range(2, 13):
         blocks = [(b, t, s) for t in range(b + 1) for s in (range(t, t + 4) if t else (0,))]
-        columns = tuple(list(col) for col in zip(*blocks))
+        # the summary's columns: sizes, counts, sums, and each block's mu = min(t, b - t) and b - mu
+        low = [min(t, b - t) for _, t, _ in blocks]
+        columns = (*(list(col) for col in zip(*blocks)), low, [b - mu for mu in low])
         for width in (w for w in range(2, b + 1) if b % w == 0):
             for clip, (kind, case) in product(range(1, width), [("count", 1), ("sum", 1), ("sum", 2)]):
                 rule = _LAWS[kind, case].error

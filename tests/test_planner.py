@@ -182,6 +182,20 @@ def test_inconsistent_constraints_are_rejected(two_block_line):
         estimate(summary, cs, QuerySpec(Range((2,), (3,)), QueryKind.SUM, 3))
 
 
+@pytest.mark.parametrize("query", [Range((1,), (2,)), Range((2,), (9,))], ids=["beside", "inner box"])
+def test_a_contradiction_outside_the_shell_is_refused(query):
+    # blocks 1:3, 4:6 and 7:9; the macro-block says 5:6 is null, but the middle
+    # block holds two non-nulls in three cells.  Neither query has the middle
+    # block in its shell: the first leaves it out, the second holds it whole.
+    cube = Datacube((9,), (1, 0, 2, 0, 3, 4, 1, 1, 0))
+    summary = build_summary(cube, CompressionFactor(((0, 3, 6, 9),)))
+    assert [blk.index for blk in summary._split(query).shell] == [(1,)]
+    cs = ConstraintSet((MacroBlock(Range((5,), (6,)), MacroKind.ALL_NULL),))
+    for kind, want_pmf in product(QueryKind, [False, True]):
+        with pytest.raises(ConstraintError, match="contradict"):
+            estimate(summary, cs, QuerySpec(query, kind, 3, want_pmf))
+
+
 def test_constraints_of_another_arity_are_rejected():
     # the 1-D macro-block used to be read as rows 1..2 of the 2-D cube,
     # giving count 2 with max_error 0 where the exact count is 0
