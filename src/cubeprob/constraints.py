@@ -19,9 +19,10 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from heapq import heapify, heapreplace
 from math import prod
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Coords, Datacube, Range, _load_json
 from .errors import ConstraintError
@@ -61,6 +62,13 @@ class ConstraintSet:
                     raise ConstraintError(
                         f"macro-blocks overlap: {a.range} ({a.kind.value}) and {b.range} ({b.kind.value})"
                     )
+
+    @classmethod
+    def _trusted(cls, blocks: tuple[MacroBlock, ...]) -> "ConstraintSet":
+        """A set of blocks known to share one arity and be disjoint: no pairwise check."""
+        cs = object.__new__(cls)
+        object.__setattr__(cs, "blocks", blocks)
+        return cs
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -244,64 +252,160 @@ def validate(cs: ConstraintSet, summary: CompressedDatacube) -> ValidationReport
 # ---------------------------------------------------------------------------
 
 
-def _heights(dims: Sequence[int], mask: list[bool]) -> Iterator[list[int]]:
-    """Column heights of each row of a 1-D or 2-D mask: the available cells ending there."""
-    rows, cols = (1, *dims)[-2:]
-    prev = [0] * cols
-    for i in range(rows):
-        base = i * cols
-        prev = [h + 1 if mask[base + j] else 0 for j, h in enumerate(prev)]
-        yield prev
+# A mask over ``dims`` is a list of row ints: one per row along the last axis,
+# in row-major order of the other axes (a 1-D mask is one row), with bit j set
+# when cell j + 1 of the row is available.  An AND of rows, a cell count or a
+# run length is then a few big-int operations, not a step per cell.
+
+# the digit that a cell gives each kind's mask, by the cell's non-null flag
+_KIND_DIGITS = (bytes.maketrans(b"\0\1", b"10"), bytes.maketrans(b"\0\1", b"01"))
 
 
-def _row_best(heights: list[int], i: int, ndim: int) -> tuple[int, Coords, Coords] | None:
-    """Largest rectangle whose bottom row is row ``i`` (0-based), given its column heights.
+def _kind_rows(cube: Datacube) -> list[list[int]]:
+    """The null and the non-null mask of ``cube``, as row ints."""
+    cols = cube.dims[-1]
+    flags = bytes(map(bool, cube.cells))
+    masks = []
+    for digits in _KIND_DIGITS:
+        text = flags.translate(digits)
+        # int() reads the most significant digit first, so each row is reversed
+        masks.append([int(text[k : k + cols][::-1], 2) for k in range(0, len(text), cols)])
+    return masks
 
-    Monotonic stack over the histogram, O(len(heights)).  Returns (area, lo,
-    hi) with 1-based corners of an ``ndim``-D mask (1 or 2), or None when
-    every height is 0.  Ties resolve to the rectangle popped first.
+
+def _longest_run(x: int) -> tuple[int, int]:
+    """Length of the longest runs of set bits in ``x`` > 0, and their starts as set bits.
+
+    ``y & (y >> k)`` keeps the starts of runs of at least 2k bits from those
+    of at least k.  Doubling k while some start is left, then adding the
+    halves back while one stays, takes O(log run) big-int operations rather
+    than one shift per bit (bit-parallel run detection).
+    """
+    powers = [x]  # powers[m]: the starts of runs of at least 2**m bits
+    k = 1
+    while longer := powers[-1] & (powers[-1] >> k):
+        powers.append(longer)
+        k <<= 1
+    run, starts = k, powers.pop()
+    for m in reversed(range(len(powers))):
+        longer = starts & (powers[m] >> run)
+        if longer:
+            run, starts = run + (1 << m), longer
+    return run, starts
+
+
+def _ands(rows: list[int], i: int) -> Iterator[tuple[int, int]]:
+    """Each distinct non-empty AND of rows i-h+1..i with the largest h it holds for, h rising.
+
+    A rectangle of height h with bottom row ``i`` is a run of bits of that
+    AND, which only loses bits as h grows.  An unchanged AND is not
+    yielded, so a tall uniform column costs one AND per row and no run count.
+    """
+    acc = rows[i]
+    h = 1
+    while acc:
+        above = acc & rows[i - h] if h <= i else 0
+        if above != acc:
+            yield h, acc
+            acc = above
+        h += 1
+
+
+def _area(ands: Iterable[tuple[int, int]], height: int) -> int:
+    """The largest h times the longest run of the AND over the (h, AND) pairs ``ands``,
+    as :func:`_ands` yields them (0 when there are none).
+
+    A run is measured only where h times the AND's cell count beats the best
+    so far, and the scan stops once no AND left could beat it even at
+    ``height``, the tallest a rectangle may be.
     """
     best = 0
-    cols = len(heights)
-    stack: list[int] = []  # column indices with increasing heights
-    j = 0
-    while j <= cols:
-        height = heights[j] if j < cols else 0
-        if not stack or heights[stack[-1]] <= height:
-            stack.append(j)
-            j += 1
+    for h, acc in ands:
+        count = acc.bit_count()
+        if height * count <= best:
+            break
+        if h * count > best:
+            area = h * _longest_run(acc)[0]
+            if area > best:
+                best = area
+    return best
+
+
+def _row_area(rows: list[int], i: int) -> int:
+    """Area of the largest rectangle whose bottom row is row ``i``, 0 when there is none."""
+    return _area(_ands(rows, i), i + 1)
+
+
+def _row_areas(rows: list[int]) -> list[int]:
+    """Every row's :func:`_row_area`, in one pass down the rows.
+
+    Row i's ANDs are row i itself and row i ANDed with each AND of row
+    i - 1, one taller; so a row costs one AND per distinct AND of the row
+    above, not one per row that a tall column spans.
+    """
+    areas = []
+    ands: list[tuple[int, int]] = []
+    for i, row in enumerate(rows):
+        above, ands = ands, []
+        acc, h = row, 1
+        for top, common in above:
+            if not acc:
+                break
+            narrower = row & common
+            if narrower != acc:
+                ands.append((h, acc))
+                acc = narrower
+            h = top + 1
+        if acc:
+            ands.append((h, acc))
+        areas.append(_area(ands, i + 1))
+    return areas
+
+
+def _row_box(rows: list[int], i: int, area: int, ndim: int) -> tuple[int, Coords, Coords]:
+    """The rectangle of ``area``, the largest, whose bottom row is row ``i``.
+
+    Of several, the one ending on the least column and, of those, the
+    tallest: the first that a monotonic-stack scan of the row's column
+    heights pops.  Returns (area, lo, hi) with 1-based corners of an
+    ``ndim``-D mask (1 or 2).
+    """
+    corners = None
+    for h, acc in _ands(rows, i):
+        count = acc.bit_count()
+        if (i + 1) * count < area:
+            break
+        if h * count < area:
             continue
-        h = heights[stack.pop()]
-        left = stack[-1] + 1 if stack else 0
-        if h * (j - left) > best:
-            best, corners = h * (j - left), (i - h + 2, left + 1, i + 1, j)
-    if not best:
-        return None
+        run, starts = _longest_run(acc)
+        # the lowest start ends first; a taller tie on the same end replaces it
+        left = (starts & -starts).bit_length()
+        if h * run == area and (corners is None or left + run - 1 <= corners[3]):
+            corners = (i - h + 2, left, i + 1, left + run - 1)
     top, left, bottom, right = corners
-    return best, (top, left)[2 - ndim :], (bottom, right)[2 - ndim :]
+    return area, (top, left)[2 - ndim :], (bottom, right)[2 - ndim :]
 
 
 def _best_from(
-    dims: Sequence[int], mask: list[bool], lo: int
+    dims: Sequence[int], rows: list[int], lo: int
 ) -> tuple[tuple[int, Coords, Coords] | None, int]:
-    """Largest all-True box of an r-D mask (r >= 2) whose first axis starts at ``lo``.
+    """Largest all-set box of an r-D mask (r >= 3) whose first axis starts at ``lo``.
 
-    The AND of the slabs lo..hi, built up one slab at a time, holds the
-    cells available across the whole interval, and its largest box in the
-    remaining axes times the interval length is the best box spanning
-    exactly that interval.  Returns that box (ties go to the smallest
-    ``hi``) or None, and the last slab read: the one whose AND came out
-    empty, or the last slab of the mask.
+    The AND of the slabs lo..hi, built up one slab at a time as row ints,
+    holds the cells available across the whole interval, and its largest
+    box in the remaining axes times the interval length is the best box
+    spanning exactly that interval.  Returns that box (ties go to the
+    smallest ``hi``) or None, and the last slab read: the one whose AND came
+    out empty, or the last slab of the mask.
     """
     n, sub = dims[0], dims[1:]
-    stride = prod(sub)
+    stride = prod(sub[:-1])  # rows per slab
     best = None
-    common = [True] * stride
+    common = [-1] * stride
     searched = (0, None)  # the cell count of the last AND searched, and its box
     for hi in range(lo, n):
-        slab = mask[hi * stride : (hi + 1) * stride]
-        common = [a and b for a, b in zip(common, slab)]
-        left = sum(common)
+        common = [a & b for a, b in zip(common, rows[hi * stride : (hi + 1) * stride])]
+        left = sum(map(int.bit_count, common))
         if not left:
             return best, hi
         length = hi - lo + 1
@@ -319,119 +423,133 @@ def _best_from(
 
 
 def _largest_box(
-    dims: Sequence[int], mask: list[bool]
+    dims: Sequence[int], rows: list[int]
 ) -> tuple[int, Coords, Coords] | None:
-    """Largest axis-aligned all-True box in a row-major mask over ``dims``.
+    """Largest axis-aligned all-set box of a mask over ``dims``, given as row ints.
 
     Returns (size, lo, hi) with 1-based corners, or None when the mask is
-    empty.  Two dimensions are the largest-rectangle search over each
-    bottom row; one dimension is a single row of it.  Higher arities try
-    every start of the first axis (:func:`_best_from`).  Ties go to the box
-    found first, scanning the bottom row or the interval start and then its
-    end in increasing order.
+    empty.  In one and two dimensions the size is the largest of the rows'
+    exact areas (:func:`_row_areas`), and only the first row holding it is
+    boxed (:func:`_row_box`).  Higher arities try every start of the first
+    axis (:func:`_best_from`).  Ties go to the box found first, scanning the
+    bottom row or the interval start and then its end in increasing order.
     """
     if len(dims) > 2:
-        boxes = (_best_from(dims, mask, lo)[0] for lo in range(dims[0]))
-    else:
-        boxes = (_row_best(h, i, len(dims)) for i, h in enumerate(_heights(dims, mask)))
-    # max keeps the first of equal sizes
-    return max(filter(None, boxes), key=itemgetter(0), default=None)
+        boxes = (_best_from(dims, rows, lo)[0] for lo in range(dims[0]))
+        # max keeps the first of equal sizes
+        return max(filter(None, boxes), key=itemgetter(0), default=None)
+    areas = _row_areas(rows)
+    best = max(areas)
+    return _row_box(rows, areas.index(best), best, len(dims)) if best else None
 
 
 class _BestPerIndex:
     """One kind's best box per first-axis index, searched again only when needed.
 
+    The kind's mask is held as row ints, and a claim clears its box's bits.
     A claim only removes cells, so the best box of an index whose cells it
     changed can only shrink: its cached size stays an upper bound, and the
-    index is marked stale instead of searched again at once.  Every index
-    starts stale, bounded by the cube's size.
+    index is marked stale instead of searched again at once.  Indices start
+    with exact sizes or stale under an upper bound.  A fresh index's size is
+    exact, and its box is built only when a round asks for it.
     """
 
-    def __init__(self, n: int, bound: int) -> None:
-        self.size = [bound] * n
-        self.box: list[tuple[int, Coords, Coords] | None] = [None] * n
-        self.stale = [True] * n
+    def __init__(self, cube: Datacube, rows: list[int], size: list[int], stale: bool) -> None:
+        self.cube, self.rows, self.size = cube, rows, size
+        self.stale = [stale] * len(size)
+        self.box: list[tuple[int, Coords, Coords] | None] = [None] * len(size)
+        # one (-size, index) per index: the heap's first is the first largest
+        self.heap = [(-s, k) for k, s in enumerate(size)]
+        heapify(self.heap)
 
-    def _search(self, k: int) -> tuple[int, Coords, Coords] | None:
-        """Index ``k``'s best box in the current mask, or None."""
+    def _search(self, k: int) -> int:
+        """Index ``k``'s best size in the current mask, 0 when it has no box."""
         raise NotImplementedError
 
-    def top(self, least: int) -> tuple[int, Coords, Coords] | None:
-        """The box the full search finds first among the largest, or None below ``least``.
+    def _box(self, k: int) -> tuple[int, Coords, Coords]:
+        """Fresh index ``k``'s best box, of its size."""
+        raise NotImplementedError
+
+    def top(self, least: int) -> int | None:
+        """The index whose box the full search finds first among the largest, or
+        None when that size is below ``least``.
 
         The first index holding the largest size is the answer once it is
         fresh: every index before it, fresh or stale, is bounded below it.
         """
-        size = self.size
-        while True:
-            best = max(size)
-            if best < least:
-                return None
-            k = size.index(best)
+        heap = self.heap
+        while -heap[0][0] >= least:
+            k = heap[0][1]
             if not self.stale[k]:
-                return self.box[k]
+                return k
             self.stale[k] = False
-            self.box[k] = box = self._search(k)
-            size[k] = box[0] if box else 0
+            self.box[k] = None
+            self.size[k] = size = self._search(k)
+            heapreplace(heap, (-size, k))
+        return None
+
+    def best(self, k: int) -> tuple[int, Coords, Coords]:
+        """The box of fresh index ``k`` (with a size above 0), built on first ask."""
+        if self.box[k] is None:
+            self.box[k] = self._box(k)
+        return self.box[k]
 
 
 class _RowCache(_BestPerIndex):
     """Best rectangle per bottom row of a 1-D or 2-D mask (1-D is one row).
 
-    Column heights stand in for the mask (height > 0 means available).  A
-    claim changes only the heights in its own columns, from its top row
-    down to where each column's run of available cells ends.
+    A row's size is its exact area from ANDs of row ints: every row's in one
+    pass down the mask to start (:func:`_row_areas`), a stale row's by its
+    own walk up (:func:`_row_area`).  Only a row that wins a round is boxed
+    (:func:`_row_box`).  A claim changes the rows it covers and the rows
+    below it, down to the first where none of its columns is still
+    available all the way up.
     """
 
-    def __init__(self, cube: Datacube, mask: list[bool]) -> None:
-        self.heights = list(_heights(cube.dims, mask))
-        self.ndim = cube.ndim
-        super().__init__(len(self.heights), cube.size)
+    def __init__(self, cube: Datacube, rows: list[int]) -> None:
+        super().__init__(cube, rows, _row_areas(rows), False)
 
-    def _search(self, i: int) -> tuple[int, Coords, Coords] | None:
-        return _row_best(self.heights[i], i, self.ndim)
+    def _search(self, i: int) -> int:
+        return _row_area(self.rows, i)
+
+    def _box(self, i: int) -> tuple[int, Coords, Coords]:
+        return _row_box(self.rows, i, self.size[i], self.cube.ndim)
 
     def claim(self, r: Range) -> None:
         (a, c), (b, d) = (1, *r.lo)[-2:], (1, *r.hi)[-2:]
-        a, b, c = a - 1, b - 1, c - 1  # 0-based rows a..b, columns c..d-1
-        zeros = [0] * (d - c)
+        a, b = a - 1, b - 1  # 0-based rows a..b
+        bits = (1 << d) - (1 << (c - 1))
+        rows = self.rows
         for i in range(a, b + 1):
-            self.heights[i][c:d] = zeros
-        # below the box each column's height now counts from row b + 1,
-        # down to the first unavailable cell, where it resets as before
-        active = range(c, d)
+            rows[i] &= ~bits
         i = b + 1
-        while i < len(self.heights):
-            row = self.heights[i]
-            active = [j for j in active if row[j]]
-            if not active:
-                break
-            for j in active:
-                row[j] = i - b
+        while i < len(rows) and (bits := bits & rows[i]):
             i += 1
         self.stale[a:i] = [True] * (i - a)
 
 
 class _SlabCache(_BestPerIndex):
-    """Best box per first-axis start of an r-D mask (r >= 3).
+    """Best box per first-axis start of an r-D mask (r >= 3), from :func:`_best_from`.
 
     Each start remembers the last slab its AND read (its reach), so a claim
     over first-axis slabs a..b changes exactly the starts ``lo <= b`` with
     reach ``>= a``.  A stale start's reach can only have shrunk.
     """
 
-    def __init__(self, cube: Datacube, mask: list[bool]) -> None:
-        super().__init__(cube.dims[0], cube.size)
-        self.cube, self.mask = cube, mask
+    def __init__(self, cube: Datacube, rows: list[int]) -> None:
+        super().__init__(cube, rows, [cube.size] * cube.dims[0], True)
         self.reach = [cube.dims[0] - 1] * cube.dims[0]
 
-    def _search(self, lo: int) -> tuple[int, Coords, Coords] | None:
-        box, self.reach[lo] = _best_from(self.cube.dims, self.mask, lo)
-        return box
+    def _search(self, lo: int) -> int:
+        box, self.reach[lo] = _best_from(self.cube.dims, self.rows, lo)
+        self.box[lo] = box
+        return box[0] if box else 0
 
     def claim(self, r: Range) -> None:
+        keep = ~((1 << r.hi[-1]) - (1 << (r.lo[-1] - 1)))
+        cols = self.cube.dims[-1]
         for run in self.cube.runs(r):
-            self.mask[run] = [False] * (run.stop - run.start)
+            self.rows[run.start // cols] &= keep
         a, b = r.lo[0] - 1, r.hi[0] - 1
         for lo in range(b + 1):
             if self.reach[lo] >= a:
@@ -444,36 +562,42 @@ def detect_macroblocks(cube: Datacube, min_cells: int = 20) -> ConstraintSet:
     Greedy largest-first: each round finds the largest axis-aligned box of
     unclaimed cells that is uniformly null or uniformly non-null, claims it,
     and repeats until no box reaches ``min_cells``.  Every arity uses the
-    same exact search as :func:`_largest_box`, kept per kind as the best box
-    of each first-axis index (each bottom row in 1-D and 2-D, each interval
-    start above).  A claim marks stale only the indices whose cells it
-    changed, and a stale index is searched again only when its old size, an
-    upper bound, is the largest left.  Within a kind a tie goes to the box
-    the full search finds first; between kinds, to the smaller lower corner.
-    The result is deterministic and always consistent with the cube.
+    same exact search as :func:`_largest_box`, over each kind's mask as row
+    ints, kept per kind as the best size of each first-axis index (each
+    bottom row in 1-D and 2-D, each interval start above).  A claim marks
+    stale only the indices whose cells it changed, and a stale index is
+    searched again only when its old size, an upper bound, is the largest
+    left.  In 1-D and 2-D a row's size comes from ANDs of rows, and only the
+    row that wins a round is boxed.  Within a kind a tie goes to the box the
+    full search finds first; between kinds, to the smaller lower corner.
+    The boxes are disjoint by construction, so the result skips the
+    pairwise check; it is deterministic and always consistent with the cube.
     """
     if min_cells < 1:
         raise ConstraintError(f"min_cells must be >= 1, got {min_cells}")
     cache = _RowCache if cube.ndim <= 2 else _SlabCache
-    caches = {
-        MacroKind.ALL_NULL: cache(cube, [v == 0 for v in cube.cells]),
-        MacroKind.ALL_NONNULL: cache(cube, [v > 0 for v in cube.cells]),
-    }
+    kinds = (MacroKind.ALL_NULL, MacroKind.ALL_NONNULL)
+    caches = [(kind, cache(cube, rows)) for kind, rows in zip(kinds, _kind_rows(cube))]
     found: list[MacroBlock] = []
     for _ in range(cube.size):  # every round claims at least one cell
-        candidates = []
-        for kind, kept in caches.items():
-            box = kept.top(min_cells)
-            if box is not None:
-                candidates.append((*box, kind))
-        if not candidates:
+        tops = [
+            (kept.size[k], k, kind, kept)
+            for kind, kept in caches
+            if (k := kept.top(min_cells)) is not None
+        ]
+        if not tops:
             break
-        # kinds cannot tie on the lower corner: its cell has only one kind
-        _, lo, hi, kind = min(candidates, key=lambda c: (-c[0], c[1], c[3].value))
+        largest = max(t[0] for t in tops)
+        # only a largest box is built; kinds cannot tie on the lower corner,
+        # whose cell has only one kind
+        _, lo, hi, kind, kept = min(
+            ((*kept.best(k), kind, kept) for size, k, kind, kept in tops if size == largest),
+            key=itemgetter(1),
+        )
         found.append(MacroBlock(Range(lo, hi), kind))
         # the box is uniform, so only its own kind's cache holds its cells
-        caches[kind].claim(found[-1].range)
-    return ConstraintSet(tuple(found))
+        kept.claim(found[-1].range)
+    return ConstraintSet._trusted(tuple(found))
 
 
 # ---------------------------------------------------------------------------

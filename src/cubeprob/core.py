@@ -259,8 +259,8 @@ class Datacube:
         """Slices of ``cells``, one per row of ``r`` along the last axis.
 
         The slices are disjoint, come in row-major order and together hold
-        exactly the cells of ``r``.  Macro-block detection clears its masks
-        along these.
+        exactly the cells of ``r``.  Macro-block detection in 3-D and up
+        clears the rows of its masks along these.
         """
         self.check_range(r)
         first, width = r.lo[-1], r.hi[-1] - r.lo[-1] + 1

@@ -24,8 +24,13 @@ from cubeprob import (
 )
 from cubeprob.constraints import (
     _best_from,
+    _kind_rows,
     _largest_box,
     _located,
+    _longest_run,
+    _row_area,
+    _row_areas,
+    _row_box,
     constraints_from_dict,
     constraints_to_dict,
     load_constraints,
@@ -265,6 +270,105 @@ def test_detect_3d_null_slab():
     assert cs.blocks == (_null((3, 1, 1), (3, 4, 4)),)
 
 
+def _heights(dims, mask):
+    """Column heights of each row of a 1-D or 2-D mask: the available cells ending there."""
+    rows, cols = (1, *dims)[-2:]
+    prev = [0] * cols
+    for i in range(rows):
+        base = i * cols
+        prev = [h + 1 if mask[base + j] else 0 for j, h in enumerate(prev)]
+        yield prev
+
+
+def _row_best(heights, i, ndim):
+    """The reference for the row kernel: the largest rectangle whose bottom row is row
+    ``i`` (0-based), by a monotonic-stack scan of its column heights.
+
+    Returns (area, lo, hi) with 1-based corners of an ``ndim``-D mask (1 or 2),
+    or None when every height is 0.  Ties go to the rectangle popped first.
+    """
+    best = 0
+    cols = len(heights)
+    stack = []  # column indices with increasing heights
+    j = 0
+    while j <= cols:
+        height = heights[j] if j < cols else 0
+        if not stack or heights[stack[-1]] <= height:
+            stack.append(j)
+            j += 1
+            continue
+        h = heights[stack.pop()]
+        left = stack[-1] + 1 if stack else 0
+        if h * (j - left) > best:
+            best, corners = h * (j - left), (i - h + 2, left + 1, i + 1, j)
+    if not best:
+        return None
+    top, left, bottom, right = corners
+    return best, (top, left)[2 - ndim :], (bottom, right)[2 - ndim :]
+
+
+def _rows(dims, mask):
+    """A boolean row-major mask as the library's row ints (bit j: cell j + 1 of the row)."""
+    cols = dims[-1]
+    return [
+        sum(1 << j for j, v in enumerate(mask[k : k + cols]) if v) for k in range(0, len(mask), cols)
+    ]
+
+
+def test_kind_rows_hold_each_kind_of_cell():
+    cube = Datacube((2, 3), (0, 4, 0, 1, 1, 0))
+    assert _kind_rows(cube) == [[0b101, 0b100], [0b010, 0b011]]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_longest_run_matches_a_shift_per_bit(data):
+    # runs of up to a few thousand bits, where doubling takes many halves back
+    rng = data.draw(st.randoms(use_true_random=True), label="bits")
+    x = 0
+    while not x:
+        for _ in range(rng.randint(1, 6)):
+            start, length = rng.randrange(3000), rng.randint(1, rng.choice([3, 70, 2000]))
+            x |= ((1 << length) - 1) << start
+    run, y = 0, x
+    while y:
+        run, starts, y = run + 1, y, y & (y >> 1)
+    assert _longest_run(x) == (run, starts)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_row_kernel_matches_the_stack_scan(data):
+    # each row's area and box from ANDs of row ints, against the stack scan over
+    # its column heights: all-zero rows, a line, one column, tall thin columns
+    # and rows longer than 64 bits
+    rng = data.draw(st.randoms(use_true_random=True), label="layout")
+    shape = data.draw(st.sampled_from(["any", "line", "one column", "tall thin", "wide"]), label="shape")
+    dims = {
+        "any": lambda: (rng.randint(1, 8), rng.randint(1, 12)),
+        "line": lambda: (rng.randint(1, 300),),
+        "one column": lambda: (rng.randint(1, 30), 1),
+        "tall thin": lambda: (rng.randint(20, 60), rng.randint(2, 4)),
+        "wide": lambda: (rng.randint(1, 6), rng.randint(65, 200)),
+    }[shape]()
+    density = rng.choice([0.3, 0.7, 0.95, 1.0])
+    zero_rows = {rng.randrange(prod(dims[:-1])) for _ in range(rng.randint(0, 2))}
+    mask = [
+        rng.random() < density and off // dims[-1] not in zero_rows for off in range(prod(dims))
+    ]
+    rows = _rows(dims, mask)
+    areas = []
+    for i, heights in enumerate(_heights(dims, mask)):
+        expected = _row_best(heights, i, len(dims))
+        area = expected[0] if expected else 0
+        areas.append(area)
+        assert _row_area(rows, i) == area
+        if expected:
+            assert _row_box(rows, i, area, len(dims)) == expected
+    # the one pass down the rows that sizes every row at the start of detection
+    assert _row_areas(rows) == areas
+
+
 def _offset(dims, coords):
     off = 0
     for c, n in zip(coords, dims):
@@ -295,7 +399,7 @@ def _draw_mask(data, max_side):
 @given(st.data())
 def test_largest_box_matches_brute_force(data):
     dims, mask = _draw_mask(data, 5)
-    best = _largest_box(dims, mask)
+    best = _largest_box(dims, _rows(dims, mask))
     expected = _brute_largest(dims, mask)
     if expected == 0:
         assert best is None
@@ -306,7 +410,7 @@ def test_largest_box_matches_brute_force(data):
 
 
 def _unpruned_best_from(dims, mask, lo):
-    """``_best_from`` without pruning: every interval searches its AND of slabs."""
+    """``_best_from`` without pruning or row ints: every interval searches its AND of slabs."""
     n, sub = dims[0], dims[1:]
     stride = prod(sub)
     best = None
@@ -323,9 +427,12 @@ def _unpruned_best_from(dims, mask, lo):
 
 
 def _unpruned_largest_box(dims, mask):
+    """The reference for ``_largest_box`` over a boolean mask: in 1-D and 2-D the stack
+    scan of every row, above that every interval start."""
     if len(dims) <= 2:
-        return _largest_box(dims, mask)
-    boxes = (_unpruned_best_from(dims, mask, lo)[0] for lo in range(dims[0]))
+        boxes = (_row_best(h, i, len(dims)) for i, h in enumerate(_heights(dims, mask)))
+    else:
+        boxes = (_unpruned_best_from(dims, mask, lo)[0] for lo in range(dims[0]))
     return max(filter(None, boxes), key=itemgetter(0), default=None)
 
 
@@ -337,9 +444,10 @@ def test_pruned_search_finds_the_same_box_as_the_full_one(data):
     palette = data.draw(st.sampled_from([(True,), (True, False), (True, True, True, False)]))
     mask = [data.draw(st.sampled_from(palette)) for _ in range(prod(dims))]
     # box for box, not only size: ties must still go to the same box
-    assert _largest_box(dims, mask) == _unpruned_largest_box(dims, mask)
+    rows = _rows(dims, mask)
+    assert _largest_box(dims, rows) == _unpruned_largest_box(dims, mask)
     for lo in range(dims[0]):
-        assert _best_from(dims, mask, lo) == _unpruned_best_from(dims, mask, lo)
+        assert _best_from(dims, rows, lo) == _unpruned_best_from(dims, mask, lo)
 
 
 @settings(deadline=None, max_examples=60)
@@ -368,7 +476,8 @@ def test_detect_rounds_claim_a_largest_uniform_box(data):
 
 
 def _rescan_detect(cube, min_cells):
-    """Greedy detection that searches both whole masks with ``_largest_box`` every round."""
+    """Greedy detection that searches both whole masks with the reference
+    ``_unpruned_largest_box`` every round."""
     masks = {
         MacroKind.ALL_NULL: [v == 0 for v in cube.cells],
         MacroKind.ALL_NONNULL: [v > 0 for v in cube.cells],
@@ -377,7 +486,7 @@ def _rescan_detect(cube, min_cells):
     while True:
         candidates = []
         for kind, mask in masks.items():
-            box = _largest_box(cube.dims, mask)
+            box = _unpruned_largest_box(cube.dims, mask)
             if box is not None and box[0] >= min_cells:
                 candidates.append((*box, kind))
         if not candidates:
@@ -394,6 +503,8 @@ def test_detect_matches_full_rescan(data):
     ndim = data.draw(st.integers(1, 3))
     side = {1: 24, 2: 12, 3: 6}[ndim]
     dims = tuple(data.draw(st.integers(1, side)) for _ in range(ndim))
+    if ndim == 2 and data.draw(st.booleans()):
+        dims = (data.draw(st.integers(1, 4)), data.draw(st.integers(65, 80)))  # rows past 64 bits
     palette = data.draw(st.sampled_from([(0, 1), (0, 0, 0, 1), (0, 1, 1, 1)]))
     cells = [data.draw(st.sampled_from(palette)) for _ in range(prod(dims))]
     coords = list(product(*(range(n) for n in dims)))
@@ -410,6 +521,18 @@ def test_detect_matches_full_rescan(data):
     cube = Datacube(dims, tuple(cells))
     min_cells = data.draw(st.integers(1, 12))
     assert detect_macroblocks(cube, min_cells).blocks == _rescan_detect(cube, min_cells)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_detected_boxes_pass_the_checked_constructor(data):
+    # detection builds its set without the pairwise disjointness check
+    rng = data.draw(st.randoms(use_true_random=True), label="layout")
+    ndim = rng.randint(1, 3)
+    dims = tuple(rng.randint(1, {1: 150, 2: 70, 3: 6}[ndim]) for _ in range(ndim))
+    cells = tuple(rng.choice([0, 0, 1, 2]) for _ in range(prod(dims)))
+    cs = detect_macroblocks(Datacube(dims, cells), rng.randint(1, 6))
+    assert ConstraintSet(cs.blocks) == cs
 
 
 def test_constraints_json_round_trip(tmp_path, reference_constraints):

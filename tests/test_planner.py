@@ -241,6 +241,18 @@ def _reference_estimate(summary, constraints, spec):
     return Estimate(mean, variance, max_error, pmf)
 
 
+def _detected_subset(cube, data):
+    """A random subset of the boxes detected at ``min_cells`` 1, which locate every cell.
+
+    Any subset of a consistent set is consistent, and dropping boxes leaves
+    shell blocks that hold located non-nulls inside the query and free
+    non-nulls too, which detection at a larger ``min_cells`` seldom leaves.
+    """
+    # a seeded uniform generator: hypothesis's own booleans favour keeping none
+    rng = data.draw(st.randoms(use_true_random=True), label="kept")
+    return ConstraintSet(tuple(box for box in detect_macroblocks(cube, 1).blocks if rng.random() < 0.5))
+
+
 @settings(deadline=None, max_examples=150)
 @given(summarized_ranges(), st.data())
 def test_shell_composition_matches_the_per_block_reference(case, data):
@@ -251,9 +263,7 @@ def test_shell_composition_matches_the_per_block_reference(case, data):
         data.draw(st.integers(1, 3), label="case"),
         data.draw(st.booleans(), label="want_pmf"),
     )
-    constraints = None
-    if spec.case == 3:
-        constraints = detect_macroblocks(cube, data.draw(st.integers(1, 6), label="min_cells"))
+    constraints = _detected_subset(cube, data) if spec.case == 3 else None
     assert estimate(summary, constraints, spec) == _reference_estimate(summary, constraints, spec)
 
 
@@ -414,9 +424,7 @@ def test_estimate_equals_the_product_population_of_its_blocks(case, data):
         data.draw(st.sampled_from(QueryKind), label="kind"),
         data.draw(st.integers(1, 3), label="case"),
     )
-    constraints = None
-    if spec.case == 3:
-        constraints = detect_macroblocks(cube, data.draw(st.integers(1, 6), label="min_cells"))
+    constraints = _detected_subset(cube, data) if spec.case == 3 else None
     populations = _block_populations(summary, constraints, spec)
     assume(prod(_members_up_to(p, 5000) for p in populations) <= 5000)
     stat = StatKind(spec.kind.value)
