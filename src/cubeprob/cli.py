@@ -237,10 +237,12 @@ def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
+        row = dict(payload)
+        if "pmf" in row:  # one cell: the value:probability pairs in support order
+            row["pmf"] = " ".join(f"{v}:{p}" for v, p in row["pmf"].items())
         writer = csv.writer(sys.stdout)
-        keys = [k for k in payload if k != "pmf"]
-        writer.writerow(keys)
-        writer.writerow([payload[k] for k in keys])
+        writer.writerow(row)
+        writer.writerow(row.values())
     else:
         for key, value in payload.items():
             if key == "pmf":

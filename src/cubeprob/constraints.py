@@ -81,59 +81,40 @@ class ConstraintSet:
         return [(m.range.lo, m.range.hi, int(m.kind is MacroKind.ALL_NONNULL)) for m in self.blocks]
 
 
-def _located(cs: ConstraintSet, r: Range, within: Range | None = None) -> tuple[int, int, int, int]:
-    """(null, non-null) cells of ``r`` that the macro-blocks locate, then the same two
-    counts for the cells of ``r`` inside ``within`` (0 and 0 without it).
+def _located(cs: ConstraintSet, lo: Coords, hi: Coords) -> tuple[int, int]:
+    """(null, non-null) cells of the box ``lo..hi`` that the macro-blocks locate.
 
     One pass over the macro-blocks as flat boxes (``ConstraintSet._boxes``): a
-    box's overlap with ``r`` is the product of its clipped extents, given up at
-    the first disjoint axis, and only a box that meets ``r`` is clipped to
-    ``r``'s intersection with ``within`` too.  A range of another arity than the
-    macro-blocks raises ``ConstraintError`` before the pass: zipping the corners
-    would count a meaningless overlap.
+    box's overlap is the product of its clipped extents, given up at the first
+    disjoint axis, so a box with some ``lo > hi`` locates nothing.  Corners of
+    another arity than the macro-blocks raise ``ConstraintError`` before the
+    pass: zipping them would count a meaningless overlap.
     """
     boxes = cs._boxes
-    if boxes and len(boxes[0][0]) != r.ndim:
+    if boxes and len(boxes[0][0]) != len(lo):
         m = cs.blocks[0].range
-        raise ConstraintError(f"macro-block {m} has arity {m.ndim}, the range {r} has arity {r.ndim}")
-    r_lo, r_hi = r.lo, r.hi
-    clip = None
-    if within is not None:
-        # an empty intersection has some lo > hi, where every box's extent is <= 0
-        clip = (
-            [a if a > b else b for a, b in zip(r_lo, within.lo)],
-            [a if a < b else b for a, b in zip(r_hi, within.hi)],
-        )
-    located = [0, 0, 0, 0]  # null and non-null in r, then inside within
-    for lo, hi, kind in boxes:
+        raise ConstraintError(f"macro-block {m} has arity {m.ndim}, the range {Range(lo, hi)} has arity {len(lo)}")
+    located = [0, 0]
+    for m_lo, m_hi, kind in boxes:
         size = 1
-        for a, b, c, d in zip(lo, hi, r_lo, r_hi):
+        for a, b, c, d in zip(m_lo, m_hi, lo, hi):
             extent = (b if b < d else d) - (a if a > c else c) + 1
             if extent <= 0:
                 break
             size *= extent
         else:
             located[kind] += size
-            if clip is not None:
-                size = 1
-                for a, b, c, d in zip(lo, hi, *clip):
-                    extent = (b if b < d else d) - (a if a > c else c) + 1
-                    if extent <= 0:
-                        break
-                    size *= extent
-                else:
-                    located[kind + 2] += size
     return tuple(located)
 
 
 def lb_eq0(cs: ConstraintSet, r: Range) -> int:
     """Lower bound on the number of null cells in ``r``."""
-    return _located(cs, r)[0]
+    return _located(cs, r.lo, r.hi)[0]
 
 
 def lb_gt0(cs: ConstraintSet, r: Range) -> int:
     """Lower bound on the number of non-null cells in ``r``."""
-    return _located(cs, r)[1]
+    return _located(cs, r.lo, r.hi)[1]
 
 
 @dataclass(frozen=True)
@@ -184,9 +165,9 @@ class BoundTuple:
 def bound_tuple(cs: ConstraintSet, block: Range, query: Range) -> BoundTuple:
     """Bound tuple for ``query`` inside ``block`` under the constraint set.
 
-    One pass of :func:`_located` counts the located cells of the block and of
-    the query: at least the located non-nulls and at most the cells not
-    located null are non-null, in the query and in the whole block alike.
+    :func:`_located` counts the located cells of the block and of the query:
+    at least the located non-nulls and at most the cells not located null are
+    non-null, in the query and in the whole block alike.
     """
     if block.ndim != query.ndim:
         raise ConstraintError(
@@ -196,7 +177,8 @@ def bound_tuple(cs: ConstraintSet, block: Range, query: Range) -> BoundTuple:
         raise ConstraintError(f"query {query} not inside block {block}")
     b_in = query.size
     b_blk = block.size
-    null_blk, nn_blk, null_in, nn_in = _located(cs, block, query)
+    null_blk, nn_blk = _located(cs, block.lo, block.hi)
+    null_in, nn_in = _located(cs, query.lo, query.hi)
     return BoundTuple(
         t_lo_in=nn_in,
         t_hi_in=b_in - null_in,
@@ -230,21 +212,31 @@ class ValidationReport:
         )
 
 
-def validate(cs: ConstraintSet, summary: CompressedDatacube) -> ValidationReport:
-    """Check every block's stored count against the constraint bounds.
+def _located_columns(cs: ConstraintSet, summary: CompressedDatacube) -> list[tuple[int, int]]:
+    """Each block's located (null, non-null) cells, by :func:`_located`, in row-major order."""
+    return [_located(cs, blk.range.lo, blk.range.hi) for blk in summary.blocks]
 
-    Each block takes one pass of :func:`_located` over the macro-blocks: its
-    count must lie between its located non-nulls and its cells not located
-    null.  Returns a report naming the first violating block instead of
-    raising.  A macro-block whose arity differs from the summary's raises
-    ``ConstraintError``: its overlaps with the blocks would be meaningless.
-    """
-    for blk in summary.blocks:
-        null, lo, _, _ = _located(cs, blk.range)
+
+def _check_located(summary: CompressedDatacube, located: list[tuple[int, int]]) -> ValidationReport:
+    """The report on ``summary`` given its :func:`_located_columns`: every block's count
+    must lie between its located non-nulls and its cells not located null."""
+    for blk, (null, lo) in zip(summary.blocks, located):
         hi = blk.size - null
         if not lo <= blk.count <= hi:
             return ValidationReport(False, blk.index, blk.count, lo, hi)
     return ValidationReport(True)
+
+
+def validate(cs: ConstraintSet, summary: CompressedDatacube) -> ValidationReport:
+    """Check every block's stored count against the constraint bounds.
+
+    Each block's count must lie between its located non-nulls and its cells
+    not located null, as :func:`_located_columns` counts them.  Returns a
+    report naming the first violating block instead of raising.  A
+    macro-block whose arity differs from the summary's raises
+    ``ConstraintError``: its overlaps with the blocks would be meaningless.
+    """
+    return _check_located(summary, _located_columns(cs, summary))
 
 
 # ---------------------------------------------------------------------------

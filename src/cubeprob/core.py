@@ -36,8 +36,12 @@ Coords = tuple[int, ...]
 
 
 def _integers(values: Iterable[int], what: str, least: int) -> tuple[int, ...]:
-    """``values`` as a tuple of ints, each >= ``least``; floats are refused."""
+    """``values`` as a tuple of ints, each >= ``least``; floats and bools are refused."""
     try:
+        values = tuple(values)
+        # index() takes a bool, such as JSON's true and false, as 1 or 0
+        if bool in map(type, values):
+            raise TypeError("'bool' object is not an integer")
         ints = tuple(map(index, values))
     except TypeError as exc:
         raise ValueError(f"{what} must be integers: {exc}") from None

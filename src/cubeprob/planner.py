@@ -17,12 +17,13 @@ each, read straight-line from the prefix tables of the law's x and of its
 region's slices of the summary's flat block columns: a box total for
 case-1 sums, one integer loop for the others.  Case 3 and pmf
 queries read the shell block by block, one kernel call per draw.  A case-3
-query checks the whole summary against the constraints first (``validate``);
-then each shell block's draw comes straight from its located totals, one
-pass over the macro-blocks (``_located``) counting the located null and
-non-null cells of the block and of its part inside the query, with no bound
-tuple built: after ``validate`` every block's count lies within its bounds,
-and these are the draws that ``bound_tuple`` would give.  The
+query first lists every block's located null and non-null cells
+(``_located_columns``) and checks the whole summary against that list, as
+``validate`` does; then each shell block's draw comes straight from its row
+of the list and one more pass over the macro-blocks (``_located``) that
+counts its part inside the query, with no bound tuple built: after the check
+every block's count lies within its bounds, and these are the draws that
+``bound_tuple`` would give.  The
 estimators' ``_compose`` turns the shift and the shell into the Estimate;
 the public estimators, this planner and the histogram all compose through
 that one function.  Means add by linearity.  Variances add exactly: the
@@ -38,15 +39,15 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-from .constraints import ConstraintSet, _located, validate
-from .core import Range
+from .constraints import ConstraintSet, _check_located, _located, _located_columns
+from .core import Range, _offset
 from .errors import ConstraintError
 from .estimators import DEFAULT_PMF_BUDGET, _LAWS, Estimate, _Law, _compose
 from .summary import CompressedDatacube
 
 # Not called here, but kept bound: bench/tracing.py patches these names on
 # this module, and a traced layer whose work moved off the path reads as 0.
-from .constraints import bound_tuple  # noqa: F401
+from .constraints import bound_tuple, validate  # noqa: F401
 from .estimators import count_case1, count_case2, count_case3, sum_case1, sum_case2, sum_case3  # noqa: F401
 from .summary import decompose  # noqa: F401
 
@@ -82,8 +83,9 @@ def estimate(
     the estimators' ``_compose``, which also attaches the pmf when at most
     one block is partially covered.  Cases 1-2 without a pmf take the shift
     and the draws of each shell region at once, in one walk over the query
-    box; case 3 and pmfs take them block by block, and case 3 validates the
-    constraints against the whole summary first.
+    box; case 3 and pmfs take them block by block, and case 3 checks the
+    whole summary against the constraints first, reading each block's
+    located cells once for the check and the draws alike.
     """
     law = _LAWS[spec.kind.value, spec.case]
     if spec.case < 3 and not spec.want_pmf:
@@ -93,7 +95,8 @@ def estimate(
     if spec.case == 3:
         if constraints is None:
             raise ConstraintError("case 3 needs a constraint set (use case 2 without one)")
-        report = validate(constraints, summary)
+        located = _located_columns(constraints, summary)
+        report = _check_located(summary, located)
         if not report.ok:
             raise ConstraintError(f"constraints contradict the summary: {report.message}")
 
@@ -106,8 +109,9 @@ def estimate(
         if case == 3:
             # The draw from the block's and the query's located cells, (n, m, l, shift) =
             # (b - null_blk - nn_blk, t - nn_blk, b_in - null_in - nn_in, nn_in),
-            # unchecked: validate has put nn_blk <= t <= b - null_blk on every block.
-            null_blk, nn_blk, null_in, nn_in = _located(constraints, r, query)
+            # unchecked: the check above has put nn_blk <= t <= b - null_blk on every block.
+            null_blk, nn_blk = located[_offset(blk.index, summary.factor.shape)]
+            null_in, nn_in = _located(constraints, [*map(max, r.lo, query.lo)], [*map(min, r.hi, query.hi)])
             draw = b - null_blk - nn_blk, t - nn_blk, b_in - null_in - nn_in, nn_in
         else:
             # Cases 1-2 take the draw under trivial bounds, (n, m, l, shift) =

@@ -317,7 +317,7 @@ def summary_from_dict(payload: dict) -> CompressedDatacube:
     factor = CompressionFactor(payload["boundaries"])
     by_index: dict[Coords, dict] = {}
     for raw in payload["blocks"]:
-        index = tuple(raw["index"])
+        index = _naturals(raw["index"], "block index")
         if index in by_index:
             raise FactorError(f"summary file repeats block {index}")
         by_index[index] = raw

@@ -95,8 +95,8 @@ def sparse_cube() -> Datacube:
 
 
 @st.composite
-def summarized_ranges(draw, max_ndim: int = 3, max_len: int = 4, max_value: int = 3):
-    """A random cube of 1..max_ndim axes, its summary under a random factor, and a range.
+def summarized_ranges(draw, max_ndim: int = 3, max_len: int = 4, max_value: int = 3, min_ndim: int = 1):
+    """A random cube of min_ndim..max_ndim axes, its summary under a random factor, and a range.
 
     Each axis has 1..max_len cells.  Half of the axes of four or more cells
     are laid out so that the range starts inside one block and ends inside a
@@ -110,7 +110,7 @@ def summarized_ranges(draw, max_ndim: int = 3, max_len: int = 4, max_value: int 
     # small and equal values, which put both ends of an axis in one block or on
     # grid lines (2 of 500 examples clipped two end blocks of some axis)
     rng = draw(st.randoms(use_true_random=True), label="layout")
-    dims = tuple(rng.randint(1, max_len) for _ in range(rng.randint(1, max_ndim)))
+    dims = tuple(rng.randint(1, max_len) for _ in range(rng.randint(min_ndim, max_ndim)))
     cells = draw(st.lists(st.integers(0, max_value), min_size=prod(dims), max_size=prod(dims)), label="cells")
     cube = Datacube(dims, tuple(cells))
     axes, lo, hi = [], [], []

@@ -1,12 +1,17 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cubeprob
+from cubeprob import QueryKind, QuerySpec, Range, estimate
+from cubeprob.summary import load_summary
 from cubeprob.cli import main
 from cubeprob.core import load_cube
 
@@ -473,6 +478,32 @@ def test_query_refuses_an_input_file_that_does_not_fit(reference_files, tmp_path
         assert "malformed constraints file" in err
 
 
+@pytest.mark.parametrize("file", ["cube", "summary-count", "summary-index", "constraints", "boundaries"])
+def test_a_json_boolean_for_an_integer_exits_2(reference_files, tmp_path, capsys, file):
+    # JSON true and false are not read as 1 and 0
+    cube_path, summary_path, constraints_path = reference_files
+    bad = tmp_path / "bad.json"
+    query = ["query", str(summary_path), "--range", "4:6,1:3", "--kind", "count"]
+    if file == "cube":
+        bad.write_text(json.dumps({"dims": [2, 2], "cells": [1, True, 0, 0]}))
+        argv = ["summarize", str(bad), "--blocks", "1,1", "--out", str(tmp_path / "s.json")]
+    elif file.startswith("summary"):
+        block = {"index": [1], "count": 1, "sum": 1}
+        block.update({"count": True} if file == "summary-count" else {"index": [True]})
+        bad.write_text(json.dumps({"boundaries": [[0, 1]], "blocks": [block]}))
+        argv = ["query", str(bad), "--range", "1:1", "--kind", "count"]
+    elif file == "constraints":
+        bad.write_text(json.dumps({"macro_blocks": [{"lo": [True, 1], "hi": [1, 1], "kind": "all_null"}]}))
+        argv = [*query, "--case", "3", "--constraints", str(bad)]
+    else:
+        bad.write_text(json.dumps([[0, 3, 7, 10], [False, 4, 6]]))
+        argv = ["summarize", str(cube_path), "--boundaries", str(bad), "--out", str(tmp_path / "s.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "must be integers" in err
+
+
 def test_query_refuses_non_integral_summary_count(reference_files, tmp_path, capsys):
     _, summary_path, _ = reference_files
     payload = json.loads(summary_path.read_text())
@@ -512,6 +543,21 @@ def test_query_pmf_over_two_partial_blocks_says_why_it_is_omitted(reference_file
         assert payload["pmf_omitted"] == reason and "pmf" not in payload
     else:
         assert "pmf_omitted" in out and reason in out and "pmf:" not in out
+
+
+def test_query_csv_pmf_cell_holds_the_support(reference_files, capsys):
+    _, summary_path, _ = reference_files
+    capsys.readouterr()
+    rc = main([
+        "query", str(summary_path), "--range", "2:3,1:2", "--kind", "sum", "--pmf", "--format", "csv",
+    ])
+    assert rc == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    cell = dict(zip(header, row))["pmf"]
+    pairs = [pair.split(":") for pair in cell.split(" ")]
+    est = estimate(load_summary(str(summary_path)), None, QuerySpec(Range((2, 1), (3, 2)), QueryKind.SUM, 2, True))
+    assert len(est.pmf.support) > 1
+    assert [(int(v), Fraction(p)) for v, p in pairs] == list(est.pmf.support)
 
 
 def test_query_pmf_of_one_partial_block_has_no_omission(reference_files, capsys):

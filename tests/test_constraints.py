@@ -27,6 +27,7 @@ from cubeprob.constraints import (
     _kind_rows,
     _largest_box,
     _located,
+    _located_columns,
     _longest_run,
     _row_area,
     _row_areas,
@@ -188,8 +189,51 @@ def test_located_equals_the_per_macro_block_scan(data):
 
     for _ in range(10):
         r, within = some_range(), some_range()
-        assert _located(cs, r) == _scanned_located(cs, r)
-        assert _located(cs, r, within) == _scanned_located(cs, r, within)
+        assert _located(cs, r.lo, r.hi) == _scanned_located(cs, r)[:2]
+        # the clipped box, empty (some lo > hi) when the two ranges miss
+        lo, hi = tuple(map(max, r.lo, within.lo)), tuple(map(min, r.hi, within.hi))
+        assert _located(cs, lo, hi) == _scanned_located(cs, r, within)[2:]
+
+
+def _placed_boxes(rng, factor):
+    """Disjoint macro-blocks placed by hand over ``factor``'s cube: each axis of a box
+    runs to a face of the cube, or straddles a block boundary, or lies anywhere."""
+    boxes = []
+    for _ in range(rng.randint(0, 16)):
+        lo, hi = [], []
+        for axis in factor.boundaries:
+            n = axis[-1]
+            where = rng.choice(["face", "boundary", "any"])
+            a, b = sorted(rng.randint(1, n) for _ in range(2))
+            if where == "face":
+                a, b = (1, b) if rng.random() < 0.5 else (a, n)
+            elif where == "boundary" and len(axis) > 2:
+                cut = rng.choice(axis[1:-1])  # the last cell of a block
+                a, b = rng.randint(1, cut), rng.randint(cut + 1, n)
+            lo.append(a)
+            hi.append(b)
+        box = MacroBlock(Range(tuple(lo), tuple(hi)), rng.choice(list(MacroKind)))
+        if not any(box.range.overlap_size(m.range) for m in boxes):
+            boxes.append(box)
+    return ConstraintSet(tuple(boxes))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_located_columns_equal_the_per_block_scan(data):
+    # every block's located counts, against the per-macro-block scan, under an
+    # uneven factor of a random 1-3-D cube, for detected and hand-placed sets
+    rng = data.draw(st.randoms(use_true_random=True), label="layout")
+    ndim = rng.randint(1, 3)
+    dims = tuple(rng.randint(1, 8 if ndim < 3 else 5) for _ in range(ndim))
+    factor = CompressionFactor(tuple((0, *(k for k in range(1, n) if rng.random() < 0.4), n) for n in dims))
+    cube = Datacube(dims, tuple(rng.choice([0, 0, 1, 2]) for _ in range(prod(dims))))
+    summary = build_summary(cube, factor)
+    if data.draw(st.booleans(), label="detected"):
+        cs = detect_macroblocks(cube, data.draw(st.integers(1, 6), label="min_cells"))
+    else:
+        cs = _placed_boxes(rng, factor)
+    assert _located_columns(cs, summary) == [_scanned_located(cs, blk.range)[:2] for blk in summary.blocks]
 
 
 def test_validate_empty_constraints(reference_summary):

@@ -37,9 +37,11 @@ from cubeprob import (
     sum_case2,
     sum_case3,
     two_block_population_stats,
+    validate,
 )
 from cubeprob import bound_tuple as make_bound_tuple
 from cubeprob.estimators import _LAWS
+from cubeprob.oracle import _product_counts
 from cubeprob.planner import _box_moments
 from conftest import region_error_reference, summarized_ranges
 
@@ -180,6 +182,20 @@ def test_inconsistent_constraints_are_rejected(two_block_line):
     cs = ConstraintSet((MacroBlock(Range((1,), (2,)), MacroKind.ALL_NULL),))
     with pytest.raises(ConstraintError, match="contradict"):
         estimate(summary, cs, QuerySpec(Range((2,), (3,)), QueryKind.SUM, 3))
+
+
+def test_a_case3_refusal_reads_the_validation_message():
+    cube = Datacube((4, 4), tuple([1] * 8 + [0] * 8))
+    summary = build_summary(cube, CompressionFactor(((0, 2, 4), (0, 4))))
+    cs = ConstraintSet((
+        MacroBlock(Range((3, 1), (4, 4)), MacroKind.ALL_NULL),
+        MacroBlock(Range((1, 1), (1, 3)), MacroKind.ALL_NULL),
+    ))
+    report = validate(cs, summary)
+    assert not report.ok
+    with pytest.raises(ConstraintError) as refused:
+        estimate(summary, cs, QuerySpec(Range((3, 1), (4, 2)), QueryKind.COUNT, 3))
+    assert str(refused.value) == "constraints contradict the summary: " + report.message
 
 
 @pytest.mark.parametrize("query", [Range((1,), (2,)), Range((2,), (9,))], ids=["beside", "inner box"])
@@ -415,7 +431,14 @@ def _members_up_to(population, limit):
 
 
 @settings(deadline=None, max_examples=400)
-@given(summarized_ranges(max_ndim=2, max_len=6, max_value=2), st.data())
+@given(
+    # 3-D cubes of at most 3 cells a side, most of which keep to 12 cells
+    st.one_of(
+        summarized_ranges(max_ndim=2, max_len=6, max_value=2),
+        summarized_ranges(max_ndim=3, max_len=3, max_value=2, min_ndim=3),
+    ),
+    st.data(),
+)
 def test_estimate_equals_the_product_population_of_its_blocks(case, data):
     cube, summary, query = case
     assume(cube.size <= 12)
@@ -423,6 +446,7 @@ def test_estimate_equals_the_product_population_of_its_blocks(case, data):
         query,
         data.draw(st.sampled_from(QueryKind), label="kind"),
         data.draw(st.integers(1, 3), label="case"),
+        data.draw(st.booleans(), label="want_pmf"),
     )
     constraints = _detected_subset(cube, data) if spec.case == 3 else None
     populations = _block_populations(summary, constraints, spec)
@@ -434,3 +458,7 @@ def test_estimate_equals_the_product_population_of_its_blocks(case, data):
     pmfs = [population_stats(p, stat)[0] for p in populations]
     top, bottom = sum(p.max_value() for p in pmfs), sum(p.min_value() for p in pmfs)
     assert est.max_error >= max(top - est.mean, est.mean - bottom)
+    if spec.want_pmf and len(decompose(summary, query).partial) <= 1:
+        assert est.pmf == Pmf.from_weights(_product_counts(populations, stat))
+    else:
+        assert est.pmf is None
