@@ -256,10 +256,9 @@ _KIND_DIGITS = (bytes.maketrans(b"\0\1", b"10"), bytes.maketrans(b"\0\1", b"01")
 def _kind_rows(cube: Datacube) -> list[list[int]]:
     """The null and the non-null mask of ``cube``, as row ints."""
     cols = cube.dims[-1]
-    flags = bytes(map(bool, cube.cells))
     masks = []
     for digits in _KIND_DIGITS:
-        text = flags.translate(digits)
+        text = cube._flags.translate(digits)
         # int() reads the most significant digit first, so each row is reversed
         masks.append([int(text[k : k + cols][::-1], 2) for k in range(0, len(text), cols)])
     return masks

@@ -16,6 +16,7 @@ import csv
 import json
 import re
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, count, islice, repeat
@@ -34,9 +35,11 @@ from .errors import (
 
 Coords = tuple[int, ...]
 
+_T = TypeVar("_T")
 
-def _integers(values: Iterable[int], what: str, least: int) -> tuple[int, ...]:
-    """``values`` as a tuple of ints, each >= ``least``; floats and bools are refused."""
+
+def _integers(values: Iterable[int], what: str, least: int | None = None) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each >= ``least`` if given; floats and bools are refused."""
     try:
         values = tuple(values)
         # index() takes a bool, such as JSON's true and false, as 1 or 0
@@ -45,7 +48,7 @@ def _integers(values: Iterable[int], what: str, least: int) -> tuple[int, ...]:
         ints = tuple(map(index, values))
     except TypeError as exc:
         raise ValueError(f"{what} must be integers: {exc}") from None
-    if ints and min(ints) < least:
+    if least is not None and ints and min(ints) < least:
         raise ValueError(f"{what} must be >= {least}, got {min(ints)}")
     return ints
 
@@ -55,6 +58,19 @@ def _as_coords(values: Iterable[int], what: str = "coordinates") -> Coords:
     if not coords:
         raise ValueError(f"{what} need at least one dimension")
     return coords
+
+
+def _trusted_many(cls: type[_T], **columns: Sequence) -> list[_T]:
+    """Instances of ``cls``, one per row of ``columns``, each field set to its column's entry.
+
+    ``__init__`` and ``__post_init__`` do not run, so this is for fields known
+    to be checked already.  Every step is a C-level ``map``: a column costs no
+    Python call per instance.
+    """
+    made = list(map(object.__new__, repeat(cls, len(next(iter(columns.values()))))))
+    for name, values in columns.items():
+        deque(map(object.__setattr__, made, repeat(name), values), 0)
+    return made
 
 
 def _offset(coords: Sequence[int], dims: Sequence[int]) -> int:
@@ -272,11 +288,17 @@ class Datacube:
         starts = (self.offset((*row, first)) for row in rows)
         return (slice(start, start + width) for start in starts)
 
-    # The prefix tables are built on first use and cached on the instance;
-    # they are not fields, so equality, hashing and JSON ignore them.
+    # The non-null flags and the prefix tables are built on first use and
+    # cached on the instance; they are not fields, so equality, hashing and
+    # JSON ignore them.
+    @cached_property
+    def _flags(self) -> bytes:
+        """One byte per cell, row-major: 1 for a non-null cell, 0 for a null one."""
+        return bytes(map(bool, self.cells))
+
     @cached_property
     def _counts(self) -> _PrefixSums:
-        return _PrefixSums(bytes(map(bool, self.cells)), self.dims)
+        return _PrefixSums(self._flags, self.dims)
 
     @cached_property
     def _sums(self) -> _PrefixSums:
@@ -392,33 +414,46 @@ def sum_exact(cube: Datacube, r: Range) -> int:
 
 _NUMBER = re.compile(r"\s*[+-]?\.?\d")  # how every int() field, and 1.5 or .5, starts
 
+_FIELD = b"0123456789- \t"  # the characters a plain field may hold
+
 _CHUNK = 4096  # raw lines read, parsed and checked at once after the first row or header
 
 
 def _plain_fields(lines: list[str], commas: int) -> list[int] | None:
     """The int fields of raw lines that are each one record of plain fields, else None.
 
-    A line qualifies when ``csv.reader`` would cut it at its commas alone: it
-    holds no quote, exactly ``commas`` commas, and a line break only at its
-    end.  Its fields must also be plain ASCII integers, without ``_``.
+    A line qualifies when ``csv.reader`` would cut it at its commas alone and
+    ``int()`` would read every field: it holds exactly ``commas`` commas, a
+    ``\\n`` or ``\\r\\n`` only at its end, and otherwise only ASCII digits,
+    ``-``, spaces and tabs.  The lines, joined by commas, are then one JSON
+    array for the stdlib's C decoder.  The decoder refuses what ``int()``
+    reads differently or not at all (a lone ``-``, ``1 2``, an empty field)
+    and what ``int()`` reads but JSON does not (a leading zero such as
+    ``007``), so those chunks go to ``csv.reader``, and every field it
+    returns is the int ``int()`` gives.
     """
-    bodies = list(map(str.rstrip, lines, repeat("\r\n")))
-    text = ",".join(bodies)
-    if '"' in text or "_" in text or "\r" in text or "\n" in text or not text.isascii():
+    text = "".join(lines)
+    if not text.isascii():
         return None
-    if list(map(str.count, bodies, repeat(","))).count(commas) != len(bodies):
+    # what is left once the fields' own characters go: the commas and line ends
+    shape = text.encode().replace(b"\r\n", b"\n").translate(None, _FIELD)
+    if not text.endswith("\n"):  # the last line has no line end
+        shape += b"\n"
+    if shape != (b"," * commas + b"\n") * len(lines) or text.splitlines(True) != lines:
         return None
     try:
-        return list(map(int, text.split(",")))
-    except ValueError:
+        return json.loads(f"[{','.join(lines)}]")
+    except ValueError:  # also a field past int()'s digit limit
         return None
 
 
 def _csv_rows(stream: Iterable[str], commas: int) -> Iterator[tuple[int, int, list[int]]]:
     """The ``(line, k, fields)`` chunks of int rows of a CSV relation, read lazily.
 
-    Up to ``_CHUNK`` raw lines at a time are parsed at once when every one is
-    a record of ``commas + 1`` plain fields.  Any other chunk is read by
+    Up to ``_CHUNK`` raw lines at a time are decoded at once, by the C JSON
+    decoder, when every one is a record of ``commas + 1`` plain fields (see
+    ``_plain_fields``).  Any other chunk, say one with a quote, a blank line,
+    a ``+`` sign, a leading zero or other whitespace, is read by
     ``csv.reader`` one record at a time, up to the record that holds its last
     line, and the next chunk is tried whole again.  Until the first row a
     chunk is one line, so a header is read alone, and a reader that meets
@@ -487,9 +522,6 @@ def load_relation_csv(path: str, dims: Sequence[int]) -> Datacube:
 def save_cube(cube: Datacube, path: str) -> None:
     with open(path, "w") as handle:
         json.dump({"dims": list(cube.dims), "cells": list(cube.cells)}, handle)
-
-
-_T = TypeVar("_T")
 
 
 def _load_json(path: str, parse: Callable[..., _T], error: type[CubeError], what: str) -> _T:

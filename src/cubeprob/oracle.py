@@ -21,6 +21,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
+from .core import _integers
 from .errors import PopulationError
 from .estimators import Pmf
 
@@ -44,9 +45,15 @@ class PopulationSpec:
     query_positions: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "forced_nonnull", frozenset(self.forced_nonnull))
-        object.__setattr__(self, "forced_null", frozenset(self.forced_null))
-        object.__setattr__(self, "query_positions", frozenset(self.query_positions))
+        # JSON's true, false and 1.0 are refused here, not read as 1, 0 and 1
+        try:
+            for name in ("b", "fix_t", "fix_s"):
+                if getattr(self, name) is not None:
+                    object.__setattr__(self, name, *_integers((getattr(self, name),), name))
+            for name in ("forced_nonnull", "forced_null", "query_positions"):
+                object.__setattr__(self, name, frozenset(_integers(getattr(self, name), name)))
+        except ValueError as exc:
+            raise PopulationError(str(exc)) from None
         if self.b < 1:
             raise PopulationError(f"block size {self.b} must be >= 1")
         if self.fix_t is None and self.fix_s is None:

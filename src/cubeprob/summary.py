@@ -14,13 +14,14 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from itertools import product as _iproduct
-from itertools import repeat
 from math import lcm, prod
+from operator import itemgetter, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import Coords, Datacube, Range, _check_coords, _check_range, _check_realizable, _integers
-from .core import _PrefixSums, _load_json, _offset
+from .core import _PrefixSums, _load_json, _offset, _trusted_many
 from .errors import FactorError, InfeasibleError
 
 
@@ -80,10 +81,14 @@ class CompressionFactor:
 
     def block_corners(self) -> Iterator[tuple[Coords, Coords]]:
         """The ``(lo, hi)`` cell corners of every block, in ``block_indices`` order."""
+        return zip(*self._corner_columns())
+
+    def _corner_columns(self) -> tuple[list[Coords], list[Coords]]:
+        """Every block's low cell corner, and every block's high one, in ``block_indices`` order."""
         # block k of an axis spans axis[k-1]+1..axis[k], so the corners are the
         # row-major products of the per-axis starts and ends
         los = _iproduct(*([c + 1 for c in axis[:-1]] for axis in self.boundaries))
-        return zip(los, _iproduct(*(axis[1:] for axis in self.boundaries)))
+        return list(los), list(_iproduct(*(axis[1:] for axis in self.boundaries)))
 
     @classmethod
     def equal_width(cls, dims: Sequence[int], blocks: Sequence[int]) -> "CompressionFactor":
@@ -168,6 +173,14 @@ class CompressedDatacube:
         for blk, (lo, hi) in zip(self.blocks, factor.block_corners()):
             if blk.range.lo != lo or blk.range.hi != hi:
                 raise FactorError(f"block {blk.index} carries a range inconsistent with the factor")
+
+    @classmethod
+    def _trusted(cls, factor: CompressionFactor, blocks: tuple[BlockSummary, ...]) -> "CompressedDatacube":
+        """A summary of realizable blocks known to tile ``factor`` in row-major order: no check."""
+        summary = object.__new__(cls)
+        object.__setattr__(summary, "factor", factor)
+        object.__setattr__(summary, "blocks", blocks)
+        return summary
 
     @property
     def dims(self) -> Coords:
@@ -274,16 +287,47 @@ class RangeDecomposition:
     partial: tuple[tuple[Coords, Range], ...]
 
 
+def _block_totals(sums: _PrefixSums, boundaries: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Every block's total, row-major, from a cube's prefix table ``sums``.
+
+    The block grid's own prefix table is the cube's table sampled at the
+    products of the boundaries, so one gather takes it.  Differencing it along
+    each axis in turn, by one C-level ``map`` over the whole grid less the
+    steps that cross from one slab of the axis into the next, leaves each
+    block's total.
+    """
+    axes = [[cut * stride for cut in axis] for axis, stride in zip(boundaries, sums.strides)]
+    totals = list(itemgetter(*map(sum, _iproduct(*axes)))(sums.table))
+    outer = 1  # slabs: one per block of the axes already differenced
+    for axis in boundaries:
+        slab = len(totals) // outer
+        inner = slab // len(axis)  # one step along this axis
+        steps = list(map(sub, totals[inner:], totals))
+        # each slab's last step would cross into the next slab
+        totals = list(chain.from_iterable(steps[o : o + slab - inner] for o in range(0, len(totals), slab)))
+        outer *= len(axis) - 1
+    return totals
+
+
 def build_summary(cube: Datacube, factor: CompressionFactor) -> CompressedDatacube:
-    """Aggregate every block of the factor over the cube."""
+    """Aggregate every block of the factor over the cube.
+
+    Every block's count and sum come at once from the cube's prefix tables
+    (see ``_block_totals``), which exact queries on the cube read as well.  A
+    cube's block totals are realizable and tile the factor by construction,
+    so the ranges, blocks and summary are made without their checks.
+    """
     if factor.dims != cube.dims:
         raise FactorError(f"factor partitions {factor.dims}, cube has dims {cube.dims}")
-    counts, sums = cube._counts.total, cube._sums.total
-    blocks = tuple(
-        BlockSummary(index, Range(lo, hi), counts(lo, hi), sums(lo, hi))
-        for index, (lo, hi) in zip(factor.block_indices(), factor.block_corners())
+    los, his = factor._corner_columns()
+    blocks = _trusted_many(
+        BlockSummary,
+        index=list(factor.block_indices()),
+        range=_trusted_many(Range, lo=los, hi=his),
+        count=_block_totals(cube._counts, factor.boundaries),
+        sum=_block_totals(cube._sums, factor.boundaries),
     )
-    return CompressedDatacube(factor, blocks)
+    return CompressedDatacube._trusted(factor, tuple(blocks))
 
 
 def decompose(summary: CompressedDatacube, query: Range) -> RangeDecomposition:

@@ -444,7 +444,8 @@ def test_summarize_malformed_boundaries_exit_2(reference_files, tmp_path, capsys
     {"b": 3, "fix_t": -1, "query_positions": [1]},  # an empty population
     {"b": 3, "fix_s": -1},  # an empty population too
     {"b": 4, "fix_t": 2, "query_position": [1, 2]},  # a typo, not zero positions
-], ids=["missing-b", "unknown-stat", "negative-fix-t", "negative-fix-s", "unknown-key"])
+    {"b": 1.5, "fix_t": 1},
+], ids=["missing-b", "unknown-stat", "negative-fix-t", "negative-fix-s", "unknown-key", "float-b"])
 def test_oracle_malformed_spec_exits_2(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -478,7 +479,9 @@ def test_query_refuses_an_input_file_that_does_not_fit(reference_files, tmp_path
         assert "malformed constraints file" in err
 
 
-@pytest.mark.parametrize("file", ["cube", "summary-count", "summary-index", "constraints", "boundaries"])
+@pytest.mark.parametrize(
+    "file", ["cube", "summary-count", "summary-index", "constraints", "boundaries", "oracle-spec"]
+)
 def test_a_json_boolean_for_an_integer_exits_2(reference_files, tmp_path, capsys, file):
     # JSON true and false are not read as 1 and 0
     cube_path, summary_path, constraints_path = reference_files
@@ -495,6 +498,9 @@ def test_a_json_boolean_for_an_integer_exits_2(reference_files, tmp_path, capsys
     elif file == "constraints":
         bad.write_text(json.dumps({"macro_blocks": [{"lo": [True, 1], "hi": [1, 1], "kind": "all_null"}]}))
         argv = [*query, "--case", "3", "--constraints", str(bad)]
+    elif file == "oracle-spec":
+        bad.write_text(json.dumps({"b": True, "fix_t": True, "query_positions": [True]}))
+        argv = ["oracle", "--spec", str(bad)]
     else:
         bad.write_text(json.dumps([[0, 3, 7, 10], [False, 4, 6]]))
         argv = ["summarize", str(cube_path), "--boundaries", str(bad), "--out", str(tmp_path / "s.json")]

@@ -515,6 +515,25 @@ def csv_relations(draw):
 @example(((2, 2), '"1",1,5\nd1,d2,value\n'), 2, "")
 # a quoted record that runs past its chunk, then a repeated key
 @example(((2, 2), '1,1,5\n2,1,1\n1,2,"3\n"\n2,2,4\n1,1,6\n'), 2, "")
+# past a first row, which is read alone, fields that the JSON decoder of a
+# plain chunk reads as int() does: -0, and padding by spaces and tabs
+@example(((2, 2), "1,2,3\n1,1,-0\n2,2,4\n"), 2, "")
+@example(((2, 2), "1,2,3\n 1 ,\t1, 5\n2\t, 2 ,4\t\n"), 2, "")
+# fields that it refuses, or would misread: each goes to csv.reader
+@example(((2, 2), "1,2,3\n1,1,007\n2,2,4\n"), 2, "")
+@example(((2, 2), "1,2,3\n1,1,+5\n2,2,4\n"), 2, "")
+@example(((2, 2), "1,2,3\n1,1,1e3\n2,2,4\n"), 2, "")
+@example(((2, 2), "1,2,3\n1,1,1.0\n2,2,4\n"), 2, "")
+@example(((2, 2), "1,2,3\n1,1,true\n2,2,4\n"), 2, "")
+@example(((2, 2), "1,2,3\n1,1,NaN\n2,2,4\n"), 2, "")
+@example(((2, 2), "1,2,3\n1,1," + "7" * 5000 + "\n2,2,4\n"), 2, "")
+# CRLF line ends, a lone CR inside a line, no line end on the last line
+@example(((2, 2), "1,2,3\n1,1,5\r\n2,2,4\r\n"), 2, "")
+@example(((2, 2), "1,2,3\n1,1,5\r\n2,2,4\r\n"), 2, "\n")
+@example(((2, 2), "1,2,3\n1,1,5\r2,2,4\n2,1,1\n"), 3, "\n")
+@example(((2, 2), "1,2,3\n1,1,5\n2,2,4"), 2, "")
+# one extra comma beside one missing: the field count fits, the rows do not
+@example(((2, 2), "1,2,3\n1,1,5,2\n2,4\n"), 2, "")
 def test_chunked_ingest_matches_a_per_record_reader(relation, chunk, newline):
     dims, text = relation
     records = _per_record_rows(io.StringIO(text, newline=newline))
@@ -522,6 +541,18 @@ def test_chunked_ingest_matches_a_per_record_reader(relation, chunk, newline):
     with mock.patch.object(core, "_CHUNK", chunk):
         got = _outcome(lambda: read_relation_csv(io.StringIO(text, newline=newline), dims))
     assert got == expected
+
+
+@pytest.mark.parametrize("stream", [
+    ["1,2,3\n", "1,1,5\n2,", "1,1\n"],  # a line break inside a string
+    ["1,2,3\n", "1,1,5", "\n2,2,4\n"],  # a string that starts with a line break
+    ["1,2,3\n", "1,1,5", "2,2,4\n"],  # a string with no line break: one record
+], ids=["break-inside", "break-first", "no-break"])
+def test_strings_that_are_not_lines_are_read_as_csv_reader_reads_them(stream):
+    # csv.reader takes each string as one line, whatever line breaks it holds
+    expected = _outcome(lambda: core._densify(_per_record_rows(iter(stream)), (2, 2)))
+    with mock.patch.object(core, "_CHUNK", 3):
+        assert _outcome(lambda: read_relation_csv(stream, (2, 2))) == expected
 
 
 def test_a_fallback_stays_inside_its_chunk():

@@ -180,6 +180,20 @@ def test_negative_count_is_an_empty_population():
         population_stats(spec, StatKind.COUNT)
 
 
+@pytest.mark.parametrize("fields", [
+    {"b": True, "fix_t": 1},
+    {"b": 2.0, "fix_t": 1},
+    {"b": 3, "fix_t": False},
+    {"b": 3, "fix_s": 1.0},
+    {"b": 3, "fix_t": 1, "forced_nonnull": [True]},
+    {"b": 3, "fix_t": 1, "forced_null": [1.0]},
+    {"b": 3, "fix_t": 1, "query_positions": [True]},
+])
+def test_a_spec_refuses_bools_and_floats_for_integers(fields):
+    with pytest.raises(PopulationError, match="must be integers"):
+        PopulationSpec(**fields)
+
+
 def test_product_of_three_blocks():
     block = PopulationSpec(b=2, fix_t=1, fix_s=2, query_positions=frozenset({1}))
     mean, variance = two_block_population_stats([block] * 3, StatKind.SUM)

@@ -171,6 +171,25 @@ def test_decompose_matches_a_per_block_enumeration(case):
     assert (deco.total, deco.partial) == _per_block_decompose(summary, query)
 
 
+@settings(max_examples=200, deadline=None)
+@given(summarized_ranges(max_ndim=4, max_len=4, max_value=9))
+def test_gathered_block_totals_equal_a_per_block_sum(case):
+    # build_summary takes every block's totals from the cube's prefix tables
+    # at once, and skips the checks; the reference sums each block's cells
+    # and builds every object through its checked constructor
+    cube, summary, _ = case
+    factor = summary.factor
+    blocks = []
+    for index in factor.block_indices():
+        cell_range = factor.block_range(index)
+        values = [cube[coords] for coords in cell_range.cells()]
+        blocks.append(BlockSummary(index, cell_range, sum(map(bool, values)), sum(values)))
+    reference = CompressedDatacube(factor, tuple(blocks))
+    assert summary == reference and hash(summary) == hash(reference)
+    assert repr(summary) == repr(reference)
+    assert [b.size for b in summary.blocks] == [b.size for b in reference.blocks]
+
+
 def test_answered_summary_still_equals_hashes_and_saves_like_a_fresh_copy(reference_summary):
     answered = summary_from_dict(summary_to_dict(reference_summary))
     for kind in QueryKind:
