@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from functools import cached_property
 from itertools import accumulate, chain, count, islice, repeat
 from itertools import product as _iproduct
 from math import prod
-from operator import add, index, itemgetter, mul, sub
+from operator import add, index, itemgetter, mul, rshift, sub
 from typing import Callable, Iterable, Iterator, MutableSequence, Sequence, TypeVar
 
 from .errors import (
@@ -117,20 +118,19 @@ class _PrefixSums:
     OLAP data cubes", SIGMOD 1997).  The largest entry is the grand total:
     entries are stored in the narrowest unsigned array that holds it, 1 to
     8 B each, and past 2^64 - 1 the table is a list of unbounded ints.
+
+    An array table is built from the values packed once into slots of that
+    width (``_slots``), by ``_packed_prefix_sums``: one doubling scan per row
+    along the last axis.  ``slots``, when given, is ``_slots(values)``.
     """
 
     __slots__ = ("table", "strides", "signs")
 
-    def __init__(self, values: Sequence[int], dims: Coords) -> None:
-        grand_total = sum(values)
-        table: MutableSequence[int]
-        for code in "BHIQ":
-            if grand_total < 1 << 8 * array(code).itemsize:
-                table = array(code)
-                break
-        else:
-            table = []
-        self.table = _prefix_sums(values, dims, table)
+    def __init__(
+        self, values: Sequence[int], dims: Coords, slots: tuple[str, bytes] | None = None
+    ) -> None:
+        packed = slots or _slots(values)
+        self.table = _prefix_sums(values, dims, []) if packed is None else _packed_prefix_sums(*packed, dims)
         # a corner's offset is the sum of its coordinates times these strides;
         # corners come in ``product`` order, high end first on every axis, and
         # a corner's sign is negative when it takes an odd number of low ends
@@ -152,6 +152,77 @@ class _PrefixSums:
         return sum(map(mul, self.signs, map(table.__getitem__, map(sum, _iproduct(*ends)))))
 
 
+def _slots(values: Sequence[int]) -> tuple[str, bytes] | None:
+    """The array code of ``values``' prefix table and the values packed in its slots.
+
+    The code is the narrowest of ``BHIQ`` whose item holds ``sum(values)``,
+    and each value fills one big-endian slot of that many bytes; past
+    2^64 - 1 there is no code and the result is None.  ``bytes`` values,
+    such as the non-null flags, are widened by a strided copy into each
+    slot's last byte, because ``array(code, some_bytes)`` would read them
+    as raw machine words.
+    """
+    total = sum(values)
+    code = next((c for c in "BHIQ" if total < 1 << 8 * array(c).itemsize), None)
+    if code is None:
+        return None
+    width = array(code).itemsize
+    if isinstance(values, bytes):
+        widened = bytearray(len(values) * width)
+        widened[width - 1 :: width] = values
+        return code, bytes(widened)
+    packed = array(code, values)
+    if sys.byteorder == "little":
+        packed.byteswap()
+    return code, packed.tobytes()
+
+
+_ONE = bytes(map(bool, range(256)))  # translates a nonzero byte to 1
+
+
+def _nonzero(code: str, slots: bytes) -> bytes:
+    """One byte per slot of ``_slots``' packing: 1 for a nonzero slot, 0 for a zero one.
+
+    A slot is nonzero exactly when the OR of its bytes is, so the OR of the
+    byte lanes, taken as big ints, and one ``translate`` give every flag.
+    """
+    width = array(code).itemsize
+    lanes = 0
+    for k in range(width):
+        lanes |= int.from_bytes(slots[k::width], "big")
+    return lanes.to_bytes(len(slots) // width, "big").translate(_ONE)
+
+
+def _packed_prefix_sums(code: str, slots: bytes, dims: Coords) -> array:
+    """The padded prefix table of the values packed in ``slots``, as ``array(code)``.
+
+    Each row along the last axis is read as one big-endian int, so its
+    first slot is the most significant, and prefixed in place by a doubling
+    scan: after step k, each slot holds the sum of the 2^(k+1) values up to
+    it (Hillis and Steele, "Data parallel algorithms", CACM 1986).  Every
+    partial sum is at most the grand total, which is below 2^(8w) for w-byte
+    slots, so no slot carries into the next, and the right shifts drop what
+    they push past the row's last slot.  The leading axes are then summed
+    over the row ints by ``_prefix_sums``, as slot-wise adds, which cannot
+    carry either, and each row is written one slot longer than it was read:
+    the padding zero leads it.
+    """
+    width = array(code).itemsize
+    bits, n = 8 * width, dims[-1]
+    row = n * width
+    rows = [int.from_bytes(slots[i : i + row], "big") for i in range(0, len(slots), row)]
+    for k in range((n - 1).bit_length()):
+        rows = list(map(add, rows, map(rshift, rows, repeat(bits << k))))
+    if len(dims) > 1:
+        rows = _prefix_sums(rows, dims[:-1], [])
+    table = array(code)
+    # row by row, so no joined copy of the table is held beside it
+    deque(map(table.frombytes, map(int.to_bytes, rows, repeat(row + width), repeat("big"))), 0)
+    if sys.byteorder == "little":
+        table.byteswap()
+    return table
+
+
 def _prefix_sums(
     values: Sequence[int], dims: Coords, table: MutableSequence[int]
 ) -> MutableSequence[int]:
@@ -159,6 +230,9 @@ def _prefix_sums(
 
     Slab i of the first axis is the (r-1)-D prefix table of the sum of the
     values' slabs 1..i, so every step is a C-level ``map`` or ``accumulate``.
+    It builds the list tables past 2^64 - 1, sums the row ints of
+    ``_packed_prefix_sums`` over the leading axes, and is the tests'
+    reference for every table.
     """
     if len(dims) == 1:
         table.extend(accumulate(values, initial=0))
@@ -293,8 +367,15 @@ class Datacube:
     # JSON ignore them.
     @cached_property
     def _flags(self) -> bytes:
-        """One byte per cell, row-major: 1 for a non-null cell, 0 for a null one."""
-        return bytes(map(bool, self.cells))
+        """One byte per cell, row-major: 1 for a non-null cell, 0 for a null one.
+
+        They are read off the cells packed as for the sums' table
+        (``_nonzero``), and building ``_sums`` first sets them from its own
+        packing.  Past 2^64 - 1, where the cells have no packing, each cell
+        is tested alone.
+        """
+        slots = _slots(self.cells)
+        return bytes(map(bool, self.cells)) if slots is None else _nonzero(*slots)
 
     @cached_property
     def _counts(self) -> _PrefixSums:
@@ -302,7 +383,10 @@ class Datacube:
 
     @cached_property
     def _sums(self) -> _PrefixSums:
-        return _PrefixSums(self.cells, self.dims)
+        slots = _slots(self.cells)
+        if slots is not None and "_flags" not in self.__dict__:
+            self.__dict__["_flags"] = _nonzero(*slots)
+        return _PrefixSums(self.cells, self.dims, slots)
 
     def __getitem__(self, coords: Sequence[int]) -> int:
         self.check_coords(coords)

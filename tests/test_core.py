@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+from array import array
 from itertools import count, product
 from math import prod
 from unittest import mock
@@ -614,26 +615,75 @@ def test_an_unreadable_csv_record_is_a_data_error_naming_its_line(field):
     assert str(raised.value) == "line 3: unreadable CSV record: field larger than field limit (131072)"
 
 
+def _reference_table(values, dims):
+    """The element-wise prefix table of ``values``, in the narrowest container that holds their total."""
+    total = sum(values)
+    code = next((c for c in "BHIQ" if total < 1 << 8 * array(c).itemsize), None)
+    return core._prefix_sums(values, dims, array(code) if code else [])
+
+
+def _assert_tables_match_the_reference(cube):
+    flags = bytes(map(bool, cube.cells))
+    assert cube._flags == flags
+    for table, values in ((cube._counts.table, flags), (cube._sums.table, cube.cells)):
+        reference = _reference_table(values, cube.dims)
+        assert type(table) is type(reference)
+        assert getattr(table, "typecode", None) == getattr(reference, "typecode", None)
+        assert table == reference
+    # building the sums' table first sets the flags from its own packing
+    packed_first = Datacube(cube.dims, cube.cells)
+    packed_first._sums
+    assert packed_first._flags == flags
+
+
+def _every_range(dims):
+    axes = [[(lo, hi) for lo in range(1, n + 1) for hi in range(lo, n + 1)] for n in dims]
+    for corners in product(*axes):
+        yield Range(tuple(lo for lo, _ in corners), tuple(hi for _, hi in corners))
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     st.sampled_from([1, 2, 3, 4]).flatmap(
         lambda r: st.lists(st.integers(1, {1: 12, 2: 6, 3: 4, 4: 3}[r]), min_size=r, max_size=r)
     ),
+    # the value scale picks the table: B and H up to I, Q and the list past 2^64 - 1
+    st.sampled_from([9, 300, 70_000, 2**31, 2**62, 2**66]),
     st.data(),
 )
-def test_prefix_tables_answer_every_range_like_the_per_cell_walk(dims, data):
-    cells = data.draw(st.lists(st.integers(0, 9), min_size=prod(dims), max_size=prod(dims)))
+def test_prefix_tables_answer_every_range_like_the_per_cell_walk(dims, scale, data):
+    cells = data.draw(st.lists(st.integers(0, scale), min_size=prod(dims), max_size=prod(dims)))
     cube = Datacube(tuple(dims), tuple(cells))
-    axes = [
-        [(lo, hi) for lo in range(1, n + 1) for hi in range(lo, n + 1)] for n in dims
-    ]
-    for corners in product(*axes):
-        r = Range(tuple(lo for lo, _ in corners), tuple(hi for _, hi in corners))
+    for r in _every_range(dims):
+        assert (count_exact(cube, r), sum_exact(cube, r)) == _slow_count_sum(cube, r)
+    _assert_tables_match_the_reference(cube)
+
+
+@pytest.mark.parametrize("dims", [(5,), (5, 1), (3, 1, 1), (4, 3)])
+@pytest.mark.parametrize(
+    "total, code",
+    [
+        (2**8 - 1, "B"), (2**8, "H"), (2**16 - 1, "H"), (2**16, "I"),
+        (2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q"), (2**64, None),
+    ],
+)
+def test_a_grand_total_at_a_slot_limit_is_held_without_a_carry(dims, total, code):
+    # the total spread over every cell: the scan's adds reach the slot's limit
+    share, rest = divmod(total, prod(dims))
+    cube = Datacube(dims, (share + rest,) + (share,) * (prod(dims) - 1))
+    assert getattr(cube._sums.table, "typecode", None) == code
+    _assert_tables_match_the_reference(cube)
+    for r in _every_range(dims):
         assert (count_exact(cube, r), sum_exact(cube, r)) == _slow_count_sum(cube, r)
 
 
+@pytest.mark.parametrize("byte", range(9))
+def test_a_value_whose_one_nonzero_byte_is_any_byte_of_its_slot_is_non_null(byte):
+    _assert_tables_match_the_reference(Datacube((2, 2), (0, 1 << 8 * byte, 0, 255 << 8 * byte)))
+
+
 @pytest.mark.parametrize("least", [0, 2**64], ids=["array", "list"])
-@pytest.mark.parametrize("dims", [(5,), (4, 3), (3, 2, 4)])
+@pytest.mark.parametrize("dims", [(5,), (4, 3), (3, 2, 4), (5, 1), (3, 1, 1)])
 def test_a_box_empty_on_one_axis_totals_zero(dims, least):
     table = core._PrefixSums([least + i for i in range(prod(dims))], dims)
     assert isinstance(table.table, list) == (least > 0)
