@@ -308,21 +308,15 @@ def _area(ands: Iterable[tuple[int, int]], height: int) -> int:
 
     A run is measured only where h times the AND's cell count beats the best
     so far, and the scan stops once no AND left could beat it even at
-    ``height``, the tallest a rectangle may be.  Each AND is a subset of the
-    one before, so it holds no longer run than any AND measured earlier:
-    while the last measured run is still all set, its length is reused.
+    ``height``, the tallest a rectangle may be.
     """
     best = 0
-    kept = -1  # the bits of the last measured run (the highest longest one); no AND holds -1
     for h, acc in ands:
         count = acc.bit_count()
         if height * count <= best:
             break
         if h * count > best:
-            if acc & kept != kept:
-                run, starts = _longest_run(acc)
-                kept = ((1 << run) - 1) << (starts.bit_length() - 1)
-            area = h * run
+            area = h * _longest_run(acc)[0]
             if area > best:
                 best = area
     return best

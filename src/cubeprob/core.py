@@ -121,15 +121,13 @@ class _PrefixSums:
 
     An array table is built from the values packed once into slots of that
     width (``_slots``), by ``_packed_prefix_sums``: one doubling scan per row
-    along the last axis.  ``slots``, when given, is ``_slots(values)``.
+    along the last axis.
     """
 
     __slots__ = ("table", "strides", "signs")
 
-    def __init__(
-        self, values: Sequence[int], dims: Coords, slots: tuple[str, bytes] | None = None
-    ) -> None:
-        packed = slots or _slots(values)
+    def __init__(self, values: Sequence[int], dims: Coords) -> None:
+        packed = _slots(values)
         self.table = _prefix_sums(values, dims, []) if packed is None else _packed_prefix_sums(*packed, dims)
         # a corner's offset is the sum of its coordinates times these strides;
         # corners come in ``product`` order, high end first on every axis, and
@@ -370,9 +368,8 @@ class Datacube:
         """One byte per cell, row-major: 1 for a non-null cell, 0 for a null one.
 
         They are read off the cells packed as for the sums' table
-        (``_nonzero``), and building ``_sums`` first sets them from its own
-        packing.  Past 2^64 - 1, where the cells have no packing, each cell
-        is tested alone.
+        (``_nonzero``).  Past 2^64 - 1, where the cells have no packing, each
+        cell is tested alone.
         """
         slots = _slots(self.cells)
         return bytes(map(bool, self.cells)) if slots is None else _nonzero(*slots)
@@ -383,10 +380,7 @@ class Datacube:
 
     @cached_property
     def _sums(self) -> _PrefixSums:
-        slots = _slots(self.cells)
-        if slots is not None and "_flags" not in self.__dict__:
-            self.__dict__["_flags"] = _nonzero(*slots)
-        return _PrefixSums(self.cells, self.dims, slots)
+        return _PrefixSums(self.cells, self.dims)
 
     def __getitem__(self, coords: Sequence[int]) -> int:
         self.check_coords(coords)

@@ -320,13 +320,12 @@ def build_summary(cube: Datacube, factor: CompressionFactor) -> CompressedDatacu
     if factor.dims != cube.dims:
         raise FactorError(f"factor partitions {factor.dims}, cube has dims {cube.dims}")
     los, his = factor._corner_columns()
-    sums = _block_totals(cube._sums, factor.boundaries)  # first: its packing gives the flags
     blocks = _trusted_many(
         BlockSummary,
         index=list(factor.block_indices()),
         range=_trusted_many(Range, lo=los, hi=his),
         count=_block_totals(cube._counts, factor.boundaries),
-        sum=sums,
+        sum=_block_totals(cube._sums, factor.boundaries),
     )
     return CompressedDatacube._trusted(factor, tuple(blocks))
 

@@ -630,7 +630,7 @@ def _assert_tables_match_the_reference(cube):
         assert type(table) is type(reference)
         assert getattr(table, "typecode", None) == getattr(reference, "typecode", None)
         assert table == reference
-    # building the sums' table first sets the flags from its own packing
+    # the flags do not depend on which of them is built first
     packed_first = Datacube(cube.dims, cube.cells)
     packed_first._sums
     assert packed_first._flags == flags
