@@ -24,7 +24,7 @@ from math import prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .core import Coords, Datacube, Range, _load_json
+from .core import Coords, Datacube, Range, _load_json, _trusted
 from .errors import ConstraintError
 from .summary import CompressedDatacube
 
@@ -62,13 +62,6 @@ class ConstraintSet:
                     raise ConstraintError(
                         f"macro-blocks overlap: {a.range} ({a.kind.value}) and {b.range} ({b.kind.value})"
                     )
-
-    @classmethod
-    def _trusted(cls, blocks: tuple[MacroBlock, ...]) -> "ConstraintSet":
-        """A set of blocks known to share one arity and be disjoint: no pairwise check."""
-        cs = object.__new__(cls)
-        object.__setattr__(cs, "blocks", blocks)
-        return cs
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -588,7 +581,7 @@ def detect_macroblocks(cube: Datacube, min_cells: int = 20) -> ConstraintSet:
         found.append(MacroBlock(Range(lo, hi), kind))
         # the box is uniform, so only its own kind's cache holds its cells
         kept.claim(found[-1].range)
-    return ConstraintSet._trusted(tuple(found))
+    return _trusted(ConstraintSet, blocks=tuple(found))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,14 @@ def _trusted_many(cls: type[_T], **columns: Sequence) -> list[_T]:
     return made
 
 
+def _trusted(cls: type[_T], **fields: object) -> _T:
+    """One instance of ``cls`` with ``fields`` set as given and no check run, as ``_trusted_many`` makes many."""
+    made = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(made, name, value)
+    return made
+
+
 def _offset(coords: Sequence[int], dims: Sequence[int]) -> int:
     off = 0
     for c, n in zip(coords, dims):
@@ -324,14 +332,6 @@ class Datacube:
                 f"cell array has {len(self.cells)} entries, dims {self.dims} need {expected}"
             )
 
-    @classmethod
-    def _trusted(cls, dims: Coords, cells: tuple[int, ...]) -> "Datacube":
-        """A cube of checked fields: ``dims`` positive ints, ``cells`` prod(dims) naturals."""
-        cube = object.__new__(cls)
-        object.__setattr__(cube, "dims", dims)
-        object.__setattr__(cube, "cells", cells)
-        return cube
-
     @property
     def ndim(self) -> int:
         return len(self.dims)
@@ -454,7 +454,7 @@ def _densify(chunks: Iterable[tuple[int, int, list[int]]], dims: Sequence[int]) 
                 raise RelationFormatError(f"{where}measure value must be a natural, got {row[-1]}")
             first = f", first given on line {first_line[off]}" if first_line[off] else ""
             raise DuplicateKeyError(f"{where}duplicate coordinates {coords}{first}")
-    return Datacube._trusted(dims, tuple(cells))
+    return _trusted(Datacube, dims=dims, cells=tuple(cells))
 
 
 def from_relation(

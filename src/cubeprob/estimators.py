@@ -606,9 +606,7 @@ def _sum_spread(b: int, t: int, s: int) -> tuple[int, int]:
 
 
 class _Law(NamedTuple):
-    """A moment kernel, a pmf-weights builder, ``sizes(b, s)``: the block size and
-    sum that the exact pmf of a block of b cells is budgeted by, and the law's
-    shape under trivial bounds.
+    """A moment kernel, a pmf-weights builder, and the law's shape under trivial bounds.
 
     A block of b cells with count t and sum s drawn as (b, t, l, 0), as cases 1-2
     draw it, has mean p*x and variance p*(1-p)*g for its share p = l/b inside the
@@ -622,14 +620,13 @@ class _Law(NamedTuple):
 
     kernel: Callable[[int, int, int, int, int, int], _Moments]
     weights: Callable[[int, int, int, int, int, int], _Weights]
-    sizes: Callable[[int, int], tuple[int, int]]
     error: Callable[[int, int, int, _Columns, Iterable[slice]], int]
     spread: Callable[[int, int, int], tuple[int, int]]
     of_sum: bool
 
 
-_COUNT = _Law(_count_kernel, _count_weights, lambda b, s: (b, 0), _count_error, _count_spread, False)
-_SUM = _Law(_sum_kernel, _sum_weights, lambda b, s: (b, s), _sum_error, _sum_spread, True)
+_COUNT = _Law(_count_kernel, _count_weights, _count_error, _count_spread, False)
+_SUM = _Law(_sum_kernel, _sum_weights, _sum_error, _sum_spread, True)
 # The case-2/3 law with (count, sum) weights.
 _JOINT = _SUM._replace(weights=_joint_weights)
 
@@ -639,19 +636,18 @@ _LAWS: dict[tuple[str, int], _Law] = {
     ("count", 1): _COUNT,
     ("count", 2): _COUNT,
     ("count", 3): _COUNT,
-    ("sum", 1): _Law(
-        _sum_case1_kernel, _sum_case1_weights, lambda b, s: (b, s), _sum_case1_error, _sum_case1_spread, True
-    ),
+    ("sum", 1): _Law(_sum_case1_kernel, _sum_case1_weights, _sum_case1_error, _sum_case1_spread, True),
     ("sum", 2): _SUM,
     ("sum", 3): _SUM,
 }
 
 
 def _law_weights(law: _Law, draw: _Draw, t: int, s: int, b: int, pmf_budget: int | None) -> _Weights:
-    """``law``'s pmf weights for ``draw``, refused when its sizes for b cells exceed the
-    budget; an empty block (t = 0) is a point mass under every law, served at any size."""
+    """``law``'s pmf weights for ``draw``, refused when the block's b cells, or its sum s
+    for a law of the sum, exceed the budget; an empty block (t = 0) is a point mass
+    under every law, served at any size."""
     if t:
-        _check_pmf_budget(*law.sizes(b, s), pmf_budget)
+        _check_pmf_budget(b, s if law.of_sum else 0, pmf_budget)
     return law.weights(*draw, t, s)
 
 

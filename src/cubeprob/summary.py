@@ -21,7 +21,7 @@ from operator import itemgetter, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import Coords, Datacube, Range, _check_coords, _check_range, _check_realizable, _integers
-from .core import _PrefixSums, _load_json, _offset, _trusted_many
+from .core import _PrefixSums, _load_json, _offset, _trusted, _trusted_many
 from .errors import FactorError, InfeasibleError
 
 
@@ -121,6 +121,14 @@ class CompressionFactor:
         return cls(tuple(axes))
 
 
+def _check_block(index: Coords, b: int, t: int, s: int) -> None:
+    """Refuse block ``index`` of b cells if no cube gives it count t and sum s."""
+    try:
+        _check_realizable(b, t, s)
+    except InfeasibleError as exc:
+        raise InfeasibleError(f"block {index}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class BlockSummary:
     """Aggregates of a single block: t non-null cells summing to s."""
@@ -131,10 +139,7 @@ class BlockSummary:
     sum: int
 
     def __post_init__(self) -> None:
-        try:
-            _check_realizable(self.range.size, self.count, self.sum)
-        except InfeasibleError as exc:
-            raise InfeasibleError(f"block {self.index}: {exc}") from None
+        _check_block(self.index, self.range.size, self.count, self.sum)
 
     # Cached on the instance, not a field: equality, hashing and JSON ignore it.
     @cached_property
@@ -173,14 +178,6 @@ class CompressedDatacube:
         for blk, (lo, hi) in zip(self.blocks, factor.block_corners()):
             if blk.range.lo != lo or blk.range.hi != hi:
                 raise FactorError(f"block {blk.index} carries a range inconsistent with the factor")
-
-    @classmethod
-    def _trusted(cls, factor: CompressionFactor, blocks: tuple[BlockSummary, ...]) -> "CompressedDatacube":
-        """A summary of realizable blocks known to tile ``factor`` in row-major order: no check."""
-        summary = object.__new__(cls)
-        object.__setattr__(summary, "factor", factor)
-        object.__setattr__(summary, "blocks", blocks)
-        return summary
 
     @property
     def dims(self) -> Coords:
@@ -309,25 +306,36 @@ def _block_totals(sums: _PrefixSums, boundaries: tuple[tuple[int, ...], ...]) ->
     return totals
 
 
-def build_summary(cube: Datacube, factor: CompressionFactor) -> CompressedDatacube:
-    """Aggregate every block of the factor over the cube.
+def _from_totals(factor: CompressionFactor, counts: list[int], sums: list[int]) -> CompressedDatacube:
+    """The summary whose blocks of ``factor``, in row-major order, hold ``counts`` and ``sums``.
 
-    Every block's count and sum come at once from the cube's prefix tables
-    (see ``_block_totals``), which exact queries on the cube read as well.  A
-    cube's block totals are realizable and tile the factor by construction,
-    so the ranges, blocks and summary are made without their checks.
+    ``build_summary`` and ``summary_from_dict`` both make their summary here.
+    The totals must be checked already, naturals realizable in their blocks;
+    the blocks tile the factor by construction, so the ranges, blocks and
+    summary are made without their checks.
     """
-    if factor.dims != cube.dims:
-        raise FactorError(f"factor partitions {factor.dims}, cube has dims {cube.dims}")
     los, his = factor._corner_columns()
     blocks = _trusted_many(
         BlockSummary,
         index=list(factor.block_indices()),
         range=_trusted_many(Range, lo=los, hi=his),
-        count=_block_totals(cube._counts, factor.boundaries),
-        sum=_block_totals(cube._sums, factor.boundaries),
+        count=counts,
+        sum=sums,
     )
-    return CompressedDatacube._trusted(factor, tuple(blocks))
+    return _trusted(CompressedDatacube, factor=factor, blocks=tuple(blocks))
+
+
+def build_summary(cube: Datacube, factor: CompressionFactor) -> CompressedDatacube:
+    """Aggregate every block of the factor over the cube.
+
+    Every block's count and sum come at once from the cube's prefix tables
+    (see ``_block_totals``), which exact queries on the cube read as well.  A
+    cube's block totals are realizable by construction.
+    """
+    if factor.dims != cube.dims:
+        raise FactorError(f"factor partitions {factor.dims}, cube has dims {cube.dims}")
+    boundaries = factor.boundaries
+    return _from_totals(factor, _block_totals(cube._counts, boundaries), _block_totals(cube._sums, boundaries))
 
 
 def decompose(summary: CompressedDatacube, query: Range) -> RangeDecomposition:
@@ -358,6 +366,12 @@ def summary_to_dict(summary: CompressedDatacube) -> dict:
 
 
 def summary_from_dict(payload: dict) -> CompressedDatacube:
+    """The summary ``payload`` describes, checked once and then made as a built one is.
+
+    Every block of the factor is listed once and only those, and each holds a
+    count and sum of naturals realizable in its block, checked in row-major
+    order.
+    """
     factor = CompressionFactor(payload["boundaries"])
     by_index: dict[Coords, dict] = {}
     for raw in payload["blocks"]:
@@ -365,16 +379,20 @@ def summary_from_dict(payload: dict) -> CompressedDatacube:
         if index in by_index:
             raise FactorError(f"summary file repeats block {index}")
         by_index[index] = raw
-    blocks = []
-    for index in factor.block_indices():
+    counts, sums = [], []
+    # each block's cell count, row-major: the product of its widths
+    sizes = map(prod, _iproduct(*(map(sub, axis[1:], axis) for axis in factor.boundaries)))
+    for index, size in zip(factor.block_indices(), sizes):
         raw = by_index.pop(index, None)
         if raw is None:
             raise FactorError(f"summary file is missing block {index}")
         count, total = _naturals((raw["count"], raw["sum"]), f"block {index} count and sum")
-        blocks.append(BlockSummary(index, factor.block_range(index), count, total))
+        _check_block(index, size, count, total)
+        counts.append(count)
+        sums.append(total)
     if by_index:
         raise FactorError(f"summary file has block {next(iter(by_index))} outside the {factor.shape} grid")
-    return CompressedDatacube(factor, tuple(blocks))
+    return _from_totals(factor, counts, sums)
 
 
 def save_summary(summary: CompressedDatacube, path: str) -> None:

@@ -202,6 +202,14 @@ def test_query_detect_constraints_needs_cube(reference_files, capsys):
     assert "--exact" in capsys.readouterr().err
 
 
+def test_query_case3_needs_constraints(reference_files, capsys):
+    _, summary_path, _ = reference_files
+    capsys.readouterr()
+    assert main(["query", str(summary_path), "--range", "4:6,1:3", "--kind", "count", "--case", "3"]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "case 3 needs --constraints or --detect-constraints" in err
+
+
 def test_query_constraints_and_detect_constraints_exclusive(reference_files, capsys):
     cube_path, summary_path, constraints_path = reference_files
     rc = main([
@@ -329,6 +337,21 @@ def test_experiment_is_reproducible(reference_files, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_experiment_reads_the_constraints_file_detect_writes(reference_files, tmp_path, capsys):
+    cube_path, _, _ = reference_files
+    detected = tmp_path / "detected.json"
+    assert main(["detect", str(cube_path), "--min-cells", "3", "--out", str(detected)]) == 0
+    args = [
+        "experiment", str(cube_path), "--block-sizes", "3x4,4x3", "--query-shape", "3x3",
+        "--cases", "1,2,3", "--stride", "2x2",
+    ]
+    capsys.readouterr()
+    assert main([*args, "--constraints", "auto", "--min-cells", "3"]) == 0
+    auto = capsys.readouterr().out
+    assert main([*args, "--constraints", str(detected)]) == 0
+    assert capsys.readouterr().out == auto
+
+
 def test_oracle_command(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
@@ -352,6 +375,14 @@ def test_detect_command(tmp_path, capsys):
     out_path = tmp_path / "cs.json"
     assert main(["detect", str(cube_path), "--min-cells", "20", "--out", str(out_path)]) == 0
     assert "all_null 1:5,1:5 (25 cells)" in capsys.readouterr().out
+
+
+def test_detect_refuses_min_cells_0(reference_files, tmp_path, capsys):
+    cube_path, _, _ = reference_files
+    capsys.readouterr()
+    assert main(["detect", str(cube_path), "--min-cells", "0", "--out", str(tmp_path / "cs.json")]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "min_cells must be >= 1" in err
 
 
 def test_usage_errors_exit_1(capsys, tmp_path):
@@ -519,6 +550,16 @@ def test_query_refuses_non_integral_summary_count(reference_files, tmp_path, cap
     capsys.readouterr()
     assert main(["query", str(bad), "--range", "1:3,1:4", "--kind", "count"]) == 2
     assert _one_error_line(capsys.readouterr().err)
+
+
+def test_query_on_a_summary_that_is_not_json_exits_2(reference_files, tmp_path, capsys):
+    _, summary_path, _ = reference_files
+    bad = tmp_path / "bad_summary.json"
+    bad.write_text(summary_path.read_text()[:-1])
+    capsys.readouterr()
+    assert main(["query", str(bad), "--range", "1:3,1:4", "--kind", "count"]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "malformed JSON input" in err
 
 
 @pytest.mark.parametrize("count, total", [(3, 2), (0, 4)], ids=["count-over-sum", "sum-without-count"])

@@ -259,6 +259,19 @@ def test_summary_file_lists_each_block_once(tmp_path, extra, message):
         load_summary(str(path))
 
 
+def test_summary_file_missing_a_block_is_refused(tmp_path):
+    factor = CompressionFactor(((0, 2, 4),))
+    blocks = tuple(BlockSummary((k,), factor.block_range((k,)), 1, 5) for k in (1, 2))
+    payload = summary_to_dict(CompressedDatacube(factor, blocks))
+    del payload["blocks"][1]
+    with pytest.raises(FactorError, match=r"summary file is missing block \(2,\)"):
+        summary_from_dict(payload)
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FactorError, match=r"summary file is missing block \(2,\)"):
+        load_summary(str(path))
+
+
 @pytest.mark.parametrize(
     "count, total, message",
     [(3, 2, "count 3 exceeds sum 2"), (0, 4, "sum 4 positive with no non-null cells"), (13, 20, "count 13 outside")],
@@ -278,6 +291,17 @@ def test_unrealizable_block_aggregates_are_infeasible(tmp_path, reference_summar
         load_summary(str(path))
 
 
+def test_a_loaded_unrealizable_block_is_named(tmp_path, reference_summary):
+    payload = summary_to_dict(reference_summary)
+    payload["blocks"][0].update(count=3, sum=2)
+    with pytest.raises(InfeasibleError, match=r"^block \(1, 1\): count 3 exceeds sum 2$"):
+        summary_from_dict(payload)
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InfeasibleError, match=r"^block \(1, 1\): count 3 exceeds sum 2$"):
+        load_summary(str(path))
+
+
 @pytest.mark.parametrize("lo, hi", [((2,), (2,)), ((1,), (3,))], ids=["lo", "hi"])
 def test_block_range_inconsistent_with_the_factor_is_refused(lo, hi):
     factor = CompressionFactor(((0, 2, 4),))
@@ -287,3 +311,10 @@ def test_block_range_inconsistent_with_the_factor_is_refused(lo, hi):
         CompressedDatacube(factor, (first, second))
     ok = CompressedDatacube(factor, (BlockSummary((1,), factor.block_range((1,)), 0, 0), second))
     assert ok.block((2,)).range == Range((3,), (4,))
+
+
+def test_blocks_out_of_row_major_order_are_refused():
+    factor = CompressionFactor(((0, 2, 4),))
+    first, second = (BlockSummary((k,), factor.block_range((k,)), 1, 5) for k in (1, 2))
+    with pytest.raises(FactorError, match="block grid does not tile the factor in row-major order"):
+        CompressedDatacube(factor, (second, first))
