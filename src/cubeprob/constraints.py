@@ -207,16 +207,16 @@ class ValidationReport:
 
 def _located_columns(cs: ConstraintSet, summary: CompressedDatacube) -> list[tuple[int, int]]:
     """Each block's located (null, non-null) cells, by :func:`_located`, in row-major order."""
-    return [_located(cs, blk.range.lo, blk.range.hi) for blk in summary.blocks]
+    return [_located(cs, lo, hi) for lo, hi in summary.factor.block_corners()]
 
 
 def _check_located(summary: CompressedDatacube, located: list[tuple[int, int]]) -> ValidationReport:
     """The report on ``summary`` given its :func:`_located_columns`: every block's count
     must lie between its located non-nulls and its cells not located null."""
-    for blk, (null, lo) in zip(summary.blocks, located):
-        hi = blk.size - null
-        if not lo <= blk.count <= hi:
-            return ValidationReport(False, blk.index, blk.count, lo, hi)
+    for index, b, t, (null, lo) in zip(summary.factor.block_indices(), *summary._columns[:2], located):
+        hi = b - null
+        if not lo <= t <= hi:
+            return ValidationReport(False, index, t, lo, hi)
     return ValidationReport(True)
 
 

@@ -61,21 +61,9 @@ def _as_coords(values: Iterable[int], what: str = "coordinates") -> Coords:
     return coords
 
 
-def _trusted_many(cls: type[_T], **columns: Sequence) -> list[_T]:
-    """Instances of ``cls``, one per row of ``columns``, each field set to its column's entry.
-
-    ``__init__`` and ``__post_init__`` do not run, so this is for fields known
-    to be checked already.  Every step is a C-level ``map``: a column costs no
-    Python call per instance.
-    """
-    made = list(map(object.__new__, repeat(cls, len(next(iter(columns.values()))))))
-    for name, values in columns.items():
-        deque(map(object.__setattr__, made, repeat(name), values), 0)
-    return made
-
-
 def _trusted(cls: type[_T], **fields: object) -> _T:
-    """One instance of ``cls`` with ``fields`` set as given and no check run, as ``_trusted_many`` makes many."""
+    """One instance of ``cls`` with ``fields`` set as given: ``__init__`` and
+    ``__post_init__`` do not run, so this is for fields known to be checked already."""
     made = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(made, name, value)

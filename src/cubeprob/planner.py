@@ -38,9 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from math import prod
 
 from .constraints import ConstraintSet, _check_located, _located, _located_columns
-from .core import Range, _offset
+from .core import Range
 from .errors import ConstraintError
 from .estimators import DEFAULT_PMF_BUDGET, _LAWS, Estimate, _Law, _compose
 from .summary import CompressedDatacube
@@ -102,21 +103,24 @@ def estimate(
 
     split = summary._split(spec.range)
     case, query = spec.case, spec.range
+    (sizes, counts, sums, *_), (los, his) = summary._columns, summary.factor._corners
     draws = []
-    for blk in split.shell:
-        t, s, r, b = blk.count, blk.sum, blk.range, blk.size
-        b_in = r.overlap_size(query)
+    for at in split.shell:
+        t, s, b = counts[at], sums[at], sizes[at]
+        # the block's part inside the query: a shell block overlaps it
+        lo, hi = [*map(max, los[at], query.lo)], [*map(min, his[at], query.hi)]
+        b_in = prod(h - l + 1 for l, h in zip(lo, hi))
         if case == 3:
             # The draw from the block's and the query's located cells, (n, m, l, shift) =
             # (b - null_blk - nn_blk, t - nn_blk, b_in - null_in - nn_in, nn_in),
             # unchecked: the check above has put nn_blk <= t <= b - null_blk on every block.
-            null_blk, nn_blk = located[_offset(blk.index, summary.factor.shape)]
-            null_in, nn_in = _located(constraints, [*map(max, r.lo, query.lo)], [*map(min, r.hi, query.hi)])
+            null_blk, nn_blk = located[at]
+            null_in, nn_in = _located(constraints, lo, hi)
             draw = b - null_blk - nn_blk, t - nn_blk, b_in - null_in - nn_in, nn_in
         else:
             # Cases 1-2 take the draw under trivial bounds, (n, m, l, shift) =
-            # (b, t, b_in, 0), unchecked: a BlockSummary is realizable and a
-            # shell block holds 1 <= b_in < b cells of the query.
+            # (b, t, b_in, 0), unchecked: a summary's blocks are realizable and
+            # a shell block holds 1 <= b_in < b cells of the query.
             draw = b, t, b_in, 0
         draws.append((draw, t, s, b))
     return _compose(law, draws, values.total(split.lo, split.hi), spec.want_pmf, DEFAULT_PMF_BUDGET)
@@ -148,7 +152,7 @@ def _box_moments(summary: CompressedDatacube, law: _Law, query: Range) -> tuple[
     table = summary._sums if law.of_sum else summary._counts
     spread, spread_den = summary._prefix_ratios(law.spread)
     values, spread = table.table, spread.table
-    columns, error, factor, stride, whole = summary._columns, law.error, summary.factor, len(summary.blocks), 1
+    columns, error, factor, stride, whole = summary._columns, law.error, summary.factor, len(summary.counts), 1
     axes = []
     for (first, last, start, stop), lo_q, hi_q, bounds, n, step in zip(
         summary._cuts(query), query.lo, query.hi, factor.boundaries, factor.shape, table.strides
@@ -168,7 +172,7 @@ def _box_moments(summary: CompressedDatacube, law: _Law, query: Range) -> tuple[
         axes.append(segments)
         whole *= common
     if len(axes) == 1:
-        axes.insert(0, [(0, len(values) // 2, 1, 0, 1, len(summary.blocks))])
+        axes.insert(0, [(0, len(values) // 2, 1, 0, 1, len(summary.counts))])
     *leads, rows, cols = axes
     mean = variance = max_error = 0
     for lead in product(*leads):  # one empty lead in 1-2 D

@@ -2,7 +2,8 @@
 
 A compression factor slices every dimension with strictly increasing
 boundaries; each block of the induced grid stores two aggregates,
-(count of non-null cells, sum of cell values).  Query planning later splits
+(count of non-null cells, sum of cell values), and a summary keeps them as
+two int columns in row-major block order.  Query planning later splits
 an arbitrary range into the box of blocks totally contained in it, whose
 aggregates come from prefix sums over the block grid, and the shell of
 blocks it only partially overlaps.
@@ -18,10 +19,10 @@ from itertools import chain, repeat
 from itertools import product as _iproduct
 from math import lcm, prod
 from operator import itemgetter, sub
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import Coords, Datacube, Range, _check_coords, _check_range, _check_realizable, _integers
-from .core import _PrefixSums, _load_json, _offset, _trusted, _trusted_many
+from .core import _PrefixSums, _load_json, _offset, _trusted
 from .errors import FactorError, InfeasibleError
 
 
@@ -81,14 +82,21 @@ class CompressionFactor:
 
     def block_corners(self) -> Iterator[tuple[Coords, Coords]]:
         """The ``(lo, hi)`` cell corners of every block, in ``block_indices`` order."""
-        return zip(*self._corner_columns())
+        return zip(*self._corners)
 
-    def _corner_columns(self) -> tuple[list[Coords], list[Coords]]:
+    # Cached on the instance, not a field: case-3 and pmf queries read it by
+    # block offset; building and loading a summary do not.
+    @cached_property
+    def _corners(self) -> tuple[list[Coords], list[Coords]]:
         """Every block's low cell corner, and every block's high one, in ``block_indices`` order."""
         # block k of an axis spans axis[k-1]+1..axis[k], so the corners are the
         # row-major products of the per-axis starts and ends
         los = _iproduct(*([c + 1 for c in axis[:-1]] for axis in self.boundaries))
         return list(los), list(_iproduct(*(axis[1:] for axis in self.boundaries)))
+
+    def _sizes(self) -> Iterator[int]:
+        """Every block's cell count, in ``block_indices`` order: the product of its widths."""
+        return map(prod, _iproduct(*(map(sub, axis[1:], axis) for axis in self.boundaries)))
 
     @classmethod
     def equal_width(cls, dims: Sequence[int], blocks: Sequence[int]) -> "CompressionFactor":
@@ -121,12 +129,15 @@ class CompressionFactor:
         return cls(tuple(axes))
 
 
-def _check_block(index: Coords, b: int, t: int, s: int) -> None:
-    """Refuse block ``index`` of b cells if no cube gives it count t and sum s."""
+def _check_block(index: Coords, b: int, t: int, s: int) -> tuple[int, int]:
+    """Block ``index``'s count t and sum s as ints, refused unless they are
+    naturals that some cube gives a block of b cells."""
+    t, s = _naturals((t, s), f"block {index} count and sum")
     try:
         _check_realizable(b, t, s)
     except InfeasibleError as exc:
         raise InfeasibleError(f"block {index}: {exc}") from None
+    return t, s
 
 
 @dataclass(frozen=True)
@@ -139,7 +150,10 @@ class BlockSummary:
     sum: int
 
     def __post_init__(self) -> None:
-        _check_block(self.index, self.range.size, self.count, self.sum)
+        object.__setattr__(self, "index", _naturals(self.index, "block index"))
+        count, total = _check_block(self.index, self.range.size, self.count, self.sum)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "sum", total)
 
     # Cached on the instance, not a field: equality, hashing and JSON ignore it.
     @cached_property
@@ -152,53 +166,71 @@ class _Split(NamedTuple):
     """A query over the block grid, block by block: case 3 and pmfs read it so.
 
     ``lo..hi`` is the box of block indices totally inside the query (an axis
-    with ``hi == lo - 1`` leaves it empty); ``shell`` holds every other
-    overlapped block, in row-major order.  Each row of the overlapped box
-    along the last axis is one slice of the row-major block tuple; a row whose
+    with ``hi == lo - 1`` leaves it empty); ``shell`` holds the row-major
+    offset of every other overlapped block, in row-major order, by which the
+    summary's columns and the factor's corners are read.  Each row of the
+    overlapped box along the last axis is one run of offsets; a row whose
     leading indices all lie inside the inner box leaves out its inner run.
     Cases 1-2 read the same shell in one walk instead (see the planner).
     """
 
     lo: Coords
     hi: Coords
-    shell: tuple[BlockSummary, ...]
+    shell: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CompressedDatacube:
-    """A factor plus the dense grid of block summaries (row-major)."""
+    """A factor plus each block's count and sum, as two columns in row-major block order.
+
+    ``CompressedDatacube(factor, blocks)`` takes the ``BlockSummary`` of every
+    block of the factor, in row-major order; ``blocks`` and ``block`` give
+    them back.
+    """
 
     factor: CompressionFactor
-    blocks: tuple[BlockSummary, ...]
+    counts: tuple[int, ...]
+    sums: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        factor = self.factor
-        if [b.index for b in self.blocks] != list(factor.block_indices()):
+    def __init__(self, factor: CompressionFactor, blocks: Iterable[BlockSummary]) -> None:
+        blocks = tuple(blocks)
+        if [b.index for b in blocks] != list(factor.block_indices()):
             raise FactorError("block grid does not tile the factor in row-major order")
-        for blk, (lo, hi) in zip(self.blocks, factor.block_corners()):
+        for blk, (lo, hi) in zip(blocks, factor.block_corners()):
             if blk.range.lo != lo or blk.range.hi != hi:
                 raise FactorError(f"block {blk.index} carries a range inconsistent with the factor")
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "counts", tuple(b.count for b in blocks))
+        object.__setattr__(self, "sums", tuple(b.sum for b in blocks))
 
     @property
     def dims(self) -> Coords:
         return self.factor.dims
 
+    # Built on first read and cached on the instance; not a field, so equality,
+    # hashing and JSON ignore it, and no library path reads it.
+    @cached_property
+    def blocks(self) -> tuple[BlockSummary, ...]:
+        """Every block's checked ``BlockSummary``, in row-major order."""
+        corners = map(Range, *self.factor._corners)
+        return tuple(map(BlockSummary, self.factor.block_indices(), corners, self.counts, self.sums))
+
     def block(self, index: Sequence[int]) -> BlockSummary:
-        shape = self.factor.shape
-        _check_coords(index, shape, "block ", "grid")
-        return self.blocks[_offset(index, shape)]
+        at = _offset(index, self.factor.shape)
+        # block_range refuses an index outside the grid before the columns are read
+        return BlockSummary(index, self.factor.block_range(index), self.counts[at], self.sums[at])
 
     # Prefix sums over the block grid, built on first use and cached on the
     # instance; they are not fields, so equality, hashing and JSON ignore them.
     @cached_property
     def _counts(self) -> _PrefixSums:
-        return self._grid_sums([b.count for b in self.blocks])
+        return self._grid_sums(self.counts)
 
     @cached_property
     def _sums(self) -> _PrefixSums:
-        return self._grid_sums([b.sum for b in self.blocks])
+        return self._grid_sums(self.sums)
 
-    def _grid_sums(self, values: list[int]) -> _PrefixSums:
+    def _grid_sums(self, values: Sequence[int]) -> _PrefixSums:
         """Prefix sums of ``values`` over the block grid.
 
         A 1-D table is followed by as many zeros as it has entries, which the
@@ -210,12 +242,12 @@ class CompressedDatacube:
         return sums
 
     @cached_property
-    def _columns(self) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    def _columns(self) -> tuple[Sequence[int], ...]:
         """The sizes, counts and sums of the blocks, in row-major order, then each block's
         count mirrored to mu = min(t, b - t) and its b - mu (the count law's error rule)."""
-        sizes, counts = [b.size for b in self.blocks], [b.count for b in self.blocks]
-        low = [t if t + t <= b else b - t for b, t in zip(sizes, counts)]
-        return sizes, counts, [b.sum for b in self.blocks], low, [b - mu for b, mu in zip(sizes, low)]
+        sizes = list(self.factor._sizes())
+        low = [t if t + t <= b else b - t for b, t in zip(sizes, self.counts)]
+        return sizes, self.counts, self.sums, low, [b - mu for b, mu in zip(sizes, low)]
 
     @cached_property
     def _ratio_tables(self) -> dict:
@@ -230,7 +262,7 @@ class CompressedDatacube:
         """
         found = self._ratio_tables.get(ratio)
         if found is None:
-            parts = [ratio(b.size, b.count, b.sum) for b in self.blocks]
+            parts = list(map(ratio, *self._columns[:3]))
             common = lcm(*(den for _, den in parts))
             table = self._grid_sums([num * (common // den) for num, den in parts])
             found = self._ratio_tables[ratio] = table, common
@@ -255,25 +287,23 @@ class CompressedDatacube:
         for first, last, start, stop in self._cuts(query):
             runs.append(range(first, last + 1))
             inner.append(range(start, max(start, stop)))
-        shape, blocks, shell = self.factor.shape, self.blocks, []
+        shape, shell = self.factor.shape, []
         *heads, row = runs
         cut_lo, cut_hi = inner[-1].start - row.start, inner[-1].stop - row.start
         for lead in _iproduct(*heads):
             base = _offset((*lead, row.start), shape)
             end = base + len(row)
             if all(k in axis for k, axis in zip(lead, inner)):
-                shell += blocks[base:base + cut_lo] + blocks[base + cut_hi:end]
+                shell += [*range(base, base + cut_lo), *range(base + cut_hi, end)]
             else:
-                shell += blocks[base:end]
-        return _Split(
-            tuple(k.start for k in inner), tuple(k.stop - 1 for k in inner), tuple(shell)
-        )
+                shell += range(base, end)
+        return _Split(tuple(k.start for k in inner), tuple(k.stop - 1 for k in inner), tuple(shell))
 
     def total_count(self) -> int:
-        return sum(b.count for b in self.blocks)
+        return sum(self.counts)
 
     def total_sum(self) -> int:
-        return sum(b.sum for b in self.blocks)
+        return sum(self.sums)
 
 
 @dataclass(frozen=True)
@@ -306,23 +336,14 @@ def _block_totals(sums: _PrefixSums, boundaries: tuple[tuple[int, ...], ...]) ->
     return totals
 
 
-def _from_totals(factor: CompressionFactor, counts: list[int], sums: list[int]) -> CompressedDatacube:
+def _from_totals(factor: CompressionFactor, counts: Sequence[int], sums: Sequence[int]) -> CompressedDatacube:
     """The summary whose blocks of ``factor``, in row-major order, hold ``counts`` and ``sums``.
 
     ``build_summary`` and ``summary_from_dict`` both make their summary here.
-    The totals must be checked already, naturals realizable in their blocks;
-    the blocks tile the factor by construction, so the ranges, blocks and
-    summary are made without their checks.
+    The totals must be checked already, naturals realizable in their blocks,
+    so the summary is made without its checks.
     """
-    los, his = factor._corner_columns()
-    blocks = _trusted_many(
-        BlockSummary,
-        index=list(factor.block_indices()),
-        range=_trusted_many(Range, lo=los, hi=his),
-        count=counts,
-        sum=sums,
-    )
-    return _trusted(CompressedDatacube, factor=factor, blocks=tuple(blocks))
+    return _trusted(CompressedDatacube, factor=factor, counts=tuple(counts), sums=tuple(sums))
 
 
 def build_summary(cube: Datacube, factor: CompressionFactor) -> CompressedDatacube:
@@ -344,9 +365,11 @@ def decompose(summary: CompressedDatacube, query: Range) -> RangeDecomposition:
     Both lists are in row-major order.  The clipped regions together with
     the total blocks tile the query exactly.
     """
-    split = summary._split(query)
+    split, (los, his) = summary._split(query), summary.factor._corners
     total = _iproduct(*(range(l, h + 1) for l, h in zip(split.lo, split.hi)))
-    partial = tuple((blk.index, query.intersect(blk.range)) for blk in split.shell)
+    # a block's low corner lies one past boundary k - 1 of each axis, so bisection finds its index k
+    index = [tuple(map(bisect_left, summary.factor.boundaries, los[at])) for at in split.shell]
+    partial = tuple(zip(index, (query.intersect(Range(los[at], his[at])) for at in split.shell)))
     return RangeDecomposition(tuple(total), partial)
 
 
@@ -359,8 +382,8 @@ def summary_to_dict(summary: CompressedDatacube) -> dict:
     return {
         "boundaries": [list(axis) for axis in summary.factor.boundaries],
         "blocks": [
-            {"index": list(b.index), "count": b.count, "sum": b.sum}
-            for b in summary.blocks
+            {"index": list(index), "count": t, "sum": s}
+            for index, t, s in zip(summary.factor.block_indices(), summary.counts, summary.sums)
         ],
     }
 
@@ -379,20 +402,15 @@ def summary_from_dict(payload: dict) -> CompressedDatacube:
         if index in by_index:
             raise FactorError(f"summary file repeats block {index}")
         by_index[index] = raw
-    counts, sums = [], []
-    # each block's cell count, row-major: the product of its widths
-    sizes = map(prod, _iproduct(*(map(sub, axis[1:], axis) for axis in factor.boundaries)))
-    for index, size in zip(factor.block_indices(), sizes):
+    totals = []
+    for index, size in zip(factor.block_indices(), factor._sizes()):
         raw = by_index.pop(index, None)
         if raw is None:
             raise FactorError(f"summary file is missing block {index}")
-        count, total = _naturals((raw["count"], raw["sum"]), f"block {index} count and sum")
-        _check_block(index, size, count, total)
-        counts.append(count)
-        sums.append(total)
+        totals.append(_check_block(index, size, raw["count"], raw["sum"]))
     if by_index:
         raise FactorError(f"summary file has block {next(iter(by_index))} outside the {factor.shape} grid")
-    return _from_totals(factor, counts, sums)
+    return _from_totals(factor, *zip(*totals))
 
 
 def save_summary(summary: CompressedDatacube, path: str) -> None:

@@ -205,7 +205,7 @@ def test_a_contradiction_outside_the_shell_is_refused(query):
     # block in its shell: the first leaves it out, the second holds it whole.
     cube = Datacube((9,), (1, 0, 2, 0, 3, 4, 1, 1, 0))
     summary = build_summary(cube, CompressionFactor(((0, 3, 6, 9),)))
-    assert [blk.index for blk in summary._split(query).shell] == [(1,)]
+    assert [summary.blocks[at].index for at in summary._split(query).shell] == [(1,)]
     cs = ConstraintSet((MacroBlock(Range((5,), (6,)), MacroKind.ALL_NULL),))
     for kind, want_pmf in product(QueryKind, [False, True]):
         with pytest.raises(ConstraintError, match="contradict"):
@@ -350,7 +350,7 @@ def test_shell_regions_match_the_per_block_reference(case, kind, estimation_case
     covered = [
         (blk, clip, width) for clip, width, _, slices in regions for line in slices for blk in summary.blocks[line]
     ]
-    assert sorted(blk.index for blk, _, _ in covered) == sorted(blk.index for blk in split.shell)
+    assert sorted(blk.index for blk, _, _ in covered) == sorted(summary.blocks[at].index for at in split.shell)
     assert all(query.intersect(blk.range).size * width == blk.size * clip for blk, clip, width in covered)
     for _, _, values, slices in regions:
         blocks = [blk for line in slices for blk in summary.blocks[line]]

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,10 @@ from cubeprob import (
     decompose,
     estimate,
     sum_exact,
+    validate,
 )
 from cubeprob.summary import BlockSummary, CompressedDatacube, load_summary, save_summary, summary_from_dict, summary_to_dict
-from conftest import summarized_ranges
+from conftest import REFERENCE_BOUNDARIES, make_sparse_cube, summarized_ranges
 
 
 def test_reference_block_aggregates(reference_summary):
@@ -318,3 +321,82 @@ def test_blocks_out_of_row_major_order_are_refused():
     first, second = (BlockSummary((k,), factor.block_range((k,)), 1, 5) for k in (1, 2))
     with pytest.raises(FactorError, match="block grid does not tile the factor in row-major order"):
         CompressedDatacube(factor, (second, first))
+
+
+def test_the_constructor_takes_its_blocks_once_from_any_iterable():
+    # an iterator used to be stored exhausted: the range check saw no block
+    factor = CompressionFactor(((0, 2, 4),))
+    bad = (BlockSummary((1,), Range((1,), (3,)), 0, 0), BlockSummary((2,), factor.block_range((2,)), 1, 5))
+    with pytest.raises(FactorError, match=r"block \(1,\) carries a range inconsistent"):
+        CompressedDatacube(factor, iter(bad))
+    blocks = [BlockSummary((k,), factor.block_range((k,)), 1, 5) for k in (1, 2)]
+    from_iterator, from_list = CompressedDatacube(factor, iter(blocks)), CompressedDatacube(factor, blocks)
+    assert from_iterator.total_count() == from_list.total_count() == 2
+    assert from_iterator.blocks == from_list.blocks == tuple(blocks)
+    assert from_iterator == from_list and hash(from_iterator) == hash(from_list)
+
+
+@pytest.mark.parametrize("field", ["count", "sum"])
+@pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
+def test_a_block_refuses_what_a_summary_file_refuses(reference_summary, field, value):
+    aggregates = {"count": 1, "sum": 1, field: value}
+    message = r"^block \(1, 1\) count and sum must be integers"
+    with pytest.raises(FactorError, match=message):
+        BlockSummary((1, 1), Range((1, 1), (2, 3)), aggregates["count"], aggregates["sum"])
+    payload = summary_to_dict(reference_summary)
+    payload["blocks"][0].update(aggregates)
+    with pytest.raises(FactorError, match=message):
+        summary_from_dict(payload)
+
+
+def test_a_block_keeps_its_index_as_a_tuple():
+    factor = CompressionFactor(((0, 2, 4),))
+    blocks = [BlockSummary([k], factor.block_range((k,)), 1, 5) for k in (1, 2)]
+    assert blocks[0].index == (1,)
+    assert CompressedDatacube(factor, blocks).blocks == tuple(blocks)
+
+
+def test_no_library_path_makes_the_block_objects(tmp_path, reference_cube, reference_constraints):
+    # a summary is its factor and two columns; ``blocks`` is built only when read
+    factor = CompressionFactor(REFERENCE_BOUNDARIES)
+    summary = build_summary(reference_cube, factor)
+    assert "blocks" not in vars(summary)
+    loaded = summary_from_dict(summary_to_dict(summary))
+    assert "blocks" not in vars(loaded)
+    for query in (Range((2, 2), (9, 5)), Range((1, 1), (2, 3))):
+        for kind, case, want_pmf in product(QueryKind, (1, 2, 3), (False, True)):
+            cs = reference_constraints if case == 3 else None
+            estimate(summary, cs, QuerySpec(query, kind, case, want_pmf))
+            assert "blocks" not in vars(summary)
+        decompose(summary, query)
+        assert "blocks" not in vars(summary)
+    assert validate(reference_constraints, summary).ok
+    summary_to_dict(summary)
+    save_summary(summary, str(tmp_path / "summary.json"))
+    assert "blocks" not in vars(summary)
+    assert "blocks" not in vars(load_summary(str(tmp_path / "summary.json")))
+
+
+def _held_per_block(make, blocks):
+    """Bytes per block still allocated after ``make()``, while its result is held."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = make()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert made is not None
+    return held / blocks
+
+
+def test_a_summary_holds_few_bytes_per_block(tmp_path):
+    # two int columns, where a BlockSummary and its Range per block held over 800 B
+    cube = make_sparse_cube(200, 60)
+    cube._counts, cube._sums  # the cube's prefix tables are not the summary's
+    factor = CompressionFactor.from_block_shape(cube.dims, (2, 1))
+    assert factor.block_count >= 6000
+    path = str(tmp_path / "summary.json")
+    save_summary(build_summary(cube, factor), path)
+    assert _held_per_block(lambda: build_summary(cube, factor), factor.block_count) <= 92
+    assert _held_per_block(lambda: load_summary(path), factor.block_count) <= 92
