@@ -27,6 +27,7 @@ from .core import (
     Datacube,
     Range,
     _load_json,
+    _span,
     count_exact,
     load_cube,
     load_relation_csv,
@@ -205,8 +206,10 @@ def _cmd_summarize(args) -> int:
         factor = CompressionFactor.equal_width(cube.dims, _parse_ints(args.blocks, "blocks"))
     summary = build_summary(cube, factor)
     save_summary(summary, args.out)
-    for blk in summary.blocks:
-        print(f"block {blk.index} range {blk.range}: count={blk.count} sum={blk.sum}")
+    # from the factor and the columns: no checked block object per block
+    blocks = zip(factor.block_indices(), factor.block_corners(), summary.counts, summary.sums)
+    for index, (lo, hi), count, total in blocks:
+        print(f"block {index} range {_span(lo, hi)}: count={count} sum={total}")
     print(f"summary ({factor.shape} blocks) -> {args.out}")
     return 0
 

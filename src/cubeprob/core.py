@@ -13,17 +13,19 @@ the stricter bound.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import sys
 from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, count, islice, repeat
 from itertools import product as _iproduct
 from math import prod
-from operator import add, index, itemgetter, mul, rshift, sub
+from operator import add, index, itemgetter, mul, rshift
 from typing import Callable, Iterable, Iterator, MutableSequence, Sequence, TypeVar
 
 from .errors import (
@@ -146,6 +148,11 @@ class _PrefixSums:
         return sum(map(mul, self.signs, map(table.__getitem__, map(sum, _iproduct(*ends)))))
 
 
+def _narrowest(largest: int) -> str | None:
+    """The narrowest array code of ``BHIQ`` whose item holds ``largest``; None past 2^64 - 1."""
+    return next((c for c in "BHIQ" if largest < 1 << 8 * array(c).itemsize), None)
+
+
 def _slots(values: Sequence[int]) -> tuple[str, bytes] | None:
     """The array code of ``values``' prefix table and the values packed in its slots.
 
@@ -156,8 +163,7 @@ def _slots(values: Sequence[int]) -> tuple[str, bytes] | None:
     slot's last byte, because ``array(code, some_bytes)`` would read them
     as raw machine words.
     """
-    total = sum(values)
-    code = next((c for c in "BHIQ" if total < 1 << 8 * array(c).itemsize), None)
+    code = _narrowest(sum(values))
     if code is None:
         return None
     width = array(code).itemsize
@@ -301,7 +307,12 @@ class Range:
         return _iproduct(*axes)
 
     def __str__(self) -> str:
-        return ",".join(f"{l}:{h}" for l, h in zip(self.lo, self.hi))
+        return _span(self.lo, self.hi)
+
+
+def _span(lo: Sequence[int], hi: Sequence[int]) -> str:
+    """The corners ``lo`` and ``hi`` as ``Range`` prints them: ``lo:hi`` per axis."""
+    return ",".join(f"{l}:{h}" for l, h in zip(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -381,6 +392,69 @@ class Datacube:
         _check_range(r, self.dims)
 
 
+class _Lines:
+    """The CSV line of every row ``_densify`` stored, kept only to word a refusal.
+
+    Rows are noted by row-major offset, in the order they were stored, in
+    the narrowest array whose item holds an offset, and lines by run: the
+    first line and the first position of each run of rows from consecutive
+    lines.  A plain chunk is at most one run, so a row costs 1 to 8 B and a run 16 B.
+    """
+
+    __slots__ = ("offsets", "lines", "starts", "next")
+
+    def __init__(self, size: int) -> None:
+        self.offsets = array(_narrowest(size - 1))
+        self.lines, self.starts = array("q"), array("q")
+        self.next = 0  # the line that would go on the last run; no CSV row has line 0
+
+    def note(self, line: int, offsets: list[int]) -> None:
+        """Note that the rows of a chunk, on lines ``line``, ``line + 1``, ..., gave ``offsets``."""
+        if line != self.next:
+            self.lines.append(line)
+            self.starts.append(len(self.offsets))
+        self.next = line + len(offsets)
+        self.offsets.fromlist(offsets)
+
+    def note_row(self, line: int, off: int) -> None:
+        """Note that the row on line ``line``, stored on its own, gave ``off``."""
+        if line != self.next:
+            self.lines.append(line)
+            self.starts.append(len(self.offsets))
+        self.next = line + 1
+        self.offsets.append(off)
+
+    def first(self, off: int) -> int:
+        """The line of the noted row that gave ``off``, or 0 when none did."""
+        try:
+            at = self.offsets.index(off)
+        except ValueError:
+            return 0
+        run = bisect_right(self.starts, at) - 1
+        return self.lines[run] + at - self.starts[run]
+
+
+def _chunk_offsets(cols: list[list[int]], places: list[list[int | None]]) -> list[int] | None:
+    """The row-major offsets of a chunk's rows from its coordinate columns, or None
+    when a coordinate is outside the cube.
+
+    ``places[q][c]`` is the part of an offset that coordinate ``c`` on axis
+    q gives, so each axis is one C-level gather: a coordinate past its axis
+    ends the gather with ``IndexError``.  A coordinate below 1 is refused
+    before any gather, where a negative one would index from the end.
+    """
+    if min(map(min, cols)) < 1:
+        return None
+    try:
+        parts = [itemgetter(*col)(place) for col, place in zip(cols, places)]
+    except IndexError:
+        return None
+    offs = parts[0]
+    for part in parts[1:]:
+        offs = map(add, offs, part)
+    return list(offs)
+
+
 def _densify(chunks: Iterable[tuple[int, int, list[int]]], dims: Sequence[int]) -> Datacube:
     """Write ``(line, k, fields)`` chunks of int rows into a cube, checking each row once.
 
@@ -394,25 +468,24 @@ def _densify(chunks: Iterable[tuple[int, int, list[int]]], dims: Sequence[int]) 
     dims = _as_coords(dims, "dimension lengths")
     width = len(dims) + 1
     cells = [0] * prod(dims)
-    first_line = array("q", [-1]) * len(cells)  # 8 B per cell; -1: not given yet
-    ones = 1  # Horner's rule over (1, ..., 1); less it, Horner's rule over a row is its offset
-    for n in dims[1:]:
-        ones = ones * n + 1
+    given = bytearray(len(cells))  # 1 B per cell: 1 once a row gave it
+    lines = _Lines(len(cells))
+    strides = tuple(accumulate(reversed(dims[1:]), mul, initial=1))[::-1]
+    # a coordinate c on axis q adds (c - 1) * strides[q] to its row's offset;
+    # no coordinate 0 reaches a gather
+    places = [[None, *range(0, n * stride, stride)] for n, stride in zip(dims, strides)]
     for line, k, fields in chunks:
         if k > 1:
-            # the chunk at once, column by column: bounds, sign, then keys
+            # the chunk at once, column by column: sign, bounds, then keys
             cols = [fields[q::width] for q in range(width)]
-            if min(cols[-1]) >= 0 and all(0 < min(c) and max(c) <= n for c, n in zip(cols, dims)):
-                offs: Iterable[int] = cols[0]
-                for c, n in zip(cols[1:-1], dims[1:]):
-                    offs = map(add, map(mul, offs, repeat(n)), c)
-                offs = list(map(sub, offs, repeat(ones)))
-                if len(set(offs)) == k and max(itemgetter(*offs)(first_line)) < 0:
-                    # a plain loop stores faster than a map over __setitem__
-                    for off, value, at in zip(offs, cols[-1], count(line)):
-                        cells[off] = value
-                        first_line[off] = at
-                    continue
+            offs = _chunk_offsets(cols[:-1], places) if min(cols[-1]) >= 0 else None
+            if offs is not None and len(set(offs)) == k and not any(itemgetter(*offs)(given)):
+                lines.note(line, offs)
+                # a plain loop stores faster than a map over __setitem__
+                for off, value in zip(offs, cols[-1]):
+                    cells[off] = value
+                    given[off] = 1
+                continue
             # a row is refused: the loop below finds it and says why
             rows: Iterable[tuple[int, list[int]]] = zip(
                 count(line), (fields[i : i + width] for i in range(0, len(fields), width))
@@ -426,9 +499,11 @@ def _densify(chunks: Iterable[tuple[int, int, list[int]]], dims: Sequence[int]) 
                     break
                 off = off * n + c - 1
             else:
-                if len(row) == width and row[-1] >= 0 and first_line[off] < 0:
-                    first_line[off] = line
+                if len(row) == width and row[-1] >= 0 and not given[off]:
+                    given[off] = 1
                     cells[off] = row[-1]
+                    if line:
+                        lines.note_row(line, off)
                     continue
             # refused: check the row again, in order, to say why
             where = f"line {line}: " if line else ""
@@ -440,8 +515,9 @@ def _densify(chunks: Iterable[tuple[int, int, list[int]]], dims: Sequence[int]) 
             _check_coords(coords, dims, where)
             if row[-1] < 0:
                 raise RelationFormatError(f"{where}measure value must be a natural, got {row[-1]}")
-            first = f", first given on line {first_line[off]}" if first_line[off] else ""
-            raise DuplicateKeyError(f"{where}duplicate coordinates {coords}{first}")
+            first = lines.first(off)
+            given_on = f", first given on line {first}" if first else ""
+            raise DuplicateKeyError(f"{where}duplicate coordinates {coords}{given_on}")
     return _trusted(Datacube, dims=dims, cells=tuple(cells))
 
 
@@ -485,7 +561,7 @@ _FIELD = b"0123456789- \t"  # the characters a plain field may hold
 _CHUNK = 4096  # raw lines read, parsed and checked at once after the first row or header
 
 
-def _plain_fields(lines: list[str], commas: int) -> list[int] | None:
+def _plain_fields(lines: list[str], commas: int, lined: bool) -> list[int] | None:
     """The int fields of raw lines that are each one record of plain fields, else None.
 
     A line qualifies when ``csv.reader`` would cut it at its commas alone and
@@ -496,19 +572,28 @@ def _plain_fields(lines: list[str], commas: int) -> list[int] | None:
     reads differently or not at all (a lone ``-``, ``1 2``, an empty field)
     and what ``int()`` reads but JSON does not (a leading zero such as
     ``007``), so those chunks go to ``csv.reader``, and every field it
-    returns is the int ``int()`` gives.
+    returns is the int ``int()`` gives.  ``lined`` says that each item but
+    the stream's last ends with a line end, as a text stream's items do.
     """
-    text = "".join(lines)
+    text = ",".join(lines)  # JSON reads each line end as a space
     if not text.isascii():
         return None
     # what is left once the fields' own characters go: the commas and line ends
     shape = text.encode().replace(b"\r\n", b"\n").translate(None, _FIELD)
     if not text.endswith("\n"):  # the last line has no line end
         shape += b"\n"
-    if shape != (b"," * commas + b"\n") * len(lines) or text.splitlines(True) != lines:
+    if shape + b"," != (b"," * commas + b"\n,") * len(lines):  # one more comma than joins them
+        return None
+    # The shape holds one line end per item and no lone \r, which would end an
+    # item read with newline="" or "\r" (the joining comma keeps it from a \n
+    # that starts the next).  So when every item ends with a line end, as a
+    # text stream's items do but its last, each item holds one, at its end: it
+    # is one line.  Another source, such as a list, may hold a string with a
+    # line end inside and none at its end, which csv.reader reads as one record.
+    if not lined and "".join(lines).splitlines(True) != lines:
         return None
     try:
-        return json.loads(f"[{','.join(lines)}]")
+        return json.loads(f"[{text}]")
     except ValueError:  # also a field past int()'s digit limit
         return None
 
@@ -528,10 +613,12 @@ def _csv_rows(stream: Iterable[str], commas: int) -> Iterator[tuple[int, int, li
     stream.
     """
     source = iter(stream)  # one position that every reader below shares, even over a list of lines
+    # iterating a text stream yields its lines, each with its line end
+    lined = type(stream) in (io.StringIO, io.TextIOWrapper)
     header = True  # a header may still come: no row and no header read yet
     line = 0
     while lines := list(islice(source, 1 if header else _CHUNK)):
-        flat = _plain_fields(lines, commas)
+        flat = _plain_fields(lines, commas, lined)
         if flat is not None:
             yield line + 1, len(lines), flat
             line += len(lines)
@@ -573,8 +660,8 @@ def read_relation_csv(stream: Iterable[str], dims: Sequence[int]) -> Datacube:
     none of its fields starts like a number (so ``1,x,5`` and ``1.5,2.5,3`` are
     refused, not skipped).  Errors name the offending 1-based line, also for a
     record ``csv.reader`` cannot read.  Rows are read and checked a chunk of
-    lines at a time, so memory is one chunk plus the cube's own cells and 8 B
-    per cell.
+    lines at a time, so memory is one chunk plus the cube's own cells, 1 B
+    per cell for the key check and 1 to 8 B per row for its line (``_Lines``).
     """
     return _densify(_csv_rows(stream, len(dims)), dims)
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,27 @@ def test_summarize_one_block(reference_files, tmp_path, capsys):
     assert main(["summarize", str(cube_path), "--blocks", "1,1", "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "count=32 sum=111" in text  # whole-cube aggregates
+
+
+@pytest.mark.parametrize("dims, blocks", [((7,), "3"), ((10, 6), "3,2"), ((4, 3, 5), "2,2,3")], ids=["1-D", "2-D", "3-D"])
+def test_summarize_prints_every_block_without_building_block_objects(tmp_path, capsys, monkeypatch, dims, blocks):
+    from cubeprob.core import Datacube, save_cube
+    from cubeprob.summary import CompressedDatacube
+
+    cells = [(7 * i) % 5 for i in range(1, prod(dims) + 1)]
+    save_cube(Datacube(dims, tuple(cells)), str(tmp_path / "cube.json"))
+    out = tmp_path / "summary.json"
+
+    def no_blocks(self):
+        raise AssertionError("summarize built the block objects")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CompressedDatacube, "blocks", property(no_blocks))
+        assert main(["summarize", str(tmp_path / "cube.json"), "--blocks", blocks, "--out", str(out)]) == 0
+    summary = load_summary(str(out))
+    expected = [f"block {blk.index} range {blk.range}: count={blk.count} sum={blk.sum}" for blk in summary.blocks]
+    expected.append(f"summary ({summary.factor.shape} blocks) -> {out}")
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_summarize_rejects_short_boundaries(reference_files, tmp_path, capsys):

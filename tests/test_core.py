@@ -586,6 +586,91 @@ def test_a_fallback_stays_inside_its_chunk():
     assert records == [["d1", "d2", "value"], ["1", "1", "0"], [], ["1", "2", "1"]]
 
 
+@pytest.mark.parametrize("dims", [(6,), (3, 4), (2, 3, 2)], ids=["1-D", "2-D", "3-D"])
+def test_plain_chunks_are_stored_without_the_per_row_loop(dims):
+    keys = list(product(*(range(1, n + 1) for n in dims)))[::-1]
+    rows = [",".join(map(str, (*key, i % 5))) for i, key in enumerate(keys)]
+    header = ",".join([f"d{q}" for q in range(1, len(dims) + 1)] + ["value"])
+    expected = from_relation([(key, i % 5) for i, key in enumerate(keys)], dims)
+    calls = []
+    note_row = core._Lines.note_row
+
+    def counting_note_row(lines, line, off):
+        calls.append(line)
+        note_row(lines, line, off)
+
+    # the header alone, then chunks of three plain lines each
+    with mock.patch.object(core, "_CHUNK", 3), mock.patch.object(core._Lines, "note_row", counting_note_row):
+        assert read_relation_csv(io.StringIO("\n".join([header, *rows]) + "\n"), dims) == expected
+        assert calls == []
+        # a quoted field sends its chunk, and only that, through the per-row loop
+        first, rest = rows[4].split(",", 1)
+        rows[4] = f'"{first}",{rest}'
+        assert read_relation_csv(io.StringIO("\n".join([header, *rows]) + "\n"), dims) == expected
+    assert calls == [5, 6, 7]
+
+
+_PLAIN_ROWS = ["1,1,5", "1,2,0", "1,3,7", "2,1,1", "2,2,4", "2,3,2"]
+
+
+@pytest.mark.parametrize("dims, rows, kind, message", [
+    ((3, 4), [*_PLAIN_ROWS, "0,2,5", "3,1,1"], OutOfBoundsError,
+     "line 8: coordinate (0, 2) outside [1..(3, 4)]"),
+    ((3, 4), [*_PLAIN_ROWS, "2,-1,5", "3,1,1"], OutOfBoundsError,
+     "line 8: coordinate (2, -1) outside [1..(3, 4)]"),
+    ((3, 4), [*_PLAIN_ROWS, "3,5,5", "3,1,1"], OutOfBoundsError,
+     "line 8: coordinate (3, 5) outside [1..(3, 4)]"),
+    ((3, 4), [*_PLAIN_ROWS, "3,2,-4", "3,1,1"], RelationFormatError,
+     "line 8: measure value must be a natural, got -4"),
+    ((3, 4), [*_PLAIN_ROWS, "3,1,1", "3,1,2"], DuplicateKeyError,
+     "line 9: duplicate coordinates (3, 1), first given on line 8"),
+    ((3, 4), [*_PLAIN_ROWS, "3,1,1", "1,3,2"], DuplicateKeyError,
+     "line 9: duplicate coordinates (1, 3), first given on line 4"),
+    ((5,), ["1,1", "2,1", "3,1", "4,1", "-1,5"], OutOfBoundsError,
+     "line 6: coordinate (-1,) outside [1..(5,)]"),
+    ((2, 3, 4), ["1,1,1,1", "1,1,2,1", "1,1,3,1", "1,2,1,1", "-1,1,1,5"], OutOfBoundsError,
+     "line 6: coordinate (-1, 1, 1) outside [1..(2, 3, 4)]"),
+    ((2, 3, 4), ["1,1,1,1", "1,1,2,1", "1,1,3,1", "2,1,1,1", "2,1,-1,5"], OutOfBoundsError,
+     "line 6: coordinate (2, 1, -1) outside [1..(2, 3, 4)]"),
+], ids=[
+    "zero", "minus-one", "past-the-end", "negative-value", "repeat-in-a-chunk",
+    "repeat-across-chunks", "minus-one-1-D", "minus-one-first-axis-3-D", "minus-one-last-axis-3-D",
+])
+def test_a_plain_chunk_refuses_a_row_in_the_per_row_words(dims, rows, kind, message):
+    # after the header, read alone, chunks of three plain lines: the bad row is in one
+    header = ",".join([f"d{q}" for q in range(1, len(dims) + 1)] + ["value"])
+    with mock.patch.object(core, "_CHUNK", 3), pytest.raises(kind) as raised:
+        read_relation_csv(io.StringIO("\n".join([header, *rows]) + "\n"), dims)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("stream", [
+    ["d1,d2,value\n", "1,1,5\n,2,1", "1\n"],
+    ["1,1,5\n", "1,2,3\n,2,1", "1\n", "2,2,4\n"],
+], ids=["after-a-header", "after-a-row"])
+def test_strings_that_split_a_record_mid_line_reach_csv_reader(stream):
+    # joined by commas, the strings are plain rows; csv.reader sees a line break inside one
+    with mock.patch.object(core, "_CHUNK", 3), pytest.raises(RelationFormatError) as raised:
+        read_relation_csv(stream, (3, 4))
+    assert str(raised.value) == (
+        "line 2: unreadable CSV record: new-line character seen in unquoted field"
+        " - do you need to open the file in universal-newline mode?"
+    )
+
+
+def test_a_stream_split_at_lone_carriage_returns_is_read_as_csv_reader_reads_it():
+    # read with newline="\r", the \r\n is split across two lines: "1,1,5\r", "\n2,2,4"
+    data = b"1,2,3\r1,1,5\r\n2,2,4"
+
+    def stream():
+        return io.TextIOWrapper(io.BytesIO(data), newline="\r")
+
+    assert list(stream()) == ["1,2,3\r", "1,1,5\r", "\n2,2,4"]
+    expected = _outcome(lambda: core._densify(_per_record_rows(stream()), (2, 2)))
+    with mock.patch.object(core, "_CHUNK", 3):
+        assert _outcome(lambda: read_relation_csv(stream(), (2, 2))) == expected
+
+
 @pytest.mark.parametrize("first", ["d1,d2,value", "1,1,5", ",,", ""], ids=["header", "row", "commas", "blank"])
 def test_leading_blank_lines_are_read_by_one_reader(first):
     blanks = 50
