@@ -13,8 +13,10 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Context
 from fractions import Fraction
 from itertools import product
+from math import isqrt, sqrt
 from typing import Sequence
 
 from .constraints import (
@@ -68,8 +70,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(value) -> str:
-    return f"{float(value):.6g}"
+def _fmt(value, root: bool = False) -> str:
+    """``value``, or its square root, as ``%.6g`` prints a float.
+
+    Past the float range the exact value (never negative here) is rounded once
+    instead: its integer part then has over 150 digits, so a nonzero remainder only
+    breaks ties, and ``.5`` stands for it.
+    """
+    try:
+        x = float(value)
+        return f"{sqrt(x) if root else x:.6g}"
+    except OverflowError:
+        whole, rest = divmod(value.numerator, value.denominator)
+        if root:
+            whole, rest = isqrt(whole), rest or isqrt(whole) ** 2 != whole
+        return f"{Context(prec=6).create_decimal(f'{whole}.5' if rest else whole).normalize():g}"
 
 
 def _frac(value: Fraction) -> str:
@@ -221,7 +236,7 @@ def _estimate_payload(args, est: Estimate, exact: int | None) -> dict:
         "range": args.range,
         "mean": _fmt(est.mean),
         "variance": _fmt(est.variance),
-        "stddev": _fmt(est.stddev),
+        "stddev": _fmt(est.variance, root=True),
         "max_error": _fmt(est.max_error),
     }
     if args.exact_arith:
@@ -433,7 +448,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory where a file belongs, ...
         print(f"cubeprob: error: {exc}", file=sys.stderr)
         return 1
     except CubeError as exc:
@@ -441,6 +456,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except json.JSONDecodeError as exc:
         print(f"cubeprob: error: malformed JSON input: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        print(f"cubeprob: error: input is not UTF-8 text: byte 0x{byte:02x} ({exc.reason})", file=sys.stderr)
         return 2
 
 

@@ -139,7 +139,7 @@ class _PrefixSums:
         An axis with ``hi == lo - 1`` makes the box empty and the total 0.
         """
         table = self.table
-        if len(self.strides) == 2:  # the block grids of 2-D cubes: straight-line
+        if len(self.strides) == 2:  # 2-D exact answers and the per-block path's shift: straight-line
             (l0, l1), (h0, h1) = lo, hi
             stride = self.strides[0]
             top, bottom = h0 * stride, (l0 - 1) * stride
@@ -416,14 +416,6 @@ class _Lines:
         self.next = line + len(offsets)
         self.offsets.fromlist(offsets)
 
-    def note_row(self, line: int, off: int) -> None:
-        """Note that the row on line ``line``, stored on its own, gave ``off``."""
-        if line != self.next:
-            self.lines.append(line)
-            self.starts.append(len(self.offsets))
-        self.next = line + 1
-        self.offsets.append(off)
-
     def first(self, off: int) -> int:
         """The line of the noted row that gave ``off``, or 0 when none did."""
         try:
@@ -503,7 +495,7 @@ def _densify(chunks: Iterable[tuple[int, int, list[int]]], dims: Sequence[int]) 
                     given[off] = 1
                     cells[off] = row[-1]
                     if line:
-                        lines.note_row(line, off)
+                        lines.note(line, [off])
                     continue
             # refused: check the row again, in order, to say why
             where = f"line {line}: " if line else ""

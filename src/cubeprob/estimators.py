@@ -19,17 +19,18 @@ Every law reads one hypergeometric draw (n, m, l, shift) in shifted
 coordinates: cases 1-2 draw (b, t, b_in, 0) and case 3 removes the located
 cells first.  The law table ``_LAWS`` is the one place where a (kind, case)
 picks its law, an integer moment kernel paired with an integer pmf-weights
-builder and one max-error rule over a region's blocks, and ``_compose`` is
-the one place where an answer is built: an exact shift plus one independent
-draw of that law per block.  The public estimators (one draw), the planner
-(one per partial block; in cases 1-2 its one walk over the query box hands
-over the numerators of the whole shell, a region at a time, with each
-region's max error from the law's rule over the flat block columns of
-sizes, counts, sums and mirrored counts) and the histogram (none for a full
-bucket) all answer through it, and an exact pmf keeps its stepped integer
-weights over their one total.  A case-2/3 sum pmf comes from one convolution
-of packed big ints (Kronecker substitution); the (count, sum) rows of
-``_joint_rows`` serve joint pmfs only.
+builder and one max-error rule over a region's blocks, and ``_compose``
+builds every answer made of block draws: an exact shift plus one independent
+draw of that law per block.  The public estimators (one draw), the planner's
+per-block path (one per partial block, in case 3 and for pmfs) and the
+histogram (none for a full bucket) answer through it, and it holds the pmf
+rule: an exact pmf keeps its stepped integer weights over their one total.
+The planner's case-1/2 walk over a query box never builds a pmf; it reads
+the law's ``spread`` tables and applies its ``error`` rule over the flat
+block columns of sizes, counts, sums and mirrored counts, a region at a
+time, and divides its own sums into the Estimate.  A case-2/3 sum pmf comes
+from one convolution of packed big ints (Kronecker substitution); the
+(count, sum) rows of ``_joint_rows`` serve joint pmfs only.
 
 All probabilities, means, variances and maximum-error bounds are exact
 rationals over arbitrary-precision integers; float views are provided at the
@@ -248,7 +249,7 @@ class Estimate:
     pmf: Pmf | None = None
 
     def __post_init__(self) -> None:
-        # _compose hands over Fractions already; only other numbers are converted
+        # _compose and the planner's walk hand over Fractions; only other numbers are converted
         if type(self.mean) is not Fraction:
             object.__setattr__(self, "mean", Fraction(self.mean))
         if type(self.variance) is not Fraction:
@@ -296,14 +297,6 @@ class BlockAggregates:
                 f"query size {self.b_in} must satisfy 1 <= b_in < b (b={self.b}); "
                 "full-block queries are exact and belong to the planner"
             )
-
-
-def _check_pmf_budget(b: int, s: int, budget: int | None) -> None:
-    if budget is not None and (b > budget or s > budget):
-        raise PmfBudgetError(
-            f"exact pmf refused for b={b}, s={s} (budget {budget}); "
-            "use the closed-form moments, or pass pmf_budget=None"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +639,12 @@ def _law_weights(law: _Law, draw: _Draw, t: int, s: int, b: int, pmf_budget: int
     """``law``'s pmf weights for ``draw``, refused when the block's b cells, or its sum s
     for a law of the sum, exceed the budget; an empty block (t = 0) is a point mass
     under every law, served at any size."""
-    if t:
-        _check_pmf_budget(b, s if law.of_sum else 0, pmf_budget)
+    s_budgeted = s if law.of_sum else 0
+    if t and pmf_budget is not None and (b > pmf_budget or s_budgeted > pmf_budget):
+        raise PmfBudgetError(
+            f"exact pmf refused for b={b}, s={s_budgeted} (budget {pmf_budget}); "
+            "use the closed-form moments, or pass pmf_budget=None"
+        )
     return law.weights(*draw, t, s)
 
 
@@ -657,20 +654,17 @@ def _compose(
     shift: int,
     want_pmf: bool,
     pmf_budget: int | None,
-    moments: tuple[dict[int, int], dict[int, int], dict[int, int]] | None = None,
 ) -> Estimate:
     """The Estimate of ``shift`` plus one independent draw of ``law`` per (draw, t, s, b) in
-    ``draws``; or, given ``moments``, of those numerators of the mean, variance and max
-    error, each keyed by its denominator (the planner's walk over a query box, which
-    holds the shift already) plus the draws.
+    ``draws``.
 
     Each block's kernel numerators add per denominator, and each moment becomes one
     exact fraction.  When ``want_pmf``, the pmf is the point mass at ``shift`` with no
     draw, the one draw's law (budgeted for its b cells) moved by ``shift`` with one,
-    and None with more; a pmf is only asked for without ``moments``.
+    and None with more.
     """
     # numerators of each moment, keyed by their denominator
-    mean, variance, max_error = moments or ({1: shift}, {}, {})
+    mean, variance, max_error = {1: shift}, {}, {}
     kernel = law.kernel
     for draw, t, s, _ in draws:
         mean_num, mean_den, var_num, var_den, err_num, err_den = kernel(*draw, t, s)

@@ -14,22 +14,22 @@ region of the inner runs is the inner box, and so gives the exact shift;
 every other region's mean and variance are p and p(1-p) times one box total
 each, read straight-line from the prefix tables of the law's x and of its
 ``spread``, and its max error is the law's one ``error`` rule over the
-region's slices of the summary's flat block columns: a box total for
-case-1 sums, one integer loop for the others.  Case 3 and pmf
-queries read the shell block by block, one kernel call per draw.  A case-3
-query first lists every block's located null and non-null cells
-(``_located_columns``) and checks the whole summary against that list, as
-``validate`` does; then each shell block's draw comes straight from its row
-of the list and one more pass over the macro-blocks (``_located``) that
-counts its part inside the query, with no bound tuple built: after the check
-every block's count lies within its bounds, and these are the draws that
-``bound_tuple`` would give.  The
-estimators' ``_compose`` turns the shift and the shell into the Estimate;
-the public estimators, this planner and the histogram all compose through
-that one function.  Means add by linearity.  Variances add exactly: the
-aggregates and the macro-blocks both act block by block, so the compatible
-population is a product over blocks, in which the blocks are independent.
-The worst-case error bound is the sum of the per-block bounds (see
+region's slices of the summary's flat block columns: a box total for case-1
+sums, one integer loop for the others.  Case 3 and pmf queries read the
+shell block by block, one kernel call per draw.  A case-3 query first lists
+every block's located null and non-null cells (``_located_columns``) and
+checks the whole summary against that list, as ``validate`` does; then each
+shell block's draw comes straight from its row of the list and one more pass
+over the macro-blocks (``_located``) that counts its part inside the query,
+with no bound tuple built: after the check every block's count lies within
+its bounds, and these are the draws that ``bound_tuple`` would give.  The
+walk divides its own sums into the Estimate, since each of its moments has
+one denominator; the shell drawn block by block goes to the estimators'
+``_compose``, which builds every answer made of block draws and holds the
+pmf rule.  Means add by linearity.  Variances add exactly: the aggregates
+and the macro-blocks both act block by block, so the compatible population
+is a product over blocks, in which the blocks are independent.  The
+worst-case error bound is the sum of the per-block bounds (see
 ``Estimate``).
 """
 
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -80,17 +81,18 @@ def estimate(
 ) -> Estimate:
     """Estimate a count/sum query against the summary.
 
-    The answer is the exact shift plus one draw per shell block, composed by
-    the estimators' ``_compose``, which also attaches the pmf when at most
-    one block is partially covered.  Cases 1-2 without a pmf take the shift
-    and the draws of each shell region at once, in one walk over the query
-    box; case 3 and pmfs take them block by block, and case 3 checks the
-    whole summary against the constraints first, reading each block's
-    located cells once for the check and the draws alike.
+    The answer is the exact shift plus one draw per shell block.  Cases 1-2
+    without a pmf take the shift and the draws of each shell region at once,
+    in one walk over the query box that returns the Estimate.  Case 3 and
+    pmfs take them block by block and compose them with the estimators'
+    ``_compose``, which also attaches the pmf when at most one block is
+    partially covered; case 3 checks the whole summary against the
+    constraints first, reading each block's located cells once for the check
+    and the draws alike.
     """
     law = _LAWS[spec.kind.value, spec.case]
     if spec.case < 3 and not spec.want_pmf:
-        return _compose(law, [], 0, False, DEFAULT_PMF_BUDGET, _box_moments(summary, law, spec.range))
+        return _box_moments(summary, law, spec.range)
     values = summary._sums if law.of_sum else summary._counts
 
     if spec.case == 3:
@@ -126,9 +128,9 @@ def estimate(
     return _compose(law, draws, values.total(split.lo, split.hi), spec.want_pmf, DEFAULT_PMF_BUDGET)
 
 
-def _box_moments(summary: CompressedDatacube, law: _Law, query: Range) -> tuple[dict, dict, dict]:
-    """The numerators of the query's mean, variance and max error under ``law`` in cases
-    1-2, each keyed by its denominator, from one walk over the blocks it overlaps.
+def _box_moments(summary: CompressedDatacube, law: _Law, query: Range) -> Estimate:
+    """The query's Estimate under ``law`` in cases 1-2, with no pmf, from one walk over
+    the blocks it overlaps.
 
     Each axis splits into at most three segments: its low end block, its run of
     blocks inside the query and its high end block, where an end block is one the
@@ -205,4 +207,4 @@ def _box_moments(summary: CompressedDatacube, law: _Law, query: Range) -> tuple[
                         slices.append(slice(y, y + length, step))
                 variance += share * (whole - share) * g
                 max_error += error(share, whole, v, columns, slices)
-    return {whole: mean}, {whole * whole * spread_den: variance}, {whole: max_error}
+    return Estimate(Fraction(mean, whole), Fraction(variance, whole * whole * spread_den), Fraction(max_error, whole))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 import cubeprob
 from cubeprob import QueryKind, QuerySpec, Range, estimate
 from cubeprob.summary import load_summary
-from cubeprob.cli import main
+from cubeprob.cli import _fmt, main
 from cubeprob.core import load_cube
 
 from conftest import REFERENCE_ROWS
@@ -636,3 +637,82 @@ def test_query_pmf_of_one_partial_block_has_no_omission(reference_files, capsys)
     assert rc == 0
     out = capsys.readouterr().out
     assert "pmf:" in out and "pmf_omitted" not in out
+
+
+@pytest.mark.parametrize("name, data, command", [
+    ("relation.csv", b"d1,d2,value\n1,1,3\n1,2,caf\xe9\n", ["ingest", "{}", "--dims", "2,2", "--out", "{out}"]),
+    ("summary.json", b'\xff\xfe{"factor": []}', ["query", "{}", "--range", "1:1,1:1", "--kind", "count"]),
+], ids=["csv", "json"])
+def test_an_input_that_is_not_utf8_exits_2(tmp_path, capsys, name, data, command):
+    path = tmp_path / name
+    path.write_bytes(data)
+    argv = [arg.format(path, out=tmp_path / "out.json") for arg in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "not UTF-8" in err and "malformed JSON input" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["ingest", "{dir}", "--dims", "10,6", "--out", "{tmp}/cube2.json"],
+    ["ingest", "{csv}", "--dims", "10,6", "--out", "{dir}"],
+    ["summarize", "{cube}", "--blocks", "2,2", "--out", "{dir}"],
+    ["query", "{dir}", "--range", "1:3,1:4", "--kind", "count"],
+    ["query", "{summary}", "--range", "1:3,1:4", "--kind", "count", "--constraints", "{dir}"],
+], ids=["ingest-input", "ingest-out", "summarize-out", "query-summary", "query-constraints"])
+def test_a_directory_where_a_file_belongs_exits_1(reference_files, tmp_path, capsys, command):
+    cube_path, summary_path, _ = reference_files
+    (tmp_path / "a-dir").mkdir()
+    paths = dict(dir=tmp_path / "a-dir", tmp=tmp_path, csv=tmp_path / "relation.csv", cube=cube_path,
+                 summary=summary_path)
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "a-dir" in err
+
+
+def _close(text, exact):
+    """Whether ``text`` is ``exact`` to 6 significant digits, as %.6g prints it."""
+    mantissa, _, _ = text.partition("e")
+    assert "e+" in text and not mantissa.endswith(("0", "."))
+    return abs(Fraction(Decimal(text)) - exact) <= abs(exact) / 10**5 / 2
+
+
+@pytest.mark.parametrize("digits", [200, 400])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_answers_past_the_float_range_print(tmp_path, capsys, digits, fmt):
+    value = int("7" * digits)
+    relation = tmp_path / "huge.csv"
+    relation.write_text(f"1,1,{value}\n2,2,3\n")
+    cube, summary = tmp_path / "huge-cube.json", tmp_path / "huge-summary.json"
+    assert main(["ingest", str(relation), "--dims", "2,2", "--out", str(cube)]) == 0
+    assert main(["summarize", str(cube), "--blocks", "1,1", "--out", str(summary)]) == 0
+    capsys.readouterr()
+    rc = main(["query", str(summary), "--range", "1:1,1:2", "--kind", "sum", "--exact-arith",
+               "--exact", str(cube), "--format", fmt])
+    assert rc == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out) if fmt == "json" else dict(line.split(": ", 1) for line in out.splitlines())
+    est = estimate(load_summary(str(summary)), None, QuerySpec(Range((1, 1), (1, 2)), QueryKind.SUM))
+    assert est.variance > 2**1024  # past the float range at 200 digits already
+    assert [payload[f"{name}_exact"] for name in ("mean", "variance", "max_error")] == [
+        f"{x.numerator}/{x.denominator}" for x in (est.mean, est.variance, est.max_error)
+    ]
+    assert int(payload["exact"]) == value
+    for name in ("mean", "variance", "max_error"):
+        assert _close(payload[name], getattr(est, name))
+    assert _close(payload["actual_error"], abs(value - est.mean))
+    stddev = Fraction(Decimal(payload["stddev"]))
+    assert abs(stddev * stddev - est.variance) <= est.variance / 10**5
+
+
+@pytest.mark.parametrize("value, root, text", [
+    (Fraction(1234565 * 10**400), False, "1.23456e+406"),  # a tie goes to even, as for a float
+    (Fraction(1234565 * 10**400 + 1), False, "1.23457e+406"),
+    (Fraction(3 * 1234565 * 10**400 + 1, 3), False, "1.23457e+406"),  # a remainder breaks the tie
+    (Fraction(10**400), True, "1e+200"),
+    (Fraction(10**400 + 1), True, "1e+200"),
+    (Fraction(4 * 10**320), True, "2e+160"),
+    (Fraction(2), True, "1.41421"),  # inside the float range: %.6g of the float
+], ids=["tie", "above-tie", "fraction-above-tie", "root", "root-inexact", "root-2", "float-root"])
+def test_fmt_rounds_the_exact_value_past_the_float_range(value, root, text):
+    assert _fmt(value, root) == text

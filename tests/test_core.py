@@ -593,21 +593,23 @@ def test_plain_chunks_are_stored_without_the_per_row_loop(dims):
     header = ",".join([f"d{q}" for q in range(1, len(dims) + 1)] + ["value"])
     expected = from_relation([(key, i % 5) for i, key in enumerate(keys)], dims)
     calls = []
-    note_row = core._Lines.note_row
+    note = core._Lines.note
 
-    def counting_note_row(lines, line, off):
-        calls.append(line)
-        note_row(lines, line, off)
+    def counting_note(lines, line, offsets):
+        calls.append((line, len(offsets)))
+        note(lines, line, offsets)
 
-    # the header alone, then chunks of three plain lines each
-    with mock.patch.object(core, "_CHUNK", 3), mock.patch.object(core._Lines, "note_row", counting_note_row):
+    # the header alone, then chunks of three plain lines each, each noted whole
+    plain = [(line, 3) for line in range(2, len(rows) + 2, 3)]
+    with mock.patch.object(core, "_CHUNK", 3), mock.patch.object(core._Lines, "note", counting_note):
         assert read_relation_csv(io.StringIO("\n".join([header, *rows]) + "\n"), dims) == expected
-        assert calls == []
+        assert calls == plain
+        calls.clear()
         # a quoted field sends its chunk, and only that, through the per-row loop
         first, rest = rows[4].split(",", 1)
         rows[4] = f'"{first}",{rest}'
         assert read_relation_csv(io.StringIO("\n".join([header, *rows]) + "\n"), dims) == expected
-    assert calls == [5, 6, 7]
+    assert calls == [(2, 3), (5, 1), (6, 1), (7, 1), *plain[2:]]
 
 
 _PLAIN_ROWS = ["1,1,5", "1,2,0", "1,3,7", "2,1,1", "2,2,4", "2,3,2"]
