@@ -457,10 +457,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"cubeprob: error: malformed JSON input: {exc}", file=sys.stderr)
         return 2
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        print(f"cubeprob: error: input is not UTF-8 text: byte 0x{byte:02x} ({exc.reason})", file=sys.stderr)
-        return 2
 
 
 def entrypoint() -> None:  # pragma: no cover - console script shim

@@ -139,7 +139,9 @@ class _PrefixSums:
         An axis with ``hi == lo - 1`` makes the box empty and the total 0.
         """
         table = self.table
-        if len(self.strides) == 2:  # 2-D exact answers and the per-block path's shift: straight-line
+        # straight-line in 2-D: exact answers on a 2-D cube, and on a 2-D summary every
+        # estimate's shift, the walk's inner box and the per-block path's alike
+        if len(self.strides) == 2:
             (l0, l1), (h0, h1) = lo, hi
             stride = self.strides[0]
             top, bottom = h0 * stride, (l0 - 1) * stride
@@ -659,9 +661,23 @@ def read_relation_csv(stream: Iterable[str], dims: Sequence[int]) -> Datacube:
 
 
 def load_relation_csv(path: str, dims: Sequence[int]) -> Datacube:
-    """``read_relation_csv`` over a UTF-8 file path; a leading byte-order mark is dropped."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        return read_relation_csv(handle, dims)
+    """``read_relation_csv`` over a UTF-8 file path; a leading byte-order mark is dropped.
+
+    A file that is not UTF-8 is refused by the line that holds its first byte
+    that does not decode, counted as the CSV reader counts lines.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            return read_relation_csv(handle, dims)
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len(raw[: exc.start + 1].splitlines())  # \n, \r\n and \r end a line, as for the reader
+            raise RelationFormatError(f"{path}: line {line}: {_not_utf8(exc)}") from None
+        raise  # the file changed between the two reads
 
 
 def save_cube(cube: Datacube, path: str) -> None:
@@ -669,10 +685,18 @@ def save_cube(cube: Datacube, path: str) -> None:
         json.dump({"dims": list(cube.dims), "cells": list(cube.cells)}, handle)
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+
+
 def _load_json(path: str, parse: Callable[..., _T], error: type[CubeError], what: str) -> _T:
-    """``parse`` of the JSON in ``path``; a payload of the wrong shape raises ``error``."""
-    with open(path) as handle:
-        payload = json.load(handle)
+    """``parse`` of the JSON in ``path``; a file that is not UTF-8, or a payload of the
+    wrong shape, raises ``error``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise error(f"{what} file {path} is {_not_utf8(exc)}") from None
     try:
         return parse(payload)
     except KeyError as exc:

@@ -25,10 +25,12 @@ draw of that law per block.  The public estimators (one draw), the planner's
 per-block path (one per partial block, in case 3 and for pmfs) and the
 histogram (none for a full bucket) answer through it, and it holds the pmf
 rule: an exact pmf keeps its stepped integer weights over their one total.
-The planner's case-1/2 walk over a query box never builds a pmf; it reads
-the law's ``spread`` tables and applies its ``error`` rule over the flat
-block columns of sizes, counts, sums and mirrored counts, a region at a
-time, and divides its own sums into the Estimate.  A case-2/3 sum pmf comes
+The planner's case-1/2 path never builds a pmf; a region of the shell at a
+time, it sums the law's x and its column of ``spread`` and applies its
+``error`` rule over the same slices of the flat block columns of sizes,
+counts, sums and mirrored counts, and divides its own sums into the
+Estimate.  Every per-draw max error is one :func:`_error` of the draw's
+mean and its least and greatest values.  A case-2/3 sum pmf comes
 from one convolution of packed big ints (Kronecker substitution); the
 (count, sum) rows of ``_joint_rows`` serve joint pmfs only.
 
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import comb, gcd, lcm, sqrt
+from math import comb, gcd, isqrt, lcm, sqrt
 from operator import floordiv, index, lt, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -272,11 +274,17 @@ class Estimate:
 
     @property
     def variance_float(self) -> float:
+        """The variance as a float; raises ``OverflowError`` past the float range."""
         return float(self.variance)
 
     @property
     def stddev(self) -> float:
-        return sqrt(float(self.variance))
+        """The standard deviation as a float, also where the variance is past the float
+        range; raises ``OverflowError`` only where the standard deviation is too."""
+        try:
+            return sqrt(float(self.variance))
+        except OverflowError:  # the root of the integer part: exact to far below a float's precision
+            return float(isqrt(int(self.variance)))
 
 
 @dataclass(frozen=True)
@@ -362,7 +370,7 @@ def _count_ends(n: int, m: int, l: int, shift: int, t: int, s: int) -> tuple[int
 def _count_error(clip: int, width: int, values: int, columns: _Columns, slices: Iterable[slice]) -> int:
     """The count law's max error over ``width``, summed over the blocks at ``slices`` of
     the ``columns``: blocks of b cells and t non-nulls that each hold the share
-    p = clip/width of their cells inside the query (a draw (b, t, b*p, any shift)).
+    p = clip/width of their cells inside the query (a draw (b, t, b*p, 0)).
 
     With Q = max(clip, width - clip) and mu = min(t, b - t), a block's error is
     min(Q*mu, (width - Q)*(b - mu)) / width.  Swapping nulls for non-nulls, or the
@@ -385,12 +393,10 @@ def _count_error(clip: int, width: int, values: int, columns: _Columns, slices: 
 def _count_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
     """Moments of the count K of :func:`_moments`; the count law reads neither t nor s.
 
-    The max error is :func:`_count_error` of one block of n cells, m non-nulls
-    and the share l/n inside: the shift moves the mean and the ends alike.
+    The max error is the larger distance from the mean to the :func:`_count_ends`.
     """
     d, c, e, vk = _moments(n, m, l, shift)
-    mu = m if m + m <= n else n - m
-    return c, d, vk, d * d * e, _count_error(l, n, m, ((n,), (m,), (), (mu,), (n - mu,)), (slice(None),)), d
+    return c, d, vk, d * d * e, _error(c, d, *_count_ends(n, m, l, shift, t, s)), d
 
 
 def _count_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weights:
@@ -398,9 +404,7 @@ def _count_weights(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Weigh
     return {shift + h: w for h, w in _placements(n, m, l)}, binom(n, m)
 
 
-def _sum_case1_error(
-    clip: int, width: int, values: int, columns: _Columns | None = None, slices: Iterable[slice] = ()
-) -> int:
+def _sum_case1_error(clip: int, width: int, values: int, columns: _Columns, slices: Iterable[slice]) -> int:
     """The case-1 sum law's max error over ``width`` for blocks that each hold the share
     p = clip/width of their cells inside the query and whose sums add up to ``values``.
 
@@ -413,7 +417,7 @@ def _sum_case1_error(
 def _sum_case1_kernel(n: int, m: int, l: int, shift: int, t: int, s: int) -> _Moments:
     """The case-1 sum of :func:`sum_case1`: s spread over n = b cells, l = b_in of them inside."""
     inside = l * s
-    return inside, n, inside * (n - l) * (n + s), n * n * (n + 1), _sum_case1_error(l, n, s), n
+    return inside, n, inside * (n - l) * (n + s), n * n * (n + 1), _error(inside, n, 0, s), n
 
 
 def _stepped_compositions(cells: int, top: int) -> list[int]:
@@ -604,7 +608,9 @@ class _Law(NamedTuple):
     A block of b cells with count t and sum s drawn as (b, t, l, 0), as cases 1-2
     draw it, has mean p*x and variance p*(1-p)*g for its share p = l/b inside the
     query, where x is s when ``of_sum`` and t otherwise, and ``spread(b, t, s)`` is g
-    as (numerator, denominator).  Its max error is not linear in p, and
+    as (numerator, denominator); a summary keeps every block's g as one column of
+    numerators over their least common denominator, which the planner sums over a
+    region's slices as it sums x.  Its max error is not linear in p, and
     ``error(clip, width, values, columns, slices)`` is the law's one rule for it:
     the sum over ``width`` of the errors of the blocks at ``slices`` of the
     ``columns`` (sizes, counts, sums, mu = min(t, b - t), b - mu), which all hold

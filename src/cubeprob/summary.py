@@ -6,7 +6,11 @@ boundaries; each block of the induced grid stores two aggregates,
 two int columns in row-major block order.  Query planning later splits
 an arbitrary range into the box of blocks totally contained in it, whose
 aggregates come from prefix sums over the block grid, and the shell of
-blocks it only partially overlaps.
+blocks it only partially overlaps.  ``CompressedDatacube._regions`` is the
+one enumeration of that split: the inner box, and the shell as regions
+whose blocks all hold the same share of their cells inside the query, each
+region as slices of the row-major block columns.  Every path of the
+planner reads it, and so does ``decompose``.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from itertools import product as _iproduct
 from math import lcm, prod
 from operator import itemgetter, sub
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Coords, Datacube, Range, _check_coords, _check_range, _check_realizable, _integers
 from .core import _PrefixSums, _load_json, _offset, _trusted
@@ -162,23 +166,6 @@ class BlockSummary:
         return self.range.size
 
 
-class _Split(NamedTuple):
-    """A query over the block grid, block by block: case 3 and pmfs read it so.
-
-    ``lo..hi`` is the box of block indices totally inside the query (an axis
-    with ``hi == lo - 1`` leaves it empty); ``shell`` holds the row-major
-    offset of every other overlapped block, in row-major order, by which the
-    summary's columns and the factor's corners are read.  Each row of the
-    overlapped box along the last axis is one run of offsets; a row whose
-    leading indices all lie inside the inner box leaves out its inner run.
-    Cases 1-2 read the same shell in one walk instead (see the planner).
-    """
-
-    lo: Coords
-    hi: Coords
-    shell: tuple[int, ...]
-
-
 @dataclass(frozen=True, init=False)
 class CompressedDatacube:
     """A factor plus each block's count and sum, as two columns in row-major block order.
@@ -224,22 +211,11 @@ class CompressedDatacube:
     # instance; they are not fields, so equality, hashing and JSON ignore them.
     @cached_property
     def _counts(self) -> _PrefixSums:
-        return self._grid_sums(self.counts)
+        return _PrefixSums(self.counts, self.factor.shape)
 
     @cached_property
     def _sums(self) -> _PrefixSums:
-        return self._grid_sums(self.sums)
-
-    def _grid_sums(self, values: Sequence[int]) -> _PrefixSums:
-        """Prefix sums of ``values`` over the block grid.
-
-        A 1-D table is followed by as many zeros as it has entries, which the
-        planner's shell walk reads as the low end of a unit axis before it.
-        """
-        sums = _PrefixSums(values, self.factor.shape)
-        if self.factor.ndim == 1:
-            sums.table.extend(repeat(0, len(sums.table)))
-        return sums
+        return _PrefixSums(self.sums, self.factor.shape)
 
     @cached_property
     def _columns(self) -> tuple[Sequence[int], ...]:
@@ -250,54 +226,87 @@ class CompressedDatacube:
         return sizes, self.counts, self.sums, low, [b - mu for b, mu in zip(sizes, low)]
 
     @cached_property
-    def _ratio_tables(self) -> dict:
+    def _ratio_columns(self) -> dict:
         return {}
 
-    def _prefix_ratios(self, ratio: Callable[[int, int, int], tuple[int, int]]) -> tuple[_PrefixSums, int]:
-        """Prefix sums of ``ratio(size, count, sum)`` over the block grid, and their denominator.
+    def _ratio_column(self, ratio: Callable[[int, int, int], tuple[int, int]]) -> tuple[list[int], int]:
+        """Every block's ``ratio(size, count, sum)`` in row-major order, as integer
+        numerators over their least common denominator, and that denominator.
 
-        Each block's ratio is kept as an integer numerator over the least
-        common denominator of them all.  Built on first use for each
-        ``ratio`` and cached on the instance, as ``_counts`` and ``_sums`` are.
+        Built on first use for each ``ratio`` and cached on the instance, as
+        ``_counts`` and ``_sums`` are.
         """
-        found = self._ratio_tables.get(ratio)
+        found = self._ratio_columns.get(ratio)
         if found is None:
             parts = list(map(ratio, *self._columns[:3]))
             common = lcm(*(den for _, den in parts))
-            table = self._grid_sums([num * (common // den) for num, den in parts])
-            found = self._ratio_tables[ratio] = table, common
+            found = self._ratio_columns[ratio] = [num * (common // den) for num, den in parts], common
         return found
 
-    def _cuts(self, query: Range) -> list[tuple[int, int, int, int]]:
-        """Per axis of ``query``: its first and last overlapped block, and the
-        start and stop of the blocks inside it (stop <= start: none)."""
-        _check_range(query, self.factor.dims)
-        cuts = []
-        for lo_q, hi_q, axis in zip(query.lo, query.hi, self.factor.boundaries):
-            # block k spans axis[k-1]+1..axis[k]: the first overlapped one ends
-            # at or after lo_q, the last one starts at or before hi_q, and
-            # each end block is inside the query when it starts (ends) on it
-            first, last = bisect_left(axis, lo_q), bisect_left(axis, hi_q)
-            cuts.append((first, last, first + (axis[first - 1] + 1 != lo_q), last + (axis[last] == hi_q)))
-        return cuts
+    def _regions(self, query: Range) -> tuple[Coords, Coords, int, list[tuple[int, list[slice]]]]:
+        """``query`` over the block grid: its inner box ``lo..hi``, one common width W,
+        and each region of its shell as (c, slices).
 
-    def _split(self, query: Range) -> _Split:
-        """The inner box and the partial shell of ``query`` (see ``_Split``)."""
-        runs, inner = [], []
-        for first, last, start, stop in self._cuts(query):
-            runs.append(range(first, last + 1))
-            inner.append(range(start, max(start, stop)))
-        shape, shell = self.factor.shape, []
-        *heads, row = runs
-        cut_lo, cut_hi = inner[-1].start - row.start, inner[-1].stop - row.start
-        for lead in _iproduct(*heads):
-            base = _offset((*lead, row.start), shape)
-            end = base + len(row)
-            if all(k in axis for k, axis in zip(lead, inner)):
-                shell += [*range(base, base + cut_lo), *range(base + cut_hi, end)]
-            else:
-                shell += range(base, end)
-        return _Split(tuple(k.start for k in inner), tuple(k.stop - 1 for k in inner), tuple(shell))
+        Each axis splits into at most three segments: its low end block, its run
+        of blocks inside the query and its high end block, where an end block is
+        one the query only clips.  The axis' width W_q is the product of its end
+        blocks' widths, and a segment's share of it is W_q for the run and
+        clip*W_q/width for an end.  A region takes one segment on every axis, and
+        each of its blocks holds the share c/W of its cells inside the query,
+        where c is the product of its segments' shares and W that of the W_q, so
+        a block of b cells holds exactly b*c/W of them.  The region of the runs is
+        the inner box (an axis with no run has ``hi == lo - 1``), with c = W, and
+        is not listed; the others tile the shell.  A region's slices of the
+        row-major block order run along the last axis, one per block of the
+        others; a region one block wide on the last axis but not on the one
+        before takes one strided slice down that axis per block of any leading
+        axes.
+        """
+        _check_range(query, self.factor.dims)
+        lo, hi, axes, whole, stride = [], [], [], 1, len(self.counts)
+        for lo_q, hi_q, bounds, n in zip(query.lo, query.hi, self.factor.boundaries, self.factor.shape):
+            stride //= n  # of this axis in the row-major block order
+            # block k spans bounds[k-1]+1..bounds[k]: the first overlapped one ends
+            # at or after lo_q, the last one starts at or before hi_q, and each
+            # end block is inside the query when it starts (ends) on it
+            first, last = bisect_left(bounds, lo_q), bisect_left(bounds, hi_q)
+            start, stop = first + (bounds[first - 1] + 1 != lo_q), last + (bounds[last] == hi_q)
+            lo.append(start)
+            hi.append(max(start, stop) - 1)
+            ends, common = [], 1
+            for k in (first, last) if first < last else (first,):
+                if not start <= k < stop:
+                    low, high = bounds[k - 1] + 1, bounds[k]
+                    ends.append((k, (hi_q if hi_q < high else high) - (lo_q if lo_q > low else low) + 1, high - low + 1))
+                    common *= high - low + 1
+            # each segment's share, first offset, number of blocks and stride
+            segments = [(common, (start - 1) * stride, stop - start, stride)] if stop > start else []
+            for k, clip, width in ends:
+                segments.append((clip * (common // width), (k - 1) * stride, 1, stride))
+            axes.append(segments)
+            whole *= common
+        *leads, rows, cols = [[(1, 0, 1, 1)]] * (2 - len(axes)) + axes  # a unit axis before a 1-D grid's
+        regions = []
+        for lead in _iproduct(*leads):  # one empty lead in 1-2 D
+            # the lead's share and the offset of each of its blocks
+            lead_share, starts = 1, [0]
+            for share, offset, count, step in lead:
+                lead_share *= share
+                starts = [x + offset + i * step for x in starts for i in range(count)]
+            for share0, o0, n0, row_stride in rows:
+                row_share = lead_share * share0
+                for share1, o1, n1, _ in cols:
+                    share = row_share * share1
+                    if share == whole:  # the inner box
+                        continue
+                    # per lead block, n0 lines along the last axis, or one down the rows
+                    lines, length, step = (n0, n1, 1) if n1 > 1 or n0 == 1 else (1, (n0 - 1) * row_stride + 1, row_stride)
+                    slices = []
+                    for x in starts:
+                        for y in range(x + o0 + o1, x + o0 + o1 + lines * row_stride, row_stride):
+                            slices.append(slice(y, y + length, step))
+                    regions.append((share, slices))
+        return tuple(lo), tuple(hi), whole, regions
 
     def total_count(self) -> int:
         return sum(self.counts)
@@ -365,11 +374,13 @@ def decompose(summary: CompressedDatacube, query: Range) -> RangeDecomposition:
     Both lists are in row-major order.  The clipped regions together with
     the total blocks tile the query exactly.
     """
-    split, (los, his) = summary._split(query), summary.factor._corners
-    total = _iproduct(*(range(l, h + 1) for l, h in zip(split.lo, split.hi)))
+    lo, hi, _, regions = summary._regions(query)
+    offsets, (los, his) = range(len(summary.counts)), summary.factor._corners
+    shell = sorted(at for _, slices in regions for line in slices for at in offsets[line])
+    total = _iproduct(*(range(l, h + 1) for l, h in zip(lo, hi)))
     # a block's low corner lies one past boundary k - 1 of each axis, so bisection finds its index k
-    index = [tuple(map(bisect_left, summary.factor.boundaries, los[at])) for at in split.shell]
-    partial = tuple(zip(index, (query.intersect(Range(los[at], his[at])) for at in split.shell)))
+    index = [tuple(map(bisect_left, summary.factor.boundaries, los[at])) for at in shell]
+    partial = tuple(zip(index, (query.intersect(Range(los[at], his[at])) for at in shell)))
     return RangeDecomposition(tuple(total), partial)
 
 

@@ -302,6 +302,19 @@ def test_load_relation_csv_drops_a_byte_order_mark(tmp_path, header):
     assert load_relation_csv(str(tmp_path / "bom.csv"), (2, 2)) == plain
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"d1,d2,value\n1,1,3\n1,2,caf\xe9\n", 3),
+    (b"1,1,3\r1,2,3\r\n\xe9", 3),  # a lone \r ends a line, as csv.reader counts them
+    (b"\n" * 20_000 + b"1,1,\xe9", 20_001),  # past the first chunk that the file is decoded in
+], ids=["third-line", "carriage-returns", "far"])
+def test_a_csv_that_is_not_utf8_names_its_file_and_line(tmp_path, data, line):
+    path = tmp_path / "relation.csv"
+    path.write_bytes(data)
+    with pytest.raises(RelationFormatError) as raised:
+        load_relation_csv(str(path), (2, 2))
+    assert str(raised.value).startswith(f"{path}: line {line}: not UTF-8 text: byte 0xe9 (")
+
+
 def test_a_duplicate_names_a_first_line_past_65535():
     text = "\n" * 69_999 + "1,1\n1,2\n"
     with pytest.raises(DuplicateKeyError) as raised:

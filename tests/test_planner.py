@@ -70,6 +70,20 @@ def test_full_cube_sum_equals_stored_total(two_block_line):
     assert est.variance == 0
 
 
+def test_stddev_is_a_float_where_the_variance_is_past_the_float_range():
+    # a sum over a 200-digit value: its variance has about 400 digits, its
+    # standard deviation about 200
+    cube = Datacube((2, 2), (10**199 + 7, 0, 0, 3))
+    summary = build_summary(cube, CompressionFactor(((0, 2), (0, 2))))
+    est = estimate(summary, None, QuerySpec(Range((1, 1), (1, 2)), QueryKind.SUM, 2))
+    with pytest.raises(OverflowError):
+        est.variance_float
+    assert abs(F(est.stddev) ** 2 - est.variance) <= est.variance / 10**12
+    # past the float range itself, the standard deviation is refused too
+    with pytest.raises(OverflowError):
+        Estimate(F(0), F(10**700), F(0)).stddev
+
+
 def test_two_partial_blocks_compose(two_block_line):
     _, summary = two_block_line
     est = estimate(summary, None, QuerySpec(Range((2,), (3,)), QueryKind.SUM, 2))
@@ -205,7 +219,7 @@ def test_a_contradiction_outside_the_shell_is_refused(query):
     # block in its shell: the first leaves it out, the second holds it whole.
     cube = Datacube((9,), (1, 0, 2, 0, 3, 4, 1, 1, 0))
     summary = build_summary(cube, CompressionFactor(((0, 3, 6, 9),)))
-    assert [summary.blocks[at].index for at in summary._split(query).shell] == [(1,)]
+    assert [index for index, _ in decompose(summary, query).partial] == [(1,)]
     cs = ConstraintSet((MacroBlock(Range((5,), (6,)), MacroKind.ALL_NULL),))
     for kind, want_pmf in product(QueryKind, [False, True]):
         with pytest.raises(ConstraintError, match="contradict"):
@@ -338,19 +352,20 @@ def walked_regions(summary, query, kind="count", estimation_case=1):
 
 
 @settings(deadline=None, max_examples=200)
-@given(region_queries(), st.sampled_from(QueryKind), st.sampled_from([1, 2]))
-def test_shell_regions_match_the_per_block_reference(case, kind, estimation_case):
+@given(region_queries(), st.sampled_from(QueryKind), st.sampled_from([1, 2]), st.booleans())
+def test_shell_regions_match_the_per_block_reference(case, kind, estimation_case, want_pmf):
     summary, query = case
-    spec = QuerySpec(query, kind, estimation_case)
+    spec = QuerySpec(query, kind, estimation_case, want_pmf)
     assert estimate(summary, None, spec) == _reference_estimate(summary, None, spec)
-    # the walk's regions tile the shell, each holds its one share of every block,
-    # and each reads the total of its blocks' counts (sums) from the value table
+    # the walk's regions tile the shell, every block that meets the query but is
+    # not inside it; each holds its one share of every block, and each reads
+    # the total of its blocks' counts (sums) from the flat columns
     regions = walked_regions(summary, query, kind.value, estimation_case)
-    split = summary._split(query)
     covered = [
         (blk, clip, width) for clip, width, _, slices in regions for line in slices for blk in summary.blocks[line]
     ]
-    assert sorted(blk.index for blk, _, _ in covered) == sorted(summary.blocks[at].index for at in split.shell)
+    shell = [blk for blk in summary.blocks if blk.range.intersect(query) is not None and not query.contains(blk.range)]
+    assert sorted(blk.index for blk, _, _ in covered) == [blk.index for blk in shell]
     assert all(query.intersect(blk.range).size * width == blk.size * clip for blk, clip, width in covered)
     for _, _, values, slices in regions:
         blocks = [blk for line in slices for blk in summary.blocks[line]]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cubeprob import (
     CompressionFactor,
+    ConstraintError,
     Datacube,
     FactorError,
     InfeasibleError,
@@ -15,6 +16,7 @@ from cubeprob import (
     QueryKind,
     QuerySpec,
     Range,
+    RelationFormatError,
     build_summary,
     count_exact,
     decompose,
@@ -22,6 +24,8 @@ from cubeprob import (
     sum_exact,
     validate,
 )
+from cubeprob.constraints import load_constraints
+from cubeprob.core import load_cube
 from cubeprob.summary import BlockSummary, CompressedDatacube, load_summary, save_summary, summary_from_dict, summary_to_dict
 from conftest import REFERENCE_BOUNDARIES, make_sparse_cube, summarized_ranges
 
@@ -92,7 +96,7 @@ def test_range_outside_the_cube_is_refused(reference_cube, reference_summary, qu
     with pytest.raises(OutOfBoundsError, match=match):
         count_exact(reference_cube, query)
     with pytest.raises(OutOfBoundsError, match=match):
-        reference_summary._split(query)
+        decompose(reference_summary, query)
 
 
 def test_decompose_reference_query(reference_summary):
@@ -260,6 +264,17 @@ def test_summary_file_lists_each_block_once(tmp_path, extra, message):
     path.write_text(json.dumps(payload))
     with pytest.raises(FactorError, match=message):
         load_summary(str(path))
+
+
+@pytest.mark.parametrize("load, error", [
+    (load_summary, FactorError), (load_constraints, ConstraintError), (load_cube, RelationFormatError),
+], ids=["summary", "constraints", "cube"])
+def test_a_json_file_that_is_not_utf8_names_its_path(tmp_path, load, error):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'\xff\xfe{"factor": []}')
+    with pytest.raises(error) as raised:
+        load(str(path))
+    assert str(path) in str(raised.value) and "is not UTF-8 text: byte 0xff" in str(raised.value)
 
 
 def test_summary_file_missing_a_block_is_refused(tmp_path):
